@@ -11,9 +11,8 @@ executed them; and once slaves stop registering for switch events (the
 protocol's other half), events are lost outright.
 """
 
-from sdnsim import (Simulation, SwitchSpec, Scenario, WorkloadItem,
-                    all_passed, classify_anomalies, enumerate_crash_points,
-                    run_all_checks)
+from sdnsim import (SwitchSpec, Scenario, WorkloadItem, all_passed,
+                    classify_anomalies, run_all_checks, sweep_crash_points)
 
 
 def scenario(variant, suppress=False):
@@ -40,13 +39,18 @@ def scenario(variant, suppress=False):
 
 for variant, suppress in [("PAPER_A", False), ("PAPER_B", False),
                           ("NAIVE", False), ("NAIVE", True)]:
-    points = enumerate_crash_points(scenario(variant, suppress), target=0)
+    points = []
     by_anomaly = {}
-    for point in points:
-        verdicts = run_all_checks(Simulation(point.scenario).run())
+
+    def check(point, trace):
+        # each point's trace arrives once, forked from the fault-free run
+        points.append(point)
+        verdicts = run_all_checks(trace)
         if not all_passed(verdicts):
             for label in classify_anomalies(verdicts):
                 by_anomaly.setdefault(label, []).append(point.occurrence)
+
+    sweep_crash_points(scenario(variant, suppress), 0, check)
 
     name = variant + (" (master-only events)" if suppress else "")
     print(f"{name}: {len(points)} crash points")

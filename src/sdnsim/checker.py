@@ -127,6 +127,14 @@ def _parse_commands(text: str, step: int) -> dict[int, int]:
     return out
 
 
+def _detail_int(rec, key: str) -> int:
+    try:
+        return int(rec.detail[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckError(f"malformed {rec.kind} record at step {rec.step}: "
+                         f"detail.{key} missing or not an integer") from exc
+
+
 def _is_ack_hex(payload_hex: str) -> bool:
     return bytes.fromhex(payload_hex).startswith(ACK_MARKER)
 
@@ -207,9 +215,9 @@ def check_exactly_once_commands(trace: Trace) -> Verdict:
         sw = int(rec.actor[1:])
         d = rec.detail
         if d.get("exec") == "BUNDLE_COMMIT":
-            executions.setdefault((sw, int(d["bundle"])), []).append(rec.step)
+            executions.setdefault((sw, _detail_int(rec, "bundle")), []).append(rec.step)
         elif d.get("cmd_ord") == "0":
-            executions.setdefault((sw, int(d["cmd_index"])), []).append(rec.step)
+            executions.setdefault((sw, _detail_int(rec, "cmd_index")), []).append(rec.step)
 
     for (sw, index), steps in sorted(executions.items()):
         if len(steps) > 1:
@@ -299,7 +307,7 @@ def check_bundle_atomicity(trace: Trace) -> Verdict:
         elif rec.kind == "EXEC" and rec.detail.get("exec") == "BUNDLE_COMMIT":
             sw = int(rec.actor[1:])
             conn = int(rec.detail.get("from", -1))
-            key = (sw, conn, int(rec.detail["bundle"]))
+            key = (sw, conn, _detail_int(rec, "bundle"))
             expected_by_step[rec.step] = open_bundles.pop(key, None)
 
     kind_of = {"FlowMod": "FLOWMOD", "PacketOut": "PACKETOUT"}

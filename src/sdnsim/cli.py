@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .checker import (Verdict, all_passed, classify_anomalies, run_all_checks,
-                      summary_line, CheckError)
+from .checker import (PROPERTIES, CheckError, Verdict, all_passed,
+                      classify_anomalies, run_all_checks, summary_line)
 from .metrics import compute_metrics
-from .netsim import Simulation, enumerate_crash_points, resolve_crash_target
+from .netsim import Simulation, resolve_crash_target, sweep_crash_points
+# The replay oracle; not called here, but the benchmark's span wrappers
+# look it up under this name.
+from .netsim import enumerate_crash_points  # noqa: F401
 from .scenario import Scenario, ScenarioError, load_scenario
 from .trace import Trace, TraceFormatError
 
@@ -118,24 +122,34 @@ def cmd_run(args) -> int:
     return EXIT_PASS if all_passed(verdicts) else EXIT_VIOLATION
 
 
-def _run_point(scenario: Scenario) -> tuple[list[Verdict], int]:
-    trace = Simulation(scenario).run()
-    return run_all_checks(trace), compute_metrics(trace).total
+def _sweep_share(scenario: Scenario, target: int, worker: int = 0, workers: int = 1):
+    """Check one worker's share of the crash points as they are swept.
+    Returns the fault-free trace and one (point, verdicts) row per point."""
+    rows = []
+    base = sweep_crash_points(
+        scenario, target, lambda point, trace: rows.append((point, run_all_checks(trace))),
+        worker, workers)
+    return base, rows
 
 
 def _sweep(scenario: Scenario, target: int, jobs: int):
-    points = enumerate_crash_points(scenario, target)
-    if jobs > 1 and points:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_point, [p.scenario for p in points]))
-    else:
-        results = [_run_point(p.scenario) for p in points]
-    return points, results
+    """The fault-free trace and the (point, verdicts) rows of every crash
+    point, in occurrence order. With ``jobs`` > 1 each worker process
+    repeats the fault-free run and forks only its own share of the points."""
+    if jobs <= 1:
+        return _sweep_share(scenario, target)
+    with ProcessPoolExecutor(max_workers=jobs,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        shares = list(pool.map(_sweep_share, [scenario] * jobs, [target] * jobs,
+                               range(jobs), [jobs] * jobs))
+    rows = sorted((row for _, share in shares for row in share),
+                  key=lambda row: row[0].occurrence)
+    return shares[0][0], rows
 
 
 def _combined(per_run_verdicts: list[list[Verdict]]) -> list[Verdict]:
     combined = []
-    for i, prop in enumerate(("P1", "P2", "P3", "P4", "P5", "P6")):
+    for i, prop in enumerate(PROPERTIES):
         passed = all(vs[i].passed for vs in per_run_verdicts) if per_run_verdicts else True
         combined.append(Verdict(prop, passed))
     return combined
@@ -144,16 +158,16 @@ def _combined(per_run_verdicts: list[list[Verdict]]) -> list[Verdict]:
 def cmd_sweep(args) -> int:
     scenario = _load(args)
     target = resolve_crash_target(scenario, args.crash)
-    points, results = _sweep(scenario, target, args.jobs)
+    _, rows = _sweep(scenario, target, args.jobs)
     print(f"sweep of {scenario.name} [{scenario.variant}]: crash c{target} at "
-          f"each of {len(points)} send/deliver points")
+          f"each of {len(rows)} send/deliver points")
     print(f"{'point':>5} {'t':>4} {'at':<24} {'P1..P6':<13} anomalies")
-    for point, (verdicts, _) in zip(points, results):
+    for point, verdicts in rows:
         flags = " ".join("+" if v.passed else "-" for v in verdicts)
         anomalies = ",".join(classify_anomalies(verdicts)) or "-"
         where = f"{point.kind} {point.msg_type}"
         print(f"{point.occurrence:>5} {point.t:>4} {where:<24} {flags:<13} {anomalies}")
-    combined = _combined([vs for vs, _ in results])
+    combined = _combined([vs for _, vs in rows])
     print(summary_line(combined))
     return EXIT_PASS if all_passed(combined) else EXIT_VIOLATION
 
@@ -168,13 +182,9 @@ def cmd_compare(args) -> int:
     scenario = _load(args)
     rows = {}
     for variant in _VARIANT_ORDER:
-        sc = scenario.with_variant(variant)
-        trace = Simulation(sc).run()
-        verdicts = run_all_checks(trace)
-        report = compute_metrics(trace)
-        points, results = _sweep(sc, 0, args.jobs)
-        sweep_verdicts = [vs for vs, _ in results]
-        rows[variant] = (report, verdicts, sweep_verdicts)
+        trace, sweep_rows = _sweep(scenario.with_variant(variant), 0, args.jobs)
+        rows[variant] = (compute_metrics(trace), run_all_checks(trace),
+                         [vs for _, vs in sweep_rows])
 
     print(f"workload {scenario.name}: {len(scenario.workload)} events, "
           f"{scenario.n_controllers} controllers")

@@ -7,21 +7,28 @@ of the scenario. Controller crashes kill the controller's channels:
 queued and future messages on them are dropped (recorded as DROP), the
 switch end discards staged bundles, and surviving replicas get failure
 notices after the detector delay.
+
+A run can be stepped one dispatched event at a time and forked between
+events. The crash sweep steps one fault-free base run and, at each event
+boundary, forks it once per crash point the last event produced, crashes
+the target in the fork and runs only the suffix; each fork's trace equals
+the trace of the derived scenario that ``enumerate_crash_points`` replays
+from the start.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
-import itertools
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .apps import make_app
 from .ofmodel import Match, Output
 from .replica import Note, Replica, SendToReplica, SendToSwitch
 from .scenario import FaultSpec, Scenario, ScenarioError, SwitchSpec, TracePointSpec
 from .switchsim import ExecKind, FlowEntry, SwitchState
-from .trace import Trace, msg_to_wire
+from .trace import Trace, TraceRecord, msg_to_wire
 
 
 def _initial_flow_entries(spec: SwitchSpec) -> list[FlowEntry]:
@@ -61,7 +68,10 @@ class Simulation:
         self.sc = scenario
         self.now = 0
         self._heap: list = []
-        self._seq = itertools.count()
+        self._seq = 0
+        self._started = False
+        self.processed = 0  # events dispatched so far
+        self.quiesced = True
         self.crashed: set[int] = set()
         self._pending_crashes: list[int] = []
         self._point_faults = [_PointFault(f) for f in scenario.faults
@@ -106,6 +116,21 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def run(self) -> Trace:
+        """Run to quiescence or the quiesce limit, continuing from wherever
+        earlier ``step`` calls left off, and return the finished trace."""
+        self.start()
+        while self.step():
+            pass
+        self.trace.meta["quiesced"] = self.quiesced
+        self.trace.meta["crashed"] = sorted(self.crashed)
+        return self.trace
+
+    def start(self) -> None:
+        """Queue the workload and timed faults and run replica start-up;
+        does nothing the second time."""
+        if self._started:
+            return
+        self._started = True
         for w in self.sc.workload:
             self._schedule(w.t, ("workload", w.switch, w.in_port, w.payload))
         for f in self.sc.faults:
@@ -114,24 +139,50 @@ class Simulation:
         for rid in sorted(self.replicas):
             self._run_effects(rid, self.replicas[rid].startup())
 
-        processed = 0
-        quiesced = True
-        while self._heap:
-            if processed >= self.sc.quiesce_limit:
-                quiesced = False
-                self._record(self.now, "STALL", "sim",
-                             detail={"reason": "quiesce_limit"})
-                break
-            t, _, item = heapq.heappop(self._heap)
-            self.now = t
-            self._dispatch(item)
-            processed += 1
-            while self._pending_crashes:
-                self._crash(self._pending_crashes.pop(0))
+    def step(self) -> bool:
+        """Dispatch the next event and fire the crashes it triggered.
+        Returns False, dispatching nothing, once the heap is empty or the
+        quiesce limit is hit (which records one STALL)."""
+        if not self._heap or not self.quiesced:
+            return False
+        if self.processed >= self.sc.quiesce_limit:
+            self.quiesced = False
+            self._record(self.now, "STALL", "sim", detail={"reason": "quiesce_limit"})
+            return False
+        t, _, item = heapq.heappop(self._heap)
+        self.now = t
+        self._dispatch(item)
+        self.processed += 1
+        if self._pending_crashes:
+            self._fire_pending_crashes()
+        return True
 
-        self.trace.meta["quiesced"] = quiesced
-        self.trace.meta["crashed"] = sorted(self.crashed)
-        return self.trace
+    def fork(self) -> "Simulation":
+        """An independent copy of this run, to be continued separately.
+
+        Only the mutable containers are copied; records, messages, wire
+        dicts, log entries and app states are immutable and stay shared."""
+        new = copy.copy(self)
+        new._heap = list(self._heap)
+        new.crashed = set(self.crashed)
+        new._pending_crashes = list(self._pending_crashes)
+        new._point_faults = [copy.copy(pf) for pf in self._point_faults]
+        new.switches = {i: sw.fork() for i, sw in self.switches.items()}
+        new.replicas = {i: r.fork() for i, r in self.replicas.items()}
+        new.trace = self.trace.fork()
+        return new
+
+    def crash_at_boundary(self, target: int) -> None:
+        """Crash ``target`` as a trace-point fault matched by the last
+        dispatched event does: now, or, before the first dispatch (a match
+        during start-up), right after the first event."""
+        self._pending_crashes.append(target)
+        if self.processed:
+            self._fire_pending_crashes()
+
+    def _fire_pending_crashes(self) -> None:
+        while self._pending_crashes:
+            self._crash(self._pending_crashes.pop(0))
 
     # ------------------------------------------------------------------
     # event dispatch
@@ -246,7 +297,8 @@ class Simulation:
         return ep.startswith("c") and int(ep[1:]) in self.crashed
 
     def _schedule(self, t: int, item: tuple) -> None:
-        heapq.heappush(self._heap, (t, next(self._seq), item))
+        heapq.heappush(self._heap, (t, self._seq, item))
+        self._seq += 1
 
     def _record(self, t: int, kind: str, actor: str, peer: Optional[str] = None,
                 msg: Optional[dict] = None, detail: Optional[dict[str, str]] = None):
@@ -291,19 +343,67 @@ def resolve_crash_target(scenario: Scenario, selector: str) -> int:
 
 def enumerate_crash_points(scenario: Scenario, target: int) -> list[SweepPoint]:
     """Run the scenario fault-free once and derive one scenario per trace
-    point where the target controller sends or delivers a message."""
+    point where the target controller sends or delivers a message.
+
+    Each derived scenario replays the whole run with its crash; this is
+    the reference that ``sweep_crash_points`` must reproduce."""
+    _check_sweep_base(scenario)
+    base = Simulation(scenario).run()
+    actor = f"c{target}"
+    points = [rec for rec in base.records if _is_crash_point(rec, actor)]
+    return [_sweep_point(scenario, target, occurrence, rec)
+            for occurrence, rec in enumerate(points, 1)]
+
+
+def sweep_crash_points(scenario: Scenario, target: int,
+                       on_point: Callable[[SweepPoint, Trace], None],
+                       worker: int = 0, workers: int = 1) -> Trace:
+    """Crash the target at every point ``enumerate_crash_points`` derives,
+    sharing the fault-free prefix instead of replaying it.
+
+    The fault-free base run is stepped one event at a time. At each event
+    boundary, every target send/deliver since the previous boundary is a
+    crash point: the base is forked, the crash is queued there and the fork
+    is run to the end. ``on_point(point, trace)`` gets each point with its
+    finished trace, in occurrence order, and nothing keeps the trace after
+    it returns. Worker ``worker`` of ``workers`` forks only the points with
+    ``(occurrence - 1) % workers == worker``. Returns the fault-free trace."""
+    _check_sweep_base(scenario)
+    base = Simulation(scenario)
+    base.start()
+    actor = f"c{target}"
+    occurrence = seen = 0
+    while True:
+        records = base.trace.records
+        for rec in records[seen:]:
+            if not _is_crash_point(rec, actor):
+                continue
+            occurrence += 1
+            if (occurrence - 1) % workers != worker:
+                continue
+            point = _sweep_point(scenario, target, occurrence, rec)
+            fork = base.fork()
+            fork.trace.meta["scenario"] = point.scenario.name
+            fork.crash_at_boundary(target)
+            on_point(point, fork.run())
+        seen = len(records)
+        if not base.step():
+            return base.run()
+
+
+def _check_sweep_base(scenario: Scenario) -> None:
     if any(f.at_point is not None for f in scenario.faults):
         raise ScenarioError("sweep base scenario may not contain trace-point faults")
-    base = Simulation(scenario).run()
-    points: list[SweepPoint] = []
-    occurrence = 0
-    for rec in base.records:
-        if rec.kind in ("SEND", "DELIVER") and rec.actor == f"c{target}":
-            occurrence += 1
-            fault = FaultSpec(target=target,
-                              at_point=TracePointSpec("ANY", None, occurrence))
-            derived = replace(scenario.with_extra_fault(fault),
-                              name=f"{scenario.name}+crash-c{target}-p{occurrence}")
-            points.append(SweepPoint(occurrence, rec.step, rec.t, rec.kind,
-                                     (rec.msg or {}).get("type", ""), derived))
-    return points
+
+
+def _is_crash_point(rec: TraceRecord, actor: str) -> bool:
+    return rec.kind in ("SEND", "DELIVER") and rec.actor == actor
+
+
+def _sweep_point(scenario: Scenario, target: int, occurrence: int,
+                 rec: TraceRecord) -> SweepPoint:
+    fault = FaultSpec(target=target, at_point=TracePointSpec("ANY", None, occurrence))
+    derived = replace(scenario.with_extra_fault(fault),
+                      name=f"{scenario.name}+crash-c{target}-p{occurrence}")
+    return SweepPoint(occurrence, rec.step, rec.t, rec.kind,
+                      (rec.msg or {}).get("type", ""), derived)

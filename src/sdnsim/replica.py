@@ -23,6 +23,7 @@ acks to consult and blindly resends every committed batch.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Union
 
@@ -153,6 +154,20 @@ class Replica:
         self.fence_done: dict[SwitchId, bool] = {s: False for s in switch_ids}
         self.crashed: set[ControllerId] = set()
         self.stalled = False
+
+    def fork(self) -> "Replica":
+        """An independent copy; log entries, commands and app states are
+        immutable and stay shared."""
+        new = copy.copy(self)
+        new.log = list(self.log)
+        new.event_buffer = dict(self.event_buffer)
+        new.ack_table = {sw: set(acks) for sw, acks in self.ack_table.items()}
+        new.logged_events = set(self.logged_events)
+        new.commands_by_index = dict(self.commands_by_index)
+        new.acked_through = dict(self.acked_through)
+        new.fence_done = dict(self.fence_done)
+        new.crashed = set(self.crashed)
+        return new
 
     # ------------------------------------------------------------------
 

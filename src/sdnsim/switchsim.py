@@ -11,7 +11,8 @@ failover story and must not be weakened:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -111,6 +112,17 @@ class SwitchState:
         self.clone_acks_to_all = clone_acks_to_all
         self.exec_log: list[ExecRecord] = []
         self._install_seq = 0
+
+    def fork(self) -> "SwitchState":
+        """An independent copy; flow entries, messages and exec records are
+        never mutated in place and stay shared."""
+        new = copy.copy(self)
+        new.flow_table = list(self.flow_table)
+        new.conns = {c: replace(conn, open_bundles={b: list(staged) for b, staged
+                                                    in conn.open_bundles.items()})
+                     for c, conn in self.conns.items()}
+        new.exec_log = list(self.exec_log)
+        return new
 
     # ------------------------------------------------------------------
     # message handling

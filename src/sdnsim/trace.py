@@ -54,6 +54,12 @@ class Trace:
         self.records.append(rec)
         return rec
 
+    def fork(self) -> "Trace":
+        """A copy that can be appended to independently; records are shared."""
+        new = Trace(self.meta)
+        new.records = list(self.records)
+        return new
+
     def to_lines(self) -> list[str]:
         lines = [canonical_json({"meta": self.meta})]
         lines.extend(canonical_json(r.to_obj()) for r in self.records)

@@ -1,9 +1,16 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from builders import learning_scenario, one_command_scenario
-from sdnsim import Simulation, Trace, enumerate_crash_points, run_all_checks, all_passed
+from sdnsim import (Simulation, Trace, all_passed, enumerate_crash_points,
+                    load_scenario, run_all_checks)
 from sdnsim.cli import main
 from sdnsim.scenario import scenario_to_obj
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_scenario(tmp_path, scenario, name="scenario.json"):
@@ -96,6 +103,26 @@ def test_check_truncated_trace_exits_two(tmp_path):
     lines = trace.to_lines()
     path.write_text("\n".join(lines[:1] + lines[3:]))  # drop a record line
     assert main(["check", str(path)]) == 2
+
+
+@pytest.mark.parametrize("variant, exec_kind, field", [
+    ("PAPER_A", "BUNDLE_COMMIT", "bundle"),
+    ("NAIVE", "FLOWMOD", "cmd_index"),
+])
+def test_check_exec_record_missing_its_index_exits_two(tmp_path, capsys,
+                                                        variant, exec_kind, field):
+    scenario = load_scenario(str(SCENARIO_DIR / "one_command.json"))
+    lines = Simulation(scenario.with_variant(variant)).run().to_lines()
+    objs = [json.loads(ln) for ln in lines]
+    damaged = [o for o in objs[1:]
+               if o["kind"] == "EXEC" and o["detail"]["exec"] == exec_kind]
+    assert damaged
+    for o in damaged:
+        del o["detail"][field]
+    path = tmp_path / "run.trace"
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    assert main(["check", str(path)]) == 2
+    assert f"detail.{field} missing" in capsys.readouterr().err
 
 
 def test_check_empty_file_exits_two(tmp_path):

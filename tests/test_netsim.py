@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from builders import learning_scenario, one_command_scenario
@@ -8,9 +10,13 @@ from sdnsim import (
     TracePointSpec,
     all_passed,
     enumerate_crash_points,
+    load_scenario,
     resolve_crash_target,
     run_all_checks,
+    sweep_crash_points,
 )
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run_trace(scenario):
@@ -167,6 +173,94 @@ def test_derived_runs_replay_the_base_prefix():
     assert crash.t == point.t
     between = derived.records[point.step:crash.step - 1]
     assert all(r.t == point.t for r in between)
+
+
+def forked_sweep(scenario, target):
+    """(point, trace lines) for every point of the forked sweep, and the
+    fault-free trace it returns."""
+    out = []
+    base = sweep_crash_points(scenario, target,
+                              lambda p, trace: out.append((p, trace.to_lines())))
+    return out, base
+
+
+def assert_sweep_matches_replay(scenario, target):
+    forked, base = forked_sweep(scenario, target)
+    replayed = enumerate_crash_points(scenario, target)
+    assert [p for p, _ in forked] == replayed
+    for (p, lines), ref in zip(forked, replayed):
+        assert lines == run_trace(ref.scenario).to_lines(), f"point {p.occurrence}"
+    assert base.to_lines() == run_trace(scenario).to_lines()
+    return forked
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_forked_sweep_matches_replay_on_every_shipped_scenario(path):
+    scenario = load_scenario(str(path))
+    for target in range(scenario.n_controllers):
+        assert_sweep_matches_replay(scenario, target)
+
+
+def test_startup_points_crash_after_the_first_dispatched_event():
+    sc = learning_scenario()
+    sim = Simulation(sc)
+    sim.start()
+    n_startup = len(sim.trace.records)
+    forked, _ = forked_sweep(sc, 0)
+    startup = [(p, lines) for p, lines in forked if p.step <= n_startup]
+    assert [p.occurrence for p, _ in startup] == [1, 2]  # c0's two RoleRequests
+    for p, lines in startup:
+        trace = run_trace(p.scenario)
+        assert lines == trace.to_lines()
+        crash = next(r for r in trace.records if r.kind == "CRASH")
+        first_event = trace.records[n_startup]
+        assert crash.step > first_event.step and crash.t == first_event.t
+        assert all(r.t == first_event.t for r in trace.records[n_startup:crash.step])
+
+
+@pytest.mark.parametrize("limit", [1, 5, 20])
+def test_forks_stall_at_the_same_step_as_replays(limit):
+    sc = learning_scenario(quiesce_limit=limit)
+    for p, lines in assert_sweep_matches_replay(sc, 0):
+        assert '"kind":"STALL"' in lines[-1], f"point {p.occurrence}"
+
+
+def test_parallel_shares_partition_the_points():
+    sc = learning_scenario()
+    whole, _ = forked_sweep(sc, 0)
+    shares = []
+    for worker in range(3):
+        sweep_crash_points(sc, 0, lambda p, trace: shares.append((p, trace.to_lines())),
+                           worker, 3)
+    assert sorted(shares, key=lambda s: s[0].occurrence) == whole
+
+
+def stepped(scenario, n):
+    sim = Simulation(scenario)
+    sim.start()
+    for _ in range(n):
+        assert sim.step()
+    return sim
+
+
+def test_fork_is_independent_of_its_parent():
+    sc = learning_scenario()
+    # stop while a bundle is half staged, so that the forks and the parent
+    # all go on to stage more commands into it
+    sim = stepped(sc, 0)
+    while not any(conn.open_bundles for sw in sim.switches.values()
+                  for conn in sw.conns.values()):
+        assert sim.step()
+    n = sim.processed
+    plain, crashed = sim.fork(), sim.fork()
+    crashed.crash_at_boundary(1)  # a follower: the leader's bundle stays open
+    assert plain.run().to_lines() == run_trace(sc).to_lines()
+    crashed_lines = crashed.run().to_lines()
+    assert sim.run().to_lines() == run_trace(sc).to_lines()
+
+    unforked = stepped(sc, n)
+    unforked.crash_at_boundary(1)
+    assert unforked.run().to_lines() == crashed_lines
 
 
 def test_resolve_crash_target():
