@@ -3,20 +3,24 @@
 P1 total event order, P2 no lost events, P3 no repeated events, P4
 exactly-once commands, P5 replica convergence, P6 bundle atomicity.
 
-All checks are read-only functions of one trace. Liveness-flavored
-obligations (P2, and P4's "commands eventually execute" half) are only
-asserted when the run quiesced with at most floor(n/2) crashes; the
-safety halves are asserted unconditionally. Failed verdicts carry
-witnesses that cite real trace steps.
+Each property is a read-only function of ``_Run``, the one parsed view
+of a trace, which a single ordered pass over the records builds;
+``run_all_checks`` builds it once per trace. A malformed trace raises
+CheckError instead of yielding a verdict. Liveness-flavored obligations
+(P2, and P4's "commands eventually execute" half) are only asserted when
+the run quiesced with at most floor(n/2) crashes; the safety halves are
+asserted unconditionally. Failed verdicts carry witnesses that cite real
+trace steps.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .ofmodel import ACK_MARKER
-from .trace import Trace
+from .ofmodel import is_ack_payload
+from .trace import Trace, TraceRecord
 
 PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P6")
 
@@ -58,7 +62,8 @@ def _pass(prop: str, note: str = "") -> Verdict:
 # trace digestion
 
 class _Run:
-    """Pre-parsed view of one trace."""
+    """The one parsed view of a trace that every property reads, built in
+    a single ordered pass over the records. Malformed input is a CheckError."""
 
     def __init__(self, trace: Trace):
         meta = trace.meta
@@ -66,52 +71,124 @@ class _Run:
             self.n: int = meta["n_controllers"]
             self.variant: str = meta["variant"]
             self.quiesced: bool = meta["quiesced"]
-            self.crashed: set[int] = set(meta["crashed"])
+            crashed = meta["crashed"]
         except KeyError as exc:
             raise CheckError(f"trace metadata missing {exc}") from exc
-        self.records = trace.records
+        if not isinstance(self.n, int) or not isinstance(crashed, list):
+            raise CheckError("trace metadata: n_controllers must be an integer "
+                             "and crashed a list")
+        self.crashed: set[int] = set(crashed)
         self.survivors = [c for c in range(self.n) if c not in self.crashed]
+        self.last_step = trace.records[-1].step if trace.records else 0
+        # replica -> its APPLY entries, and separately its EVENT ones
+        self.applies: dict[int, list[dict]] = defaultdict(list)
+        self.events: dict[int, list[dict]] = defaultdict(list)
+        self.emitted: dict[str, int] = {}  # workload event -> first SEND step
+        # (switch, log index) -> steps executing that entry's command batch
+        self.executions: dict[tuple[int, int], list[int]] = defaultdict(list)
+        self.execs: dict[int, list[TraceRecord]] = defaultdict(list)  # by switch
+        # BUNDLE_COMMIT step -> inner types staged in that bundle, or None
+        # when no bundle was open under its id
+        self.staged: dict[int, Optional[list[str]]] = {}
 
-        # APPLY records per replica, in step order
-        self.applies: dict[int, list[dict]] = {c: [] for c in range(self.n)}
-        for rec in self.records:
-            if rec.kind != "APPLY":
-                continue
-            rid = _ctrl_id(rec.actor)
-            entry = {"step": rec.step, "detail": rec.detail}
-            try:
-                entry["index"] = int(rec.detail["index"])
-                entry["kind"] = rec.detail["entry"]
-            except (KeyError, ValueError) as exc:
-                raise CheckError(f"malformed APPLY record at step {rec.step}") from exc
-            if entry["kind"] == "EVENT":
-                entry["event"] = rec.detail.get("event", "")
-                entry["commands"] = _parse_commands(rec.detail.get("commands", ""),
-                                                    rec.step)
-            entry["digest"] = rec.detail.get("digest", "")
-            self.applies.setdefault(rid, []).append(entry)
+        open_bundles: dict[tuple[int, int, int], list[str]] = {}  # (sw, conn, id)
+        for rec in trace.records:
+            kind = rec.kind
+            if kind == "APPLY":
+                self._add_apply(rec)
+            elif kind == "SEND":
+                event = workload_event(rec)
+                if event is not None:
+                    self.emitted.setdefault(event, rec.step)
+            elif kind == "DELIVER" and rec.msg and rec.msg.get("type") in (
+                    "BundleOpen", "BundleAdd"):
+                key = (_endpoint_id(rec, "actor", "s"), _endpoint_id(rec, "peer", "c"),
+                       _msg_field(rec, "bundle_id", int))
+                if rec.msg["type"] == "BundleOpen":
+                    # a re-open of a live id is rejected by the switch
+                    open_bundles.setdefault(key, [])
+                elif key in open_bundles:
+                    open_bundles[key].append(_msg_field(rec, "inner.type", str))
+            elif kind == "CRASH":
+                dead = _endpoint_id(rec, "actor", "c")
+                for key in [k for k in open_bundles if k[1] == dead]:
+                    del open_bundles[key]
+            elif kind == "EXEC":
+                sw = _endpoint_id(rec, "actor", "s")
+                self.execs[sw].append(rec)
+                if rec.detail.get("exec") == "BUNDLE_COMMIT":
+                    index = _detail_int(rec, "bundle")
+                    self.staged[rec.step] = open_bundles.pop(
+                        (sw, _detail_int(rec, "from"), index), None)
+                elif rec.detail.get("cmd_ord") == "0":
+                    index = _detail_int(rec, "cmd_index")
+                else:
+                    continue
+                self.executions[(sw, index)].append(rec.step)
+
+    def _add_apply(self, rec: TraceRecord) -> None:
+        rid = _endpoint_id(rec, "actor", "c")
+        try:
+            entry = {"step": rec.step, "index": int(rec.detail["index"]),
+                     "kind": rec.detail["entry"],
+                     "digest": rec.detail.get("digest", "")}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckError(f"malformed APPLY record at step {rec.step}") from exc
+        self.applies[rid].append(entry)
+        if entry["kind"] == "EVENT":
+            entry["event"] = rec.detail.get("event", "")
+            entry["commands"] = _parse_commands(rec.detail.get("commands", ""),
+                                                rec.step)
+            self.events[rid].append(entry)
 
     @property
     def fault_bound_ok(self) -> bool:
         return len(self.crashed) <= self.n // 2
 
-    def event_applies(self, rid: int) -> list[dict]:
-        return [a for a in self.applies.get(rid, []) if a["kind"] == "EVENT"]
-
     def committed_commands(self) -> dict[tuple[int, int], int]:
         """(log index, switch) -> command count, unioned over survivors."""
         out: dict[tuple[int, int], int] = {}
         for rid in self.survivors:
-            for a in self.event_applies(rid):
+            for a in self.events.get(rid, []):
                 for sw, count in a["commands"].items():
                     out[(a["index"], sw)] = count
         return out
 
 
-def _ctrl_id(actor: str) -> int:
-    if not actor.startswith("c"):
-        raise CheckError(f"expected controller actor, got {actor!r}")
-    return int(actor[1:])
+def workload_event(rec: TraceRecord) -> Optional[str]:
+    """The event id if ``rec`` is a switch's PacketIn SEND carrying a
+    workload event rather than a commit acknowledgement, else None."""
+    if not (rec.kind == "SEND" and rec.actor.startswith("s") and rec.msg
+            and rec.msg.get("type") == "PacketIn"):
+        return None
+    try:
+        payload = bytes.fromhex(_msg_field(rec, "payload", str))
+    except ValueError as exc:
+        raise CheckError(f"malformed PacketIn at step {rec.step}: "
+                         f"msg.payload is not hex") from exc
+    return None if is_ack_payload(payload) else _msg_field(rec, "event", str)
+
+
+def _endpoint_id(rec: TraceRecord, field: str, prefix: str) -> int:
+    """The id in ``rec.actor`` or ``rec.peer``, a ``c<id>`` controller or an
+    ``s<id>`` switch as ``prefix`` says."""
+    name = getattr(rec, field)
+    if not (name and name.startswith(prefix) and name[1:].isdigit()):
+        raise CheckError(f"malformed {rec.kind} record at step {rec.step}: "
+                         f"{field} {name!r} is not a "
+                         f"{'controller' if prefix == 'c' else 'switch'}")
+    return int(name[1:])
+
+
+def _msg_field(rec: TraceRecord, path: str, want: type):
+    """``rec.msg`` at the dotted ``path``, which must hold a ``want``."""
+    value = rec.msg
+    for key in path.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    if not isinstance(value, want):
+        raise CheckError(f"malformed {rec.msg.get('type')} at step {rec.step}: "
+                         f"msg.{path} missing or of the wrong type")
+    return value
 
 
 def _parse_commands(text: str, step: int) -> dict[int, int]:
@@ -122,12 +199,12 @@ def _parse_commands(text: str, step: int) -> dict[int, int]:
         for part in text.split(","):
             sw, count = part.split("=")
             out[int(sw)] = int(count)
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:
         raise CheckError(f"malformed commands detail at step {step}") from exc
     return out
 
 
-def _detail_int(rec, key: str) -> int:
+def _detail_int(rec: TraceRecord, key: str) -> int:
     try:
         return int(rec.detail[key])
     except (KeyError, TypeError, ValueError) as exc:
@@ -135,17 +212,12 @@ def _detail_int(rec, key: str) -> int:
                          f"detail.{key} missing or not an integer") from exc
 
 
-def _is_ack_hex(payload_hex: str) -> bool:
-    return bytes.fromhex(payload_hex).startswith(ACK_MARKER)
-
-
 # ----------------------------------------------------------------------
 # properties
 
-def check_total_order(trace: Trace) -> Verdict:
+def check_total_order(run: _Run) -> Verdict:
     """P1: all replicas apply events in prefix-comparable order."""
-    run = _Run(trace)
-    seqs = {rid: [(a["event"], a["step"]) for a in run.event_applies(rid)]
+    seqs = {rid: [(a["event"], a["step"]) for a in run.events.get(rid, [])]
             for rid in range(run.n)}
     witnesses: list[Witness] = []
     rids = sorted(seqs)
@@ -162,35 +234,27 @@ def check_total_order(trace: Trace) -> Verdict:
     return _fail("P1", witnesses) if witnesses else _pass("P1")
 
 
-def check_at_least_once(trace: Trace) -> Verdict:
+def check_at_least_once(run: _Run) -> Verdict:
     """P2: every switch-emitted event is applied by every surviving replica."""
-    run = _Run(trace)
     if not run.quiesced or not run.fault_bound_ok:
         return _pass("P2", note="not checked: requires quiescence and at most "
                                  "floor(n/2) crashes")
-    emitted: dict[str, int] = {}
-    for rec in run.records:
-        if (rec.kind == "SEND" and rec.actor.startswith("s")
-                and (rec.msg or {}).get("type") == "PacketIn"
-                and not _is_ack_hex(rec.msg["payload"])):
-            emitted.setdefault(rec.msg["event"], rec.step)
     witnesses: list[Witness] = []
     for rid in run.survivors:
-        applied = {a["event"] for a in run.event_applies(rid)}
-        for event, step in sorted(emitted.items(), key=lambda kv: kv[1]):
+        applied = {a["event"] for a in run.events.get(rid, [])}
+        for event, step in sorted(run.emitted.items(), key=lambda kv: kv[1]):
             if event not in applied:
                 witnesses.append(Witness(
                     (step,), f"lost-event: {event} emitted but never applied by c{rid}"))
     return _fail("P2", witnesses) if witnesses else _pass("P2")
 
 
-def check_at_most_once(trace: Trace) -> Verdict:
+def check_at_most_once(run: _Run) -> Verdict:
     """P3: no replica applies the same event twice."""
-    run = _Run(trace)
     witnesses: list[Witness] = []
     for rid in range(run.n):
         seen: dict[str, int] = {}
-        for a in run.event_applies(rid):
+        for a in run.events.get(rid, []):
             if a["event"] in seen:
                 witnesses.append(Witness(
                     (seen[a["event"]], a["step"]),
@@ -200,25 +264,12 @@ def check_at_most_once(trace: Trace) -> Verdict:
     return _fail("P3", witnesses) if witnesses else _pass("P3")
 
 
-def check_exactly_once_commands(trace: Trace) -> Verdict:
+def check_exactly_once_commands(run: _Run) -> Verdict:
     """P4: each committed entry's command batch executes exactly once on its
     switch. Duplicates are flagged unconditionally; missing executions only
     under quiescence and the fault bound."""
-    run = _Run(trace)
     witnesses: list[Witness] = []
-
-    # executions: (switch, index) -> [steps]
-    executions: dict[tuple[int, int], list[int]] = {}
-    for rec in run.records:
-        if rec.kind != "EXEC" or not rec.actor.startswith("s"):
-            continue
-        sw = int(rec.actor[1:])
-        d = rec.detail
-        if d.get("exec") == "BUNDLE_COMMIT":
-            executions.setdefault((sw, _detail_int(rec, "bundle")), []).append(rec.step)
-        elif d.get("cmd_ord") == "0":
-            executions.setdefault((sw, _detail_int(rec, "cmd_index")), []).append(rec.step)
-
+    executions = run.executions
     for (sw, index), steps in sorted(executions.items()):
         if len(steps) > 1:
             witnesses.append(Witness(
@@ -232,9 +283,8 @@ def check_exactly_once_commands(trace: Trace) -> Verdict:
         committed = run.committed_commands()
         for (index, sw), count in sorted(committed.items()):
             if count and (sw, index) not in executions:
-                step = _last_step(run)
                 witnesses.append(Witness(
-                    (step,),
+                    (run.last_step,),
                     f"missing-command: committed index {index} never executed "
                     f"on s{sw}"))
         owned = {(sw, index) for (index, sw) in committed}
@@ -251,9 +301,8 @@ def check_exactly_once_commands(trace: Trace) -> Verdict:
             else _pass("P4", note))
 
 
-def check_replica_convergence(trace: Trace) -> Verdict:
+def check_replica_convergence(run: _Run) -> Verdict:
     """P5: surviving replicas end at the same applied index and app state."""
-    run = _Run(trace)
     if not run.quiesced:
         return _pass("P5", note="not checked: requires quiescence")
     finals: dict[int, tuple[int, str, int]] = {}
@@ -272,54 +321,25 @@ def check_replica_convergence(trace: Trace) -> Verdict:
             if finals[rid][:2] != ref[:2]:
                 steps = tuple(s for s in (ref[2], finals[rid][2]) if s)
                 witnesses.append(Witness(
-                    steps or (_last_step(run),),
+                    steps or (run.last_step,),
                     f"state-divergence: c{rids[0]} ended at index {ref[0]} "
                     f"digest {ref[1]} but c{rid} at index {finals[rid][0]} "
                     f"digest {finals[rid][1]}"))
     return _fail("P5", witnesses) if witnesses else _pass("P5")
 
 
-def check_bundle_atomicity(trace: Trace) -> Verdict:
+def check_bundle_atomicity(run: _Run) -> Verdict:
     """P6: staged effects appear contiguously after their bundle's commit,
     and discarded bundles leave no effects."""
-    run = _Run(trace)
     witnesses: list[Witness] = []
-
-    # staging reconstructed from deliveries; keyed (switch, conn, bundle)
-    open_bundles: dict[tuple[int, int, int], list[str]] = {}
-    expected_by_step: dict[int, Optional[list[str]]] = {}
-    for rec in run.records:
-        if rec.kind == "DELIVER" and rec.actor.startswith("s") and rec.msg:
-            sw = int(rec.actor[1:])
-            conn = _ctrl_id(rec.peer or "c?")
-            mtype = rec.msg.get("type")
-            if mtype == "BundleOpen":
-                # a re-open of a live id is rejected by the switch
-                open_bundles.setdefault((sw, conn, rec.msg["bundle_id"]), [])
-            elif mtype == "BundleAdd":
-                key = (sw, conn, rec.msg["bundle_id"])
-                if key in open_bundles:
-                    open_bundles[key].append(rec.msg["inner"]["type"])
-        elif rec.kind == "CRASH":
-            dead = _ctrl_id(rec.actor)
-            for key in [k for k in open_bundles if k[1] == dead]:
-                del open_bundles[key]
-        elif rec.kind == "EXEC" and rec.detail.get("exec") == "BUNDLE_COMMIT":
-            sw = int(rec.actor[1:])
-            conn = int(rec.detail.get("from", -1))
-            key = (sw, conn, _detail_int(rec, "bundle"))
-            expected_by_step[rec.step] = open_bundles.pop(key, None)
-
     kind_of = {"FlowMod": "FLOWMOD", "PacketOut": "PACKETOUT"}
-    for sw in {int(r.actor[1:]) for r in run.records
-               if r.kind == "EXEC" and r.actor.startswith("s")}:
-        execs = [r for r in run.records if r.kind == "EXEC" and r.actor == f"s{sw}"]
+    for sw, execs in sorted(run.execs.items()):
         j = 0
         while j < len(execs):
             rec = execs[j]
             if rec.detail.get("exec") == "BUNDLE_COMMIT":
                 bundle = rec.detail["bundle"]
-                expected = expected_by_step.get(rec.step)
+                expected = run.staged[rec.step]
                 if expected is None:
                     witnesses.append(Witness(
                         (rec.step,),
@@ -353,20 +373,17 @@ def check_bundle_atomicity(trace: Trace) -> Verdict:
     return _fail("P6", witnesses) if witnesses else _pass("P6")
 
 
-def _last_step(run: _Run) -> int:
-    return run.records[-1].step if run.records else 0
-
-
 # ----------------------------------------------------------------------
 
 def run_all_checks(trace: Trace) -> list[Verdict]:
+    run = _Run(trace)
     return [
-        check_total_order(trace),
-        check_at_least_once(trace),
-        check_at_most_once(trace),
-        check_exactly_once_commands(trace),
-        check_replica_convergence(trace),
-        check_bundle_atomicity(trace),
+        check_total_order(run),
+        check_at_least_once(run),
+        check_at_most_once(run),
+        check_exactly_once_commands(run),
+        check_replica_convergence(run),
+        check_bundle_atomicity(run),
     ]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .ofmodel import ACK_MARKER
+from .checker import workload_event
 from .trace import Trace
 
 
@@ -42,17 +42,12 @@ class MetricsReport:
 
 def compute_metrics(trace: Trace) -> MetricsReport:
     per_kind: Counter[str] = Counter()
-    for rec in trace.records:
-        if rec.kind != "DELIVER" or rec.detail.get("phase") == "setup":
-            continue
-        per_kind[(rec.msg or {}).get("type", "?")] += 1
-
     events = set()
     for rec in trace.records:
-        if (rec.kind == "SEND" and rec.actor.startswith("s")
-                and (rec.msg or {}).get("type") == "PacketIn"
-                and not bytes.fromhex(rec.msg["payload"]).startswith(ACK_MARKER)):
-            events.add(rec.msg["event"])
+        if rec.kind == "DELIVER" and rec.detail.get("phase") != "setup":
+            per_kind[(rec.msg or {}).get("type", "?")] += 1
+        elif rec.kind == "SEND" and (event := workload_event(rec)) is not None:
+            events.add(event)
 
     total = sum(per_kind.values())
     n_events = len(events)

@@ -64,14 +64,6 @@ class Output:
 
 
 @dataclass(frozen=True)
-class Drop:
-    pass
-
-
-Action = Union[Output, Drop]
-
-
-@dataclass(frozen=True)
 class Match:
     """Exact match on optional fields; a Match with no fields matches everything."""
 
@@ -84,11 +76,6 @@ class Match:
         if self.payload_prefix is not None and not payload.startswith(self.payload_prefix):
             return False
         return True
-
-
-@dataclass(frozen=True)
-class Hello:
-    pass
 
 
 @dataclass(frozen=True)
@@ -118,7 +105,7 @@ class PacketIn:
 
 @dataclass(frozen=True)
 class PacketOut:
-    actions: tuple[Action, ...]
+    actions: tuple[Output, ...]
     payload: bytes
 
 
@@ -126,7 +113,7 @@ class PacketOut:
 class FlowMod:
     match: Match
     priority: int
-    actions: tuple[Action, ...]
+    actions: tuple[Output, ...]
 
 
 @dataclass(frozen=True)
@@ -162,7 +149,6 @@ class ErrorMsg:
 
 
 ControlMessage = Union[
-    Hello,
     RoleRequest,
     RoleReply,
     SetAsyncConfig,

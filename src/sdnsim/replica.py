@@ -38,7 +38,6 @@ from .ofmodel import (
     ControllerId,
     ErrorMsg,
     EventId,
-    Hello,
     Output,
     PacketIn,
     PacketOut,
@@ -209,7 +208,7 @@ class Replica:
                 self.fence_done[sw] = True
                 return self._flush_owed(sw)
             return []
-        if isinstance(msg, (BundleCtrlReply, ErrorMsg, Hello)):
+        if isinstance(msg, (BundleCtrlReply, ErrorMsg)):
             return []
         raise AssertionError(f"replica cannot handle {type(msg).__name__}")
 

@@ -18,7 +18,6 @@ from typing import Optional
 
 from .ofmodel import (
     CONTROLLER_PORT,
-    Action,
     BundleAdd,
     BundleCommit,
     BundleCtrlReply,
@@ -26,12 +25,10 @@ from .ofmodel import (
     BundleReplyKind,
     ControlMessage,
     ControllerId,
-    Drop,
     ErrorCode,
     ErrorMsg,
     EventId,
     FlowMod,
-    Hello,
     Match,
     Output,
     PacketIn,
@@ -92,7 +89,7 @@ class ConnState:
 class FlowEntry:
     match: Match
     priority: int
-    actions: tuple[Action, ...]
+    actions: tuple[Output, ...]
     installed_seq: int
 
 
@@ -132,8 +129,6 @@ class SwitchState:
         if not conn.alive:
             raise AssertionError(f"message delivered on dead connection {sender}")
 
-        if isinstance(msg, Hello):
-            return [(sender, Hello())]
         if isinstance(msg, RoleRequest):
             return self._handle_role_request(conn, msg)
         if isinstance(msg, SetAsyncConfig):
@@ -213,7 +208,7 @@ class SwitchState:
                    f"out={_fmt_actions(msg.actions)}")
         out: Outbound = []
         for action in msg.actions:
-            if isinstance(action, Output) and action.port == CONTROLLER_PORT:
+            if action.port == CONTROLLER_PORT:
                 pkt = self._fresh_packet_in(PacketInReason.ACTION,
                                             CONTROLLER_PORT, msg.payload)
                 out.extend(self.deliver_packet_in(pkt))
@@ -230,7 +225,7 @@ class SwitchState:
                    f"in={in_port} out={_fmt_actions(entry.actions)}")
         out: Outbound = []
         for action in entry.actions:
-            if isinstance(action, Output) and action.port == CONTROLLER_PORT:
+            if action.port == CONTROLLER_PORT:
                 pkt = self._fresh_packet_in(PacketInReason.ACTION, in_port, payload)
                 out.extend(self.deliver_packet_in(pkt))
         return out
@@ -286,14 +281,9 @@ class SwitchState:
         self.exec_log.append(ExecRecord(kind, bundle_id, sender, detail))
 
 
-def _fmt_actions(actions: tuple[Action, ...]) -> str:
-    parts = []
-    for a in actions:
-        if isinstance(a, Output):
-            parts.append("ctl" if a.port == CONTROLLER_PORT else str(a.port))
-        elif isinstance(a, Drop):
-            parts.append("drop")
-    return ",".join(parts)
+def _fmt_actions(actions: tuple[Output, ...]) -> str:
+    return ",".join("ctl" if a.port == CONTROLLER_PORT else str(a.port)
+                    for a in actions)
 
 
 def _fmt_match(match: Match) -> str:

@@ -80,19 +80,24 @@ class Trace:
     def from_lines(cls, lines: list[str]) -> "Trace":
         if not lines:
             raise TraceFormatError("empty trace")
-        head = json.loads(lines[0])
-        if "meta" not in head:
+        head = _json_object(lines[0], 1)
+        if not isinstance(head.get("meta"), dict):
             raise TraceFormatError("first trace line must carry run metadata")
         trace = cls(head["meta"])
         prev_step = 0
-        for ln in lines[1:]:
-            obj = json.loads(ln)
+        for lineno, ln in enumerate(lines[1:], 2):
+            obj = _json_object(ln, lineno)
             try:
                 rec = TraceRecord(step=obj["step"], t=obj["t"], kind=obj["kind"],
                                   actor=obj["actor"], peer=obj.get("peer"),
                                   msg=obj.get("msg"), detail=obj.get("detail", {}))
             except KeyError as exc:
                 raise TraceFormatError(f"record missing field {exc}") from exc
+            if not (isinstance(rec.actor, str) and isinstance(rec.detail, dict)
+                    and isinstance(rec.peer, (str, type(None)))
+                    and isinstance(rec.msg, (dict, type(None)))):
+                raise TraceFormatError(f"line {lineno}: actor and peer must be "
+                                       f"strings, msg and detail objects")
             if rec.kind not in RECORD_KINDS:
                 raise TraceFormatError(f"unknown record kind {rec.kind!r}")
             if rec.step != prev_step + 1:
@@ -106,6 +111,13 @@ class TraceFormatError(Exception):
     pass
 
 
+def _json_object(line: str, lineno: int) -> dict:
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise TraceFormatError(f"line {lineno}: expected a JSON object")
+    return obj
+
+
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -113,10 +125,8 @@ def canonical_json(obj: Any) -> str:
 # ----------------------------------------------------------------------
 # message serialization
 
-def _action_to_wire(a: of.Action) -> dict:
-    if isinstance(a, of.Output):
-        return {"type": "Output", "port": a.port}
-    return {"type": "Drop"}
+def _action_to_wire(a: of.Output) -> dict:
+    return {"type": "Output", "port": a.port}
 
 
 def _match_to_wire(m: of.Match) -> dict:
@@ -137,8 +147,6 @@ def _entry_to_wire(e: rp.LogEntry) -> dict:
 
 
 def msg_to_wire(msg: Any) -> dict:
-    if isinstance(msg, of.Hello):
-        return {"type": "Hello"}
     if isinstance(msg, of.RoleRequest):
         return {"type": "RoleRequest", "role": msg.role.value,
                 "generation_id": msg.generation_id}

@@ -1,9 +1,11 @@
 import pytest
 
-from builders import (apply_event, bundle_commit_exec, packet_in_send,
-                      synthetic_trace)
+from builders import (apply_event, bundle_commit_exec, one_command_scenario,
+                      packet_in_send, synthetic_trace)
+from sdnsim import Simulation, checker, compute_metrics
 from sdnsim.checker import (
     CheckError,
+    _Run,
     check_at_least_once,
     check_at_most_once,
     check_bundle_atomicity,
@@ -14,6 +16,7 @@ from sdnsim.checker import (
     run_all_checks,
     summary_line,
 )
+from sdnsim.ofmodel import ACK_MARKER
 
 
 def assert_valid_witnesses(verdict, trace):
@@ -34,7 +37,7 @@ def test_p1_passes_on_agreeing_replicas():
         apply_event("c1", 1, "0:1"), apply_event("c1", 2, "0:2"),
         apply_event("c2", 1, "0:1"),  # shorter prefix is fine
     ])
-    assert check_total_order(trace).passed
+    assert check_total_order(_Run(trace)).passed
 
 
 def test_p1_fails_on_swapped_order():
@@ -42,7 +45,7 @@ def test_p1_fails_on_swapped_order():
         apply_event("c0", 1, "0:1"), apply_event("c0", 2, "0:2"),
         apply_event("c1", 1, "0:2"), apply_event("c1", 2, "0:1"),
     ])
-    verdict = check_total_order(trace)
+    verdict = check_total_order(_Run(trace))
     assert_valid_witnesses(verdict, trace)
     assert classify_anomalies([verdict]) == ["ORDER_DIVERGENCE"]
 
@@ -53,7 +56,7 @@ def test_p1_fails_on_swapped_order():
 def test_p2_passes_when_everyone_applied_everything():
     records = [packet_in_send("s0", f"c{c}", "0:1") for c in range(3)]
     records += [apply_event(f"c{c}", 1, "0:1") for c in range(3)]
-    assert check_at_least_once(synthetic_trace(records)).passed
+    assert check_at_least_once(_Run(synthetic_trace(records))).passed
 
 
 def test_p2_fails_when_delivery_was_suppressed():
@@ -62,38 +65,49 @@ def test_p2_fails_when_delivery_was_suppressed():
         [packet_in_send("s0", "c0", "0:1"),
          ("CRASH", "c0", None, None, None)],
         crashed=[0])
-    verdict = check_at_least_once(trace)
+    verdict = check_at_least_once(_Run(trace))
     assert_valid_witnesses(verdict, trace)
     assert classify_anomalies([verdict]) == ["LOST_EVENT"]
 
 
 def test_p2_is_gated_by_quiescence_and_fault_bound():
     trace = synthetic_trace([packet_in_send("s0", "c0", "0:1")], quiesced=False)
-    verdict = check_at_least_once(trace)
+    verdict = check_at_least_once(_Run(trace))
     assert verdict.passed and "not checked" in verdict.note
     trace = synthetic_trace([packet_in_send("s0", "c2", "0:1")], crashed=[0, 1])
-    assert check_at_least_once(trace).passed
+    assert check_at_least_once(_Run(trace)).passed
 
 
 def test_p2_ignores_ack_packet_ins():
     from sdnsim.ofmodel import encode_ack
     records = [packet_in_send("s0", "c0", "0:9",
                               payload_hex=encode_ack(0, 1, 0).hex())]
-    assert check_at_least_once(synthetic_trace(records)).passed
+    assert check_at_least_once(_Run(synthetic_trace(records))).passed
+
+
+def test_marker_prefixed_payload_of_wrong_length_is_an_event():
+    # Replicas classify PacketIns with decode_ack, which rejects this payload,
+    # so they log it as an event; P2 and the metrics must agree.
+    payload_hex = (ACK_MARKER + b"\x00" * 3).hex()
+    trace = synthetic_trace([packet_in_send("s0", "c0", "0:9", payload_hex)])
+    verdict = check_at_least_once(_Run(trace))
+    assert_valid_witnesses(verdict, trace)
+    assert "lost-event: 0:9" in verdict.witnesses[0].description
+    assert compute_metrics(trace).n_events == 1
 
 
 # ----------------------------------------------------------------------
 # P3 at most once
 
 def test_p3_passes_on_empty_trace():
-    assert check_at_most_once(synthetic_trace([])).passed
+    assert check_at_most_once(_Run(synthetic_trace([]))).passed
 
 
 def test_p3_fails_on_duplicate_apply():
     trace = synthetic_trace([
         apply_event("c0", 1, "0:1"), apply_event("c0", 2, "0:1"),
     ])
-    verdict = check_at_most_once(trace)
+    verdict = check_at_most_once(_Run(trace))
     assert_valid_witnesses(verdict, trace)
     assert classify_anomalies([verdict]) == ["REPEATED_EVENT"]
 
@@ -108,14 +122,14 @@ def committed_apply_records():
 def test_p4_passes_on_exactly_one_commit():
     trace = synthetic_trace(committed_apply_records() +
                             [bundle_commit_exec("s1", 4)])
-    assert check_exactly_once_commands(trace).passed
+    assert check_exactly_once_commands(_Run(trace)).passed
 
 
 def test_p4_fails_on_double_commit():
     trace = synthetic_trace(committed_apply_records() +
                             [bundle_commit_exec("s1", 4),
                              bundle_commit_exec("s1", 4)])
-    verdict = check_exactly_once_commands(trace)
+    verdict = check_exactly_once_commands(_Run(trace))
     assert_valid_witnesses(verdict, trace)
     assert classify_anomalies([verdict]) == ["REPEATED_COMMAND"]
 
@@ -123,13 +137,13 @@ def test_p4_fails_on_double_commit():
 def test_p4_duplicates_flagged_even_without_quiescence():
     trace = synthetic_trace([bundle_commit_exec("s1", 4),
                              bundle_commit_exec("s1", 4)], quiesced=False)
-    verdict = check_exactly_once_commands(trace)
+    verdict = check_exactly_once_commands(_Run(trace))
     assert_valid_witnesses(verdict, trace)
 
 
 def test_p4_fails_on_missing_execution_at_quiescence():
     trace = synthetic_trace(committed_apply_records())
-    verdict = check_exactly_once_commands(trace)
+    verdict = check_exactly_once_commands(_Run(trace))
     assert_valid_witnesses(verdict, trace)
     assert classify_anomalies([verdict]) == ["MISSING_COMMAND"]
 
@@ -137,7 +151,7 @@ def test_p4_fails_on_missing_execution_at_quiescence():
 def test_p4_missing_execution_not_flagged_under_majority_loss():
     records = [apply_event("c2", 4, "0:1", commands="1=1")]
     trace = synthetic_trace(records, crashed=[0, 1])
-    assert check_exactly_once_commands(trace).passed
+    assert check_exactly_once_commands(_Run(trace)).passed
 
 
 def test_p4_naive_accounting_counts_tagged_batches():
@@ -146,10 +160,10 @@ def test_p4_naive_accounting_counts_tagged_batches():
                  "cmd_index": "4", "cmd_switch": "1", "cmd_ord": "0"})
     trace = synthetic_trace(committed_apply_records() + [exec_rec],
                             variant="NAIVE")
-    assert check_exactly_once_commands(trace).passed
+    assert check_exactly_once_commands(_Run(trace)).passed
     trace = synthetic_trace(committed_apply_records() + [exec_rec, exec_rec],
                             variant="NAIVE")
-    verdict = check_exactly_once_commands(trace)
+    verdict = check_exactly_once_commands(_Run(trace))
     assert_valid_witnesses(verdict, trace)
     assert classify_anomalies([verdict]) == ["REPEATED_COMMAND"]
 
@@ -163,7 +177,7 @@ def test_p5_passes_on_equal_finals():
         apply_event("c1", 2, "0:2", digest="aa"),
         apply_event("c2", 2, "0:2", digest="aa"),
     ])
-    assert check_replica_convergence(trace).passed
+    assert check_replica_convergence(_Run(trace)).passed
 
 
 def test_p5_fails_on_divergent_digests():
@@ -172,7 +186,7 @@ def test_p5_fails_on_divergent_digests():
         apply_event("c1", 2, "0:2", digest="bb"),
         apply_event("c2", 2, "0:2", digest="aa"),
     ])
-    verdict = check_replica_convergence(trace)
+    verdict = check_replica_convergence(_Run(trace))
     assert_valid_witnesses(verdict, trace)
     assert classify_anomalies([verdict]) == ["STATE_DIVERGENCE"]
 
@@ -183,7 +197,7 @@ def test_p5_ignores_crashed_replicas():
         apply_event("c1", 2, "0:2", digest="aa"),
         apply_event("c2", 2, "0:2", digest="aa"),
     ], crashed=[0])
-    assert check_replica_convergence(trace).passed
+    assert check_replica_convergence(_Run(trace)).passed
 
 
 # ----------------------------------------------------------------------
@@ -208,33 +222,33 @@ def staged_bundle_records(n_adds=2, commit=True, effects=None):
 
 
 def test_p6_passes_on_committed_bundle_with_contiguous_effects():
-    assert check_bundle_atomicity(synthetic_trace(staged_bundle_records())).passed
+    assert check_bundle_atomicity(_Run(synthetic_trace(staged_bundle_records()))).passed
 
 
 def test_p6_passes_on_discarded_bundle_with_zero_effects():
     records = staged_bundle_records(commit=False)
     records.append(("CRASH", "c0", None, None, None))
-    assert check_bundle_atomicity(synthetic_trace(records, crashed=[0])).passed
+    assert check_bundle_atomicity(_Run(synthetic_trace(records, crashed=[0]))).passed
 
 
 def test_p6_fails_on_effect_without_commit():
     records = [("EXEC", "s0", None, None,
                 {"exec": "FLOWMOD", "bundle": "4", "from": "0", "info": ""})]
     trace = synthetic_trace(records)
-    verdict = check_bundle_atomicity(trace)
+    verdict = check_bundle_atomicity(_Run(trace))
     assert_valid_witnesses(verdict, trace)
     assert classify_anomalies([verdict]) == ["REPEATED_COMMAND"]
 
 
 def test_p6_fails_on_partial_application():
     trace = synthetic_trace(staged_bundle_records(n_adds=2, effects=1))
-    verdict = check_bundle_atomicity(trace)
+    verdict = check_bundle_atomicity(_Run(trace))
     assert_valid_witnesses(verdict, trace)
     assert classify_anomalies([verdict]) == ["MISSING_COMMAND"]
 
 
 def test_p6_passes_on_empty_trace():
-    assert check_bundle_atomicity(synthetic_trace([])).passed
+    assert check_bundle_atomicity(_Run(synthetic_trace([]))).passed
 
 
 # ----------------------------------------------------------------------
@@ -243,14 +257,28 @@ def test_p6_passes_on_empty_trace():
 def test_malformed_apply_record_is_a_checker_error():
     trace = synthetic_trace([("APPLY", "c0", None, None, {"entry": "EVENT"})])
     with pytest.raises(CheckError):
-        check_total_order(trace)
+        check_total_order(_Run(trace))
 
 
 def test_missing_metadata_is_a_checker_error():
     trace = synthetic_trace([])
     del trace.meta["n_controllers"]
     with pytest.raises(CheckError):
-        check_total_order(trace)
+        check_total_order(_Run(trace))
+
+
+def test_run_all_checks_parses_each_trace_once(monkeypatch):
+    parsed = []
+    build = checker._Run.__init__
+
+    def counting_build(run, trace):
+        parsed.append(trace)
+        build(run, trace)
+
+    monkeypatch.setattr(checker._Run, "__init__", counting_build)
+    trace = Simulation(one_command_scenario()).run()
+    run_all_checks(trace)
+    assert len(parsed) == 1 and parsed[0] is trace
 
 
 def test_summary_line_format():

@@ -105,24 +105,90 @@ def test_check_truncated_trace_exits_two(tmp_path):
     assert main(["check", str(path)]) == 2
 
 
-@pytest.mark.parametrize("variant, exec_kind, field", [
-    ("PAPER_A", "BUNDLE_COMMIT", "bundle"),
-    ("NAIVE", "FLOWMOD", "cmd_index"),
-])
-def test_check_exec_record_missing_its_index_exits_two(tmp_path, capsys,
-                                                        variant, exec_kind, field):
+def _record(objs, kind, msg_type=None, actor="s"):
+    """The first record of ``kind`` by an actor named ``actor...``, and with
+    that message type when one is given."""
+    return next(o for o in objs[1:]
+                if o["kind"] == kind and o["actor"].startswith(actor)
+                and (msg_type is None or o.get("msg", {}).get("type") == msg_type))
+
+
+def _drop_exec_field(exec_kind, field):
+    def damage(objs):
+        damaged = [o for o in objs[1:]
+                   if o["kind"] == "EXEC" and o["detail"]["exec"] == exec_kind]
+        assert damaged
+        for o in damaged:
+            del o["detail"][field]
+    return damage
+
+
+def _packet_in(objs):
+    return _record(objs, "SEND", "PacketIn")
+
+
+# id -> (variant, damage to the parsed trace lines, expected error text)
+MALFORMED_TRACES = {
+    "PAPER_A-BUNDLE_COMMIT-bundle": (
+        "PAPER_A", _drop_exec_field("BUNDLE_COMMIT", "bundle"), "detail.bundle missing"),
+    "NAIVE-FLOWMOD-cmd_index": (
+        "NAIVE", _drop_exec_field("FLOWMOD", "cmd_index"), "detail.cmd_index missing"),
+    "payload-missing": (
+        "PAPER_A", lambda objs: _packet_in(objs)["msg"].pop("payload"),
+        "msg.payload missing"),
+    "payload-not-hex": (
+        "PAPER_A", lambda objs: _packet_in(objs)["msg"].update(payload="zz"),
+        "msg.payload is not hex"),
+    "event-missing": (
+        "PAPER_A", lambda objs: _packet_in(objs)["msg"].pop("event"),
+        "msg.event missing"),
+    "bundle-id-missing": (
+        "PAPER_A",
+        lambda objs: _record(objs, "DELIVER", "BundleOpen")["msg"].pop("bundle_id"),
+        "msg.bundle_id missing"),
+    "inner-type-missing": (
+        "PAPER_A",
+        lambda objs: _record(objs, "DELIVER", "BundleAdd")["msg"]["inner"].pop("type"),
+        "msg.inner.type missing"),
+    "switch-id-not-numeric": (
+        "PAPER_A", lambda objs: _record(objs, "EXEC").update(actor="sX"),
+        "actor 'sX' is not a switch"),
+    "controller-actor-not-numeric": (
+        "PAPER_A", lambda objs: _record(objs, "APPLY", actor="c").update(actor="cX"),
+        "actor 'cX' is not a controller"),
+    "controller-peer-not-numeric": (
+        "PAPER_A", lambda objs: _record(objs, "DELIVER", "BundleOpen").update(peer="cX"),
+        "peer 'cX' is not a controller"),
+    "crashed-not-a-list": (
+        "PAPER_A", lambda objs: objs[0]["meta"].update(crashed=0), "crashed a list"),
+    "meta-not-an-object": (
+        "PAPER_A", lambda objs: objs[0].update(meta="x"), "must carry run metadata"),
+    "line-not-an-object": (
+        "PAPER_A", lambda objs: objs.__setitem__(1, [1]),
+        "line 2: expected a JSON object"),
+    "actor-not-a-string": (
+        "PAPER_A", lambda objs: _packet_in(objs).update(actor=0),
+        "actor and peer must be strings"),
+    "msg-not-an-object": (
+        "PAPER_A", lambda objs: _packet_in(objs).update(msg="PacketIn"),
+        "msg and detail objects"),
+    "detail-not-an-object": (
+        "PAPER_A", lambda objs: _record(objs, "EXEC").update(detail="x"),
+        "msg and detail objects"),
+}
+
+
+@pytest.mark.parametrize("variant, damage, message", MALFORMED_TRACES.values(),
+                         ids=MALFORMED_TRACES)
+def test_check_malformed_trace_exits_two(tmp_path, capsys, variant, damage, message):
     scenario = load_scenario(str(SCENARIO_DIR / "one_command.json"))
     lines = Simulation(scenario.with_variant(variant)).run().to_lines()
     objs = [json.loads(ln) for ln in lines]
-    damaged = [o for o in objs[1:]
-               if o["kind"] == "EXEC" and o["detail"]["exec"] == exec_kind]
-    assert damaged
-    for o in damaged:
-        del o["detail"][field]
+    damage(objs)
     path = tmp_path / "run.trace"
     path.write_text("".join(json.dumps(o) + "\n" for o in objs))
     assert main(["check", str(path)]) == 2
-    assert f"detail.{field} missing" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_check_empty_file_exits_two(tmp_path):
