@@ -166,19 +166,18 @@ ControlMessage = Union[
 # traffic. Scenario validation rejects workload payloads starting with it.
 ACK_MARKER = b"\xd7\xac\x6b\x1e"
 
-_ACK_BODY = struct.Struct(">QQI")
+_ACK_BODY = struct.Struct(">QI")
 
 
 @dataclass(frozen=True)
 class AckPayload:
-    view: int
     log_index: int
     target_switch: SwitchId
 
 
-def encode_ack(view: int, index: int, switch: SwitchId) -> bytes:
+def encode_ack(index: int, switch: SwitchId) -> bytes:
     """Pack a commit acknowledgement into a marker-prefixed byte string."""
-    return ACK_MARKER + _ACK_BODY.pack(view, index, switch)
+    return ACK_MARKER + _ACK_BODY.pack(index, switch)
 
 
 def decode_ack(payload: bytes) -> Optional[AckPayload]:
@@ -188,8 +187,8 @@ def decode_ack(payload: bytes) -> Optional[AckPayload]:
     body = payload[len(ACK_MARKER):]
     if len(body) != _ACK_BODY.size:
         return None
-    view, index, switch = _ACK_BODY.unpack(body)
-    return AckPayload(view=view, log_index=index, target_switch=switch)
+    index, switch = _ACK_BODY.unpack(body)
+    return AckPayload(log_index=index, target_switch=switch)
 
 
 def is_ack_payload(payload: bytes) -> bool:

@@ -9,7 +9,7 @@ MASTER role on a switch, talks to that switch.
 Command delivery is made exactly-once by three interlocking rules:
 
 * commands for log index i go out as one atomic bundle with id i, carrying
-  a PacketOut that acknowledges (view, i, switch) back to every replica;
+  a PacketOut that acknowledges (i, switch) back to every replica;
 * a new leader resends a committed index only if no ack for it has been
   seen, and only after the switch answered its RoleRequest -- per-connection
   FIFO then guarantees every ack the switch emitted before the mastership
@@ -114,16 +114,17 @@ class Note:
 Effect = Union[SendToSwitch, SendToReplica, Note]
 
 
-def build_bundle(view: int, index: int, sw: SwitchId,
+def build_bundle(index: int, sw: SwitchId,
                  cmds: list[ControlMessage]) -> list[ControlMessage]:
     """Bundle message sequence for one log index: open, stage the commands
     plus the acknowledgement PacketOut, commit. Pure function of its inputs,
-    so any replica rebuilds an identical sequence."""
+    so any replica rebuilds an identical sequence and a resent bundle is
+    byte-identical whichever leader sends it."""
     if not cmds:
         raise ValueError("bundle requires at least one command")
     msgs: list[ControlMessage] = [BundleOpen(index)]
     msgs.extend(BundleAdd(index, c) for c in cmds)
-    ack = PacketOut((Output(CONTROLLER_PORT),), encode_ack(view, index, sw))
+    ack = PacketOut((Output(CONTROLLER_PORT),), encode_ack(index, sw))
     msgs.append(BundleAdd(index, ack))
     msgs.append(BundleCommit(index))
     return msgs
@@ -387,7 +388,7 @@ class Replica:
     def _dispatch(self, index: int, sw: SwitchId) -> list[Effect]:
         cmds = self.commands_by_index[index][sw]
         if self.use_bundles:
-            return [SendToSwitch(sw, m) for m in build_bundle(self.view, index, sw, cmds)]
+            return [SendToSwitch(sw, m) for m in build_bundle(index, sw, cmds)]
         return [SendToSwitch(sw, c, tags=(("cmd_index", str(index)),
                                           ("cmd_switch", str(sw)),
                                           ("cmd_ord", str(j))))

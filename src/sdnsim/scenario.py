@@ -1,9 +1,11 @@
 """Declarative run descriptions and their on-disk JSON form.
 
 A scenario pins everything a run depends on: topology, application,
-workload, protocol variant, fault schedule, and seed. Loading is strict --
-unknown keys and malformed values are rejected with the offending path so
-config errors surface before any simulation starts.
+workload, protocol variant, fault schedule, and seed. The JSON form is the
+codec's encoding of ``Scenario``, and loading is strict -- unknown keys,
+missing keys, values of the wrong JSON type and invalid values are rejected
+with the offending path so config errors surface before any simulation
+starts.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
+from .codec import DecodeError, decode, encode
 from .ofmodel import ACK_MARKER, CONTROLLER_PORT
 
 VARIANTS = ("NAIVE", "PAPER_A", "PAPER_B")
@@ -25,10 +28,10 @@ class ScenarioError(Exception):
 
 @dataclass(frozen=True)
 class InitialFlow:
-    in_port: Optional[int]
-    payload_prefix: Optional[bytes]
-    priority: int
-    out_ports: tuple[int, ...]  # empty means drop
+    in_port: Optional[int] = None
+    payload_prefix: Optional[bytes] = None
+    priority: int = 0
+    out_ports: tuple[int, ...] = ()  # empty means drop
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,14 @@ class FaultSpec:
     target: int
     at_time: Optional[int] = None
     at_point: Optional[TracePointSpec] = None
+
+
+@dataclass(frozen=True)
+class Route:
+    """One ``static-router`` entry of ``app_config.routes``."""
+
+    prefix: bytes
+    port: int
 
 
 @dataclass(frozen=True)
@@ -159,9 +170,10 @@ class Scenario:
                     raise ScenarioError(f"{path}.at_point.occurrence: must be >= 1")
 
         if self.app == "static-router":
-            for i, r in enumerate(self.app_config.get("routes", [])):
-                port = r[1] if isinstance(r, tuple) else r.get("port")
-                if port == CONTROLLER_PORT:
+            routes = _decode(tuple[Route, ...], self.app_config.get("routes", []),
+                             "app_config.routes")
+            for i, r in enumerate(routes):
+                if r.port <= 0 or r.port == CONTROLLER_PORT:
                     raise ScenarioError(
                         f"app_config.routes[{i}].port: routes must target physical ports")
 
@@ -169,157 +181,21 @@ class Scenario:
 # ----------------------------------------------------------------------
 # JSON form
 
-_TOP_KEYS = {"name", "variant", "n_controllers", "switches", "app", "app_config",
-             "workload", "faults", "detector_delay", "seed", "quiesce_limit",
-             "latency", "suppress_slave_events"}
-
-
-def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScenarioError(f"{path}: unknown key(s) {sorted(unknown)}")
-
-
-def _hex_bytes(value: Any, path: str) -> bytes:
-    if not isinstance(value, str):
-        raise ScenarioError(f"{path}: expected hex string")
+def _decode(tp: Any, obj: Any, path: str = "") -> Any:
     try:
-        return bytes.fromhex(value)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: invalid hex string") from exc
+        return decode(tp, obj, path)
+    except DecodeError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
-def _int(value: Any, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{path}: expected integer")
-    return value
-
-
-def scenario_from_obj(obj: dict) -> Scenario:
-    if not isinstance(obj, dict):
-        raise ScenarioError("top level: expected an object")
-    _require_keys(obj, _TOP_KEYS, "top level")
-    for key in ("name", "variant", "n_controllers", "switches", "app", "workload"):
-        if key not in obj:
-            raise ScenarioError(f"top level: missing required key {key!r}")
-
-    switches = []
-    for i, s in enumerate(obj["switches"]):
-        path = f"switches[{i}]"
-        _require_keys(s, {"id", "ports", "flows"}, path)
-        flows = []
-        for j, fl in enumerate(s.get("flows", [])):
-            fpath = f"{path}.flows[{j}]"
-            _require_keys(fl, {"in_port", "payload_prefix", "priority", "out_ports"}, fpath)
-            flows.append(InitialFlow(
-                in_port=fl.get("in_port"),
-                payload_prefix=(_hex_bytes(fl["payload_prefix"], fpath)
-                                if "payload_prefix" in fl else None),
-                priority=_int(fl.get("priority", 0), f"{fpath}.priority"),
-                out_ports=tuple(_int(p, f"{fpath}.out_ports") for p in fl.get("out_ports", [])),
-            ))
-        switches.append(SwitchSpec(
-            id=_int(s["id"], f"{path}.id"),
-            ports=tuple(_int(p, f"{path}.ports") for p in s["ports"]),
-            flows=tuple(flows),
-        ))
-
-    workload = []
-    for i, w in enumerate(obj["workload"]):
-        path = f"workload[{i}]"
-        _require_keys(w, {"t", "switch", "in_port", "payload"}, path)
-        workload.append(WorkloadItem(
-            t=_int(w["t"], f"{path}.t"),
-            switch=_int(w["switch"], f"{path}.switch"),
-            in_port=_int(w["in_port"], f"{path}.in_port"),
-            payload=_hex_bytes(w["payload"], f"{path}.payload"),
-        ))
-
-    faults = []
-    for i, f in enumerate(obj.get("faults", [])):
-        path = f"faults[{i}]"
-        _require_keys(f, {"target", "at_time", "at_point"}, path)
-        at_point = None
-        if "at_point" in f:
-            ppath = f"{path}.at_point"
-            _require_keys(f["at_point"], {"direction", "msg_type", "occurrence"}, ppath)
-            at_point = TracePointSpec(
-                direction=f["at_point"].get("direction", "ANY"),
-                msg_type=f["at_point"].get("msg_type"),
-                occurrence=_int(f["at_point"].get("occurrence", 1), f"{ppath}.occurrence"),
-            )
-        faults.append(FaultSpec(
-            target=_int(f["target"], f"{path}.target"),
-            at_time=_int(f["at_time"], f"{path}.at_time") if "at_time" in f else None,
-            at_point=at_point,
-        ))
-
-    scenario = Scenario(
-        name=str(obj["name"]),
-        variant=str(obj["variant"]),
-        n_controllers=_int(obj["n_controllers"], "n_controllers"),
-        switches=tuple(switches),
-        app=str(obj["app"]),
-        app_config=dict(obj.get("app_config", {})),
-        workload=tuple(workload),
-        faults=tuple(faults),
-        detector_delay=_int(obj.get("detector_delay", 2), "detector_delay"),
-        seed=_int(obj.get("seed", 0), "seed"),
-        quiesce_limit=_int(obj.get("quiesce_limit", 10000), "quiesce_limit"),
-        latency=_int(obj.get("latency", 1), "latency"),
-        suppress_slave_events=bool(obj.get("suppress_slave_events", False)),
-    )
+def scenario_from_obj(obj: Any) -> Scenario:
+    scenario = _decode(Scenario, obj)
     scenario.validate()
     return scenario
 
 
 def scenario_to_obj(sc: Scenario) -> dict:
-    obj: dict[str, Any] = {
-        "name": sc.name,
-        "variant": sc.variant,
-        "n_controllers": sc.n_controllers,
-        "switches": [
-            {"id": s.id, "ports": list(s.ports),
-             "flows": [_flow_to_obj(fl) for fl in s.flows]}
-            for s in sc.switches
-        ],
-        "app": sc.app,
-        "workload": [
-            {"t": w.t, "switch": w.switch, "in_port": w.in_port,
-             "payload": w.payload.hex()}
-            for w in sc.workload
-        ],
-        "detector_delay": sc.detector_delay,
-        "seed": sc.seed,
-        "quiesce_limit": sc.quiesce_limit,
-        "latency": sc.latency,
-    }
-    if sc.app_config:
-        obj["app_config"] = sc.app_config
-    if sc.suppress_slave_events:
-        obj["suppress_slave_events"] = True
-    if sc.faults:
-        obj["faults"] = []
-        for f in sc.faults:
-            fo: dict[str, Any] = {"target": f.target}
-            if f.at_time is not None:
-                fo["at_time"] = f.at_time
-            if f.at_point is not None:
-                fo["at_point"] = {"direction": f.at_point.direction,
-                                  "occurrence": f.at_point.occurrence}
-                if f.at_point.msg_type is not None:
-                    fo["at_point"]["msg_type"] = f.at_point.msg_type
-            obj["faults"].append(fo)
-    return obj
-
-
-def _flow_to_obj(fl: InitialFlow) -> dict:
-    obj: dict[str, Any] = {"priority": fl.priority, "out_ports": list(fl.out_ports)}
-    if fl.in_port is not None:
-        obj["in_port"] = fl.in_port
-    if fl.payload_prefix is not None:
-        obj["payload_prefix"] = fl.payload_prefix.hex()
-    return obj
+    return encode(sc)
 
 
 def load_scenario(path: str) -> Scenario:

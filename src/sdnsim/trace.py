@@ -13,8 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from . import ofmodel as of
-from . import replica as rp
+from .codec import encode
 
 RECORD_KINDS = ("SEND", "DELIVER", "DROP", "CRASH", "DETECT", "APPLY", "EXEC", "STALL")
 
@@ -98,6 +97,8 @@ class Trace:
                     and isinstance(rec.msg, (dict, type(None)))):
                 raise TraceFormatError(f"line {lineno}: actor and peer must be "
                                        f"strings, msg and detail objects")
+            if not all(isinstance(v, str) for v in rec.detail.values()):
+                raise TraceFormatError(f"line {lineno}: detail values must be strings")
             if rec.kind not in RECORD_KINDS:
                 raise TraceFormatError(f"unknown record kind {rec.kind!r}")
             if rec.step != prev_step + 1:
@@ -122,71 +123,7 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# ----------------------------------------------------------------------
-# message serialization
-
-def _action_to_wire(a: of.Output) -> dict:
-    return {"type": "Output", "port": a.port}
-
-
-def _match_to_wire(m: of.Match) -> dict:
-    obj: dict[str, Any] = {}
-    if m.in_port is not None:
-        obj["in_port"] = m.in_port
-    if m.payload_prefix is not None:
-        obj["payload_prefix"] = m.payload_prefix.hex()
-    return obj
-
-
-def _entry_to_wire(e: rp.LogEntry) -> dict:
-    if isinstance(e, rp.EventEntry):
-        return {"type": "EventEntry", "index": e.index, "event": str(e.event),
-                "payload": e.payload.hex(), "in_port": e.in_port}
-    return {"type": "ViewEntry", "index": e.index, "view": e.view,
-            "leader": e.leader}
-
-
 def msg_to_wire(msg: Any) -> dict:
-    if isinstance(msg, of.RoleRequest):
-        return {"type": "RoleRequest", "role": msg.role.value,
-                "generation_id": msg.generation_id}
-    if isinstance(msg, of.RoleReply):
-        return {"type": "RoleReply", "role": msg.role.value,
-                "generation_id": msg.generation_id}
-    if isinstance(msg, of.SetAsyncConfig):
-        return {"type": "SetAsyncConfig", "packet_in_enabled": msg.packet_in_enabled}
-    if isinstance(msg, of.PacketIn):
-        return {"type": "PacketIn", "event": str(msg.event),
-                "reason": msg.reason.value, "in_port": msg.in_port,
-                "payload": msg.payload.hex()}
-    if isinstance(msg, of.PacketOut):
-        return {"type": "PacketOut",
-                "actions": [_action_to_wire(a) for a in msg.actions],
-                "payload": msg.payload.hex()}
-    if isinstance(msg, of.FlowMod):
-        return {"type": "FlowMod", "match": _match_to_wire(msg.match),
-                "priority": msg.priority,
-                "actions": [_action_to_wire(a) for a in msg.actions]}
-    if isinstance(msg, of.BundleOpen):
-        return {"type": "BundleOpen", "bundle_id": msg.bundle_id}
-    if isinstance(msg, of.BundleAdd):
-        return {"type": "BundleAdd", "bundle_id": msg.bundle_id,
-                "inner": msg_to_wire(msg.inner)}
-    if isinstance(msg, of.BundleCommit):
-        return {"type": "BundleCommit", "bundle_id": msg.bundle_id}
-    if isinstance(msg, of.BundleCtrlReply):
-        return {"type": "BundleCtrlReply", "bundle_id": msg.bundle_id,
-                "kind": msg.kind.value}
-    if isinstance(msg, of.ErrorMsg):
-        return {"type": "ErrorMsg", "code": msg.code.value,
-                "context": msg.context.hex()}
-    if isinstance(msg, rp.Append):
-        return {"type": "Append", "view": msg.view,
-                "entries": [_entry_to_wire(e) for e in msg.entries],
-                "commit_index": msg.commit_index}
-    if isinstance(msg, rp.AppendAck):
-        return {"type": "AppendAck", "view": msg.view, "index": msg.index}
-    if isinstance(msg, rp.CommitAdvance):
-        return {"type": "CommitAdvance", "view": msg.view,
-                "commit_index": msg.commit_index}
-    raise AssertionError(f"unserializable message {type(msg).__name__}")
+    """A message's form in trace records: its fields, tagged with its
+    class name."""
+    return encode(msg, tagged=True)

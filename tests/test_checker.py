@@ -81,7 +81,7 @@ def test_p2_is_gated_by_quiescence_and_fault_bound():
 def test_p2_ignores_ack_packet_ins():
     from sdnsim.ofmodel import encode_ack
     records = [packet_in_send("s0", "c0", "0:9",
-                              payload_hex=encode_ack(0, 1, 0).hex())]
+                              payload_hex=encode_ack(1, 0).hex())]
     assert check_at_least_once(_Run(synthetic_trace(records))).passed
 
 

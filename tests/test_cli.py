@@ -70,6 +70,64 @@ def test_run_unknown_key_exits_two(tmp_path, capsys):
     assert "wristwatch" in capsys.readouterr().err
 
 
+def _route(obj):
+    return obj["app_config"]["routes"][0]
+
+
+# id -> (damage to scenarios/one_command.json, expected error text)
+MALFORMED_SCENARIOS = {
+    "switches-not-a-list": (
+        lambda obj: obj.update(switches={"id": 0}), "switches: expected a list"),
+    "switch-not-an-object": (
+        lambda obj: obj.update(switches=[0]), "switches[0]: expected an object"),
+    "ports-not-a-list": (
+        lambda obj: obj["switches"][0].update(ports=2), "switches[0].ports: expected a list"),
+    "flow-in_port-a-string": (
+        lambda obj: obj["switches"][0]["flows"].append({"in_port": "1", "out_ports": [2]}),
+        "switches[0].flows[0].in_port: expected an integer"),
+    "workload-an-object": (
+        lambda obj: obj.update(workload={"t": 5}), "workload: expected a list"),
+    "workload-item-not-an-object": (
+        lambda obj: obj.update(workload=["02aa"]), "workload[0]: expected an object"),
+    "faults-not-a-list": (
+        lambda obj: obj.update(faults=0), "faults: expected a list"),
+    "fault-not-an-object": (
+        lambda obj: obj.update(faults=[0]), "faults[0]: expected an object"),
+    "at_point-not-an-object": (
+        lambda obj: obj.update(faults=[{"target": 0, "at_point": 3}]),
+        "faults[0].at_point: expected an object"),
+    "msg_type-not-a-string": (
+        lambda obj: obj.update(faults=[{"target": 0, "at_point": {"msg_type": 7}}]),
+        "faults[0].at_point.msg_type: expected a string"),
+    "app_config-a-list": (
+        lambda obj: obj.update(app_config=[]), "app_config: expected an object"),
+    "name-not-a-string": (
+        lambda obj: obj.update(name=7), "name: expected a string"),
+    "suppress_slave_events-not-a-bool": (
+        lambda obj: obj.update(variant="NAIVE", suppress_slave_events="no"),
+        "suppress_slave_events: expected a boolean"),
+    "latency-a-bool": (
+        lambda obj: obj.update(latency=True), "latency: expected an integer"),
+    "route-prefix-not-hex": (
+        lambda obj: _route(obj).update(prefix="zz"),
+        "app_config.routes[0].prefix: invalid hex string"),
+    "route-without-port": (
+        lambda obj: _route(obj).pop("port"),
+        "app_config.routes[0]: missing required key 'port'"),
+}
+
+
+@pytest.mark.parametrize("damage, message", MALFORMED_SCENARIOS.values(),
+                         ids=MALFORMED_SCENARIOS)
+def test_run_malformed_scenario_exits_two(tmp_path, capsys, damage, message):
+    obj = json.loads((SCENARIO_DIR / "one_command.json").read_text())
+    damage(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["run", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_missing_file_exits_two(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
@@ -175,6 +233,10 @@ MALFORMED_TRACES = {
     "detail-not-an-object": (
         "PAPER_A", lambda objs: _record(objs, "EXEC").update(detail="x"),
         "msg and detail objects"),
+    "detail-value-not-a-string": (
+        "PAPER_A",
+        lambda objs: _record(objs, "APPLY", actor="c")["detail"].update(event=[0, 1]),
+        "detail values must be strings"),
 }
 
 

@@ -19,22 +19,21 @@ from sdnsim.ofmodel import (
 
 
 def test_encode_ack_zero_case():
-    assert encode_ack(0, 0, 0) == ACK_MARKER + b"\x00" * 20
+    assert encode_ack(0, 0) == ACK_MARKER + b"\x00" * 12
 
 
 def test_ack_round_trip_random_triples():
     rng = random.Random(20260808)
     for _ in range(100):
-        view = rng.randrange(0, 2**64)
         index = rng.randrange(0, 2**64)
         switch = rng.randrange(0, 2**32)
-        payload = encode_ack(view, index, switch)
+        payload = encode_ack(index, switch)
         assert payload.startswith(ACK_MARKER)
-        assert decode_ack(payload) == AckPayload(view, index, switch)
+        assert decode_ack(payload) == AckPayload(index, switch)
 
 
 def test_decode_specific_round_trip():
-    assert decode_ack(encode_ack(3, 7, 1)) == AckPayload(3, 7, 1)
+    assert decode_ack(encode_ack(7, 1)) == AckPayload(7, 1)
 
 
 def test_decode_rejects_non_ack_payloads():

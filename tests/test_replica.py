@@ -75,7 +75,7 @@ def test_slave_buffers_events_without_sending():
 def test_any_replica_records_acks():
     r = make_replica(rid=1)
     ack = PacketIn(EventId(0, 9), PacketInReason.ACTION, CONTROLLER_PORT,
-                   encode_ack(1, 3, 0))
+                   encode_ack(3, 0))
     assert r.on_switch_message(0, ack) == []
     assert 3 in r.ack_table[0]
     assert r.event_buffer == {}
@@ -158,26 +158,26 @@ def test_conflicting_suffix_from_older_view_is_truncated():
 
 def test_build_bundle_structure_and_arithmetic():
     flow = FlowMod(Match(payload_prefix=b"\x02"), 20, (Output(2),))
-    msgs = build_bundle(3, 7, 1, [flow])
+    msgs = build_bundle(7, 1, [flow])
     assert msgs == [
         BundleOpen(7),
         BundleAdd(7, flow),
-        BundleAdd(7, PacketOut((Output(CONTROLLER_PORT),), encode_ack(3, 7, 1))),
+        BundleAdd(7, PacketOut((Output(CONTROLLER_PORT),), encode_ack(7, 1))),
         BundleCommit(7),
     ]
     for k in (1, 2, 5):
         cmds = [FlowMod(Match(), i, ()) for i in range(k)]
-        assert len(build_bundle(0, 1, 0, cmds)) == k + 3
+        assert len(build_bundle(1, 0, cmds)) == k + 3
 
 
 def test_build_bundle_rejects_empty_commands():
     with pytest.raises(ValueError):
-        build_bundle(0, 1, 0, [])
+        build_bundle(1, 0, [])
 
 
 def test_build_bundle_is_deterministic_across_replicas():
     flow = FlowMod(Match(payload_prefix=b"\x02"), 20, (Output(2),))
-    assert build_bundle(2, 9, 1, [flow]) == build_bundle(2, 9, 1, [flow])
+    assert build_bundle(9, 1, [flow]) == build_bundle(9, 1, [flow])
 
 
 def test_leader_apply_emits_the_bundle_sequence():
@@ -189,7 +189,7 @@ def test_leader_apply_emits_the_bundle_sequence():
     assert msgs == [
         BundleOpen(1),
         BundleAdd(1, flow),
-        BundleAdd(1, PacketOut((Output(CONTROLLER_PORT),), encode_ack(0, 1, 0))),
+        BundleAdd(1, PacketOut((Output(CONTROLLER_PORT),), encode_ack(1, 0))),
         BundleCommit(1),
     ]
 
@@ -220,7 +220,7 @@ def test_acked_index_is_not_redispatched_at_fence():
     r.on_switch_message(0, event_pkt(1))
     r.on_replica_message(1, AppendAck(0, 1))
     ack = PacketIn(EventId(0, 2), PacketInReason.ACTION, CONTROLLER_PORT,
-                   encode_ack(0, 1, 0))
+                   encode_ack(1, 0))
     r.on_switch_message(0, ack)
     effects = r.on_switch_message(0, RoleReply(Role.MASTER, 0))
     assert sends_to_switch(effects) == []

@@ -94,7 +94,7 @@ def test_async_override_survives_role_change():
 def test_bundle_walkthrough():
     sw = registered_switch()
     flow = FlowMod(Match(payload_prefix=b"\x02"), 5, (Output(2),))
-    ack_out = PacketOut((Output(CONTROLLER_PORT),), encode_ack(0, 7, 7))
+    ack_out = PacketOut((Output(CONTROLLER_PORT),), encode_ack(7, 7))
 
     assert sw.handle_message(0, BundleOpen(7)) == \
         [(0, BundleCtrlReply(7, BundleReplyKind.OPEN_OK))]
@@ -106,7 +106,7 @@ def test_bundle_walkthrough():
     out = sw.handle_message(0, BundleCommit(7))
 
     ack_pkt = PacketIn(EventId(7, 1), PacketInReason.ACTION,
-                       CONTROLLER_PORT, encode_ack(0, 7, 7))
+                       CONTROLLER_PORT, encode_ack(7, 7))
     assert out == [(0, ack_pkt), (1, ack_pkt), (2, ack_pkt),
                    (0, BundleCtrlReply(7, BundleReplyKind.COMMIT_OK))]
     assert [e.match for e in sw.flow_table] == [flow.match]
@@ -158,7 +158,7 @@ def test_slave_writes_rejected(msg):
 
 def ack_packet(sw_id=7):
     return PacketIn(EventId(sw_id, 50), PacketInReason.ACTION,
-                    CONTROLLER_PORT, encode_ack(0, 3, sw_id))
+                    CONTROLLER_PORT, encode_ack(3, sw_id))
 
 
 def test_fan_out_to_all_enabled_connections():
