@@ -24,6 +24,7 @@ from .ofmodel import (
     PortId,
     SwitchId,
 )
+from .scenario import Route
 
 AppState = Any  # JSON-serializable value; compared across replicas
 Commands = dict[SwitchId, list[ControlMessage]]
@@ -75,27 +76,26 @@ class StaticRouter:
 
     name = "static-router"
 
-    def __init__(self, routes: list[tuple[bytes, PortId]]):
-        self.routes = list(routes)
+    def __init__(self, routes: tuple[Route, ...]):
+        self.routes = tuple(routes)
 
     def initial_state(self) -> AppState:
-        return {"routes": [[p.hex(), port] for p, port in self.routes]}
+        return {"routes": [[r.prefix.hex(), r.port] for r in self.routes]}
 
     def step(self, state: AppState, sw: SwitchId, in_port: PortId,
              payload: bytes) -> tuple[AppState, Commands]:
-        for prefix, port in self.routes:
-            if payload.startswith(prefix):
-                cmd = FlowMod(Match(payload_prefix=prefix), ROUTE_PRIORITY,
-                              (Output(port),))
+        for r in self.routes:
+            if payload.startswith(r.prefix):
+                cmd = FlowMod(Match(payload_prefix=r.prefix), ROUTE_PRIORITY,
+                              (Output(r.port),))
                 return state, {sw: [cmd]}
         return state, {}
 
 
-def make_app(name: str, app_config: dict, switch_ports: dict[SwitchId, list[PortId]]):
+def make_app(name: str, routes: tuple[Route, ...],
+             switch_ports: dict[SwitchId, list[PortId]]):
     if name == MacLearner.name:
         return MacLearner(switch_ports)
     if name == StaticRouter.name:
-        routes = [(bytes.fromhex(r["prefix"]), int(r["port"]))
-                  for r in app_config.get("routes", [])]
         return StaticRouter(routes)
     raise ValueError(f"unknown app {name!r}")

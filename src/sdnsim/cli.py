@@ -36,14 +36,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, TraceFormatError, CheckError) as exc:
+    except (ScenarioError, TraceFormatError, CheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"error: line {exc.lineno}: {exc.msg}", file=sys.stderr)
         return EXIT_CONFIG
 
 

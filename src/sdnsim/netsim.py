@@ -1,19 +1,22 @@
 """Deterministic discrete-event harness.
 
 Virtual time is an integer step counter; every message takes a fixed
-per-hop latency. The event heap breaks time ties by scheduling order,
-which makes each channel reliable FIFO and the whole run a pure function
-of the scenario. Controller crashes kill the controller's channels:
-queued and future messages on them are dropped (recorded as DROP), the
-switch end discards staged bundles, and surviving replicas get failure
-notices after the detector delay.
+per-hop latency. Each event is a heap entry ``(t, seq, handler, args)``
+whose handler is a plain ``Simulation`` function (deliver, inject, crash,
+detect) run as ``handler(sim, *args)``. The heap breaks time ties by
+scheduling order, which makes each channel reliable FIFO and the whole run
+a pure function of the scenario. Controller crashes kill the controller's
+channels: queued and future messages on them are dropped (recorded as
+DROP), the switch end discards staged bundles, and surviving replicas get
+failure notices after the detector delay.
 
 A run can be stepped one dispatched event at a time and forked between
 events. The crash sweep steps one fault-free base run and, at each event
 boundary, forks it once per crash point the last event produced, crashes
 the target in the fork and runs only the suffix; each fork's trace equals
 the trace of the derived scenario that ``enumerate_crash_points`` replays
-from the start.
+from the start. Trace-point faults, the sweep and the enumeration pick
+crash points with one predicate, ``_is_crash_point``.
 """
 
 from __future__ import annotations
@@ -40,26 +43,6 @@ def _initial_flow_entries(spec: SwitchSpec) -> list[FlowEntry]:
     return entries
 
 
-class _PointFault:
-    def __init__(self, fault: FaultSpec):
-        assert fault.at_point is not None
-        self.fault = fault
-        self.spec = fault.at_point
-        self.count = 0
-        self.fired = False
-
-    def matches(self, kind: str, actor: str, msg_type: Optional[str]) -> bool:
-        if self.fired or kind not in ("SEND", "DELIVER"):
-            return False
-        if self.spec.direction != "ANY" and kind != self.spec.direction:
-            return False
-        if actor != f"c{self.fault.target}":
-            return False
-        if self.spec.msg_type is not None and msg_type != self.spec.msg_type:
-            return False
-        return True
-
-
 class Simulation:
     """One deterministic run of a scenario."""
 
@@ -74,10 +57,12 @@ class Simulation:
         self.quiesced = True
         self.crashed: set[int] = set()
         self._pending_crashes: list[int] = []
-        self._point_faults = [_PointFault(f) for f in scenario.faults
-                              if f.at_point is not None]
+        self._point_faults = tuple(f for f in scenario.faults if f.at_point is not None)
+        # matches each point fault still needs; it fires when its count hits 0
+        self._matches_left = [f.at_point.occurrence for f in self._point_faults]
 
         switch_ports = {s.id: list(s.ports) for s in scenario.switches}
+        app = make_app(scenario.app, scenario.routes(), switch_ports)
         controllers = list(range(scenario.n_controllers))
         self.switches: dict[int, SwitchState] = {}
         for spec in scenario.switches:
@@ -91,8 +76,7 @@ class Simulation:
                               and scenario.suppress_slave_events)
         switch_ids = sorted(self.switches)
         self.replicas: dict[int, Replica] = {
-            c: Replica(c, scenario.n_controllers, switch_ids,
-                       make_app(scenario.app, scenario.app_config, switch_ports),
+            c: Replica(c, scenario.n_controllers, switch_ids, app,
                        use_bundles=use_bundles, register_async=register_async)
             for c in controllers
         }
@@ -132,10 +116,10 @@ class Simulation:
             return
         self._started = True
         for w in self.sc.workload:
-            self._schedule(w.t, ("workload", w.switch, w.in_port, w.payload))
+            self._schedule(w.t, Simulation._inject, w.switch, w.in_port, w.payload)
         for f in self.sc.faults:
             if f.at_time is not None:
-                self._schedule(f.at_time, ("crash", f.target))
+                self._schedule(f.at_time, Simulation._crash, f.target)
         for rid in sorted(self.replicas):
             self._run_effects(rid, self.replicas[rid].startup())
 
@@ -147,11 +131,11 @@ class Simulation:
             return False
         if self.processed >= self.sc.quiesce_limit:
             self.quiesced = False
-            self._record(self.now, "STALL", "sim", detail={"reason": "quiesce_limit"})
+            self._record("STALL", "sim", detail={"reason": "quiesce_limit"})
             return False
-        t, _, item = heapq.heappop(self._heap)
+        t, _, handler, args = heapq.heappop(self._heap)
         self.now = t
-        self._dispatch(item)
+        handler(self, *args)
         self.processed += 1
         if self._pending_crashes:
             self._fire_pending_crashes()
@@ -166,7 +150,7 @@ class Simulation:
         new._heap = list(self._heap)
         new.crashed = set(self.crashed)
         new._pending_crashes = list(self._pending_crashes)
-        new._point_faults = [copy.copy(pf) for pf in self._point_faults]
+        new._matches_left = list(self._matches_left)
         new.switches = {i: sw.fork() for i, sw in self.switches.items()}
         new.replicas = {i: r.fork() for i, r in self.replicas.items()}
         new.trace = self.trace.fork()
@@ -185,48 +169,30 @@ class Simulation:
             self._crash(self._pending_crashes.pop(0))
 
     # ------------------------------------------------------------------
-    # event dispatch
+    # event handlers: each heap entry is (t, seq, handler, args) and runs as
+    # handler(sim, *args), so a fork's copy of the heap runs in the fork
 
-    def _dispatch(self, item: tuple) -> None:
-        kind = item[0]
-        if kind == "deliver":
-            _, src, dst, msg, wire, detail = item
-            self._deliver(src, dst, msg, wire, detail)
-        elif kind == "workload":
-            _, sw_id, in_port, payload = item
-            sw = self.switches[sw_id]
-            before = len(sw.exec_log)
-            outbound = sw.inject_data_packet(in_port, payload)
-            self._flush_exec(sw, before, {})
-            for ctrl, m in outbound:
-                self._send(f"s{sw_id}", f"c{ctrl}", m, {})
-        elif kind == "crash":
-            self._crash(item[1])
-        elif kind == "detect":
-            _, survivor, target = item
-            if survivor in self.crashed:
-                return
-            self._record(self.now, "DETECT", f"c{survivor}",
-                         detail={"crashed": str(target)})
-            self._run_effects(survivor, self.replicas[survivor].on_failure_notice(target))
-        else:
-            raise AssertionError(f"unknown event {kind}")
+    def _inject(self, sw_id: int, in_port: int, payload: bytes) -> None:
+        sw = self.switches[sw_id]
+        self._switch_call(sw, {}, sw.inject_data_packet, in_port, payload)
+
+    def _detect(self, survivor: int, target: int) -> None:
+        if survivor in self.crashed:
+            return
+        self._record("DETECT", f"c{survivor}", detail={"crashed": str(target)})
+        self._run_effects(survivor, self.replicas[survivor].on_failure_notice(target))
 
     def _deliver(self, src: str, dst: str, msg, wire: dict,
                  detail: dict[str, str]) -> None:
         if self._endpoint_dead(src) or self._endpoint_dead(dst):
             drop_detail = dict(detail)
             drop_detail["reason"] = "crash"
-            self._record(self.now, "DROP", dst, peer=src, msg=wire, detail=drop_detail)
+            self._record("DROP", dst, peer=src, msg=wire, detail=drop_detail)
             return
-        self._record(self.now, "DELIVER", dst, peer=src, msg=wire, detail=detail)
+        self._record("DELIVER", dst, peer=src, msg=wire, detail=detail)
         if dst.startswith("s"):
             sw = self.switches[int(dst[1:])]
-            before = len(sw.exec_log)
-            outbound = sw.handle_message(int(src[1:]), msg)
-            self._flush_exec(sw, before, detail)
-            for ctrl, m in outbound:
-                self._send(dst, f"c{ctrl}", m, {})
+            self._switch_call(sw, detail, sw.handle_message, int(src[1:]), msg)
         else:
             rid = int(dst[1:])
             replica = self.replicas[rid]
@@ -244,7 +210,7 @@ class Simulation:
             elif isinstance(e, SendToReplica):
                 self._send(me, f"c{e.dst}", e.msg, {})
             elif isinstance(e, Note):
-                self._record(self.now, e.kind, me, detail=dict(e.detail))
+                self._record(e.kind, me, detail=dict(e.detail))
             else:
                 raise AssertionError(f"unknown effect {e!r}")
 
@@ -256,12 +222,18 @@ class Simulation:
         if self._first_workload_t is None or self.now < self._first_workload_t:
             detail["phase"] = "setup"
         wire = msg_to_wire(msg)
-        self._record(self.now, "SEND", src, peer=dst, msg=wire, detail=detail)
+        self._record("SEND", src, peer=dst, msg=wire, detail=detail)
         self._schedule(self.now + self.sc.latency,
-                       ("deliver", src, dst, msg, wire, detail))
+                       Simulation._deliver, src, dst, msg, wire, detail)
 
-    def _flush_exec(self, sw: SwitchState, before: int,
-                    deliver_detail: dict[str, str]) -> None:
+    def _switch_call(self, sw: SwitchState, deliver_detail: dict[str, str],
+                     method: Callable, *args) -> None:
+        """Call one of ``sw``'s input methods, record the EXEC records it
+        appends and send the messages it returns. Commands executed outside
+        a bundle carry the ``cmd_`` tags of the delivery that brought them."""
+        me = f"s{sw.id}"
+        before = len(sw.exec_log)
+        outbound = method(*args)
         for er in sw.exec_log[before:]:
             detail = {"exec": er.kind.value, "info": er.detail}
             if er.bundle_id is not None:
@@ -272,49 +244,43 @@ class Simulation:
                 for k, v in deliver_detail.items():
                     if k.startswith("cmd_"):
                         detail[k] = v
-            self._record(self.now, "EXEC", f"s{sw.id}", detail=detail)
+            self._record("EXEC", me, detail=detail)
+        for ctrl, m in outbound:
+            self._send(me, f"c{ctrl}", m, {})
 
     def _crash(self, target: int) -> None:
         if target in self.crashed:
             return
         self.crashed.add(target)
-        self._record(self.now, "CRASH", f"c{target}")
+        self._record("CRASH", f"c{target}")
         for sw_id in sorted(self.switches):
-            sw = self.switches[sw_id]
-            if not sw.conns[target].alive:
-                continue
-            for bundle_id, staged in sw.on_connection_drop(target):
-                self._record(self.now, "DROP", f"s{sw_id}", peer=f"c{target}",
+            for bundle_id, staged in self.switches[sw_id].on_connection_drop(target):
+                self._record("DROP", f"s{sw_id}", peer=f"c{target}",
                              msg=msg_to_wire(staged),
                              detail={"reason": "connection_drop",
                                      "bundle": str(bundle_id)})
         for ctrl in sorted(self.replicas):
             if ctrl != target and ctrl not in self.crashed:
                 self._schedule(self.now + self.sc.detector_delay,
-                               ("detect", ctrl, target))
+                               Simulation._detect, ctrl, target)
 
     def _endpoint_dead(self, ep: str) -> bool:
         return ep.startswith("c") and int(ep[1:]) in self.crashed
 
-    def _schedule(self, t: int, item: tuple) -> None:
-        heapq.heappush(self._heap, (t, self._seq, item))
+    def _schedule(self, t: int, handler: Callable, *args) -> None:
+        heapq.heappush(self._heap, (t, self._seq, handler, args))
         self._seq += 1
 
-    def _record(self, t: int, kind: str, actor: str, peer: Optional[str] = None,
-                msg: Optional[dict] = None, detail: Optional[dict[str, str]] = None):
-        rec = self.trace.append(t, kind, actor, peer=peer, msg=msg, detail=detail)
-        msg_type = (msg or {}).get("type")
-        for pf in self._point_faults:
-            if pf.matches(kind, actor, msg_type):
-                pf.count += 1
-                if pf.count == pf.spec.occurrence:
-                    pf.fired = True
-                    self._pending_crashes.append(pf.fault.target)
-        return rec
-
-
-def run(scenario: Scenario) -> Trace:
-    return Simulation(scenario).run()
+    def _record(self, kind: str, actor: str, peer: Optional[str] = None,
+                msg: Optional[dict] = None, detail: Optional[dict[str, str]] = None) -> None:
+        """Append a record at the current time and count it toward the
+        scenario's trace-point faults."""
+        rec = self.trace.append(self.now, kind, actor, peer=peer, msg=msg, detail=detail)
+        for i, fault in enumerate(self._point_faults):
+            if _is_crash_point(rec, f"c{fault.target}", fault.at_point):
+                self._matches_left[i] -= 1
+                if self._matches_left[i] == 0:
+                    self._pending_crashes.append(fault.target)
 
 
 @dataclass(frozen=True)
@@ -334,7 +300,11 @@ def resolve_crash_target(scenario: Scenario, selector: str) -> int:
     if selector == "leader":
         return 0  # leader of the initial view
     if selector.startswith("replica:"):
-        target = int(selector.split(":", 1)[1])
+        try:
+            target = int(selector[len("replica:"):])
+        except ValueError:
+            raise ScenarioError(f"crash selector {selector!r}: "
+                                f"replica id must be an integer") from None
         if not (0 <= target < scenario.n_controllers):
             raise ScenarioError(f"crash target {target} out of range")
         return target
@@ -350,7 +320,7 @@ def enumerate_crash_points(scenario: Scenario, target: int) -> list[SweepPoint]:
     _check_sweep_base(scenario)
     base = Simulation(scenario).run()
     actor = f"c{target}"
-    points = [rec for rec in base.records if _is_crash_point(rec, actor)]
+    points = [rec for rec in base.records if _is_crash_point(rec, actor, _ANY_POINT)]
     return [_sweep_point(scenario, target, occurrence, rec)
             for occurrence, rec in enumerate(points, 1)]
 
@@ -376,7 +346,7 @@ def sweep_crash_points(scenario: Scenario, target: int,
     while True:
         records = base.trace.records
         for rec in records[seen:]:
-            if not _is_crash_point(rec, actor):
+            if not _is_crash_point(rec, actor, _ANY_POINT):
                 continue
             occurrence += 1
             if (occurrence - 1) % workers != worker:
@@ -396,13 +366,21 @@ def _check_sweep_base(scenario: Scenario) -> None:
         raise ScenarioError("sweep base scenario may not contain trace-point faults")
 
 
-def _is_crash_point(rec: TraceRecord, actor: str) -> bool:
-    return rec.kind in ("SEND", "DELIVER") and rec.actor == actor
+# The sweep crashes the target at every send and delivery it makes.
+_ANY_POINT = TracePointSpec()
+
+
+def _is_crash_point(rec: TraceRecord, actor: str, spec: TracePointSpec) -> bool:
+    """Whether ``rec`` is a send or delivery by ``actor`` of the direction
+    and message type ``spec`` selects; ``spec.occurrence`` is the caller's."""
+    return (rec.kind in ("SEND", "DELIVER") and rec.actor == actor
+            and spec.direction in ("ANY", rec.kind)
+            and spec.msg_type in (None, (rec.msg or {}).get("type")))
 
 
 def _sweep_point(scenario: Scenario, target: int, occurrence: int,
                  rec: TraceRecord) -> SweepPoint:
-    fault = FaultSpec(target=target, at_point=TracePointSpec("ANY", None, occurrence))
+    fault = FaultSpec(target=target, at_point=replace(_ANY_POINT, occurrence=occurrence))
     derived = replace(scenario.with_extra_fault(fault),
                       name=f"{scenario.name}+crash-c{target}-p{occurrence}")
     return SweepPoint(occurrence, rec.step, rec.t, rec.kind,

@@ -100,6 +100,14 @@ class Scenario:
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
 
+    def routes(self) -> tuple[Route, ...]:
+        """The ``static-router`` routes decoded from ``app_config.routes``;
+        empty for other apps."""
+        if self.app != "static-router":
+            return ()
+        return _decode(tuple[Route, ...], self.app_config.get("routes", []),
+                       "app_config.routes")
+
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ScenarioError(f"variant: unknown variant {self.variant!r}")
@@ -169,13 +177,10 @@ class Scenario:
                 if f.at_point.occurrence < 1:
                     raise ScenarioError(f"{path}.at_point.occurrence: must be >= 1")
 
-        if self.app == "static-router":
-            routes = _decode(tuple[Route, ...], self.app_config.get("routes", []),
-                             "app_config.routes")
-            for i, r in enumerate(routes):
-                if r.port <= 0 or r.port == CONTROLLER_PORT:
-                    raise ScenarioError(
-                        f"app_config.routes[{i}].port: routes must target physical ports")
+        for i, r in enumerate(self.routes()):
+            if r.port <= 0 or r.port == CONTROLLER_PORT:
+                raise ScenarioError(
+                    f"app_config.routes[{i}].port: routes must target physical ports")
 
 
 # ----------------------------------------------------------------------

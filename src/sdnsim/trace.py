@@ -72,26 +72,29 @@ class Trace:
     @classmethod
     def read(cls, path: str) -> "Trace":
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-        return cls.from_lines(lines)
+            return cls.from_lines(fh.read().splitlines())
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Trace":
-        if not lines:
+        """Parse a trace file's lines. Blank lines are skipped but counted,
+        so every error names its line in the file."""
+        numbered = ((lineno, ln) for lineno, ln in enumerate(lines, 1) if ln.strip())
+        first = next(numbered, None)
+        if first is None:
             raise TraceFormatError("empty trace")
-        head = _json_object(lines[0], 1)
+        head = _json_object(*first)
         if not isinstance(head.get("meta"), dict):
             raise TraceFormatError("first trace line must carry run metadata")
         trace = cls(head["meta"])
         prev_step = 0
-        for lineno, ln in enumerate(lines[1:], 2):
-            obj = _json_object(ln, lineno)
+        for lineno, ln in numbered:
+            obj = _json_object(lineno, ln)
             try:
                 rec = TraceRecord(step=obj["step"], t=obj["t"], kind=obj["kind"],
                                   actor=obj["actor"], peer=obj.get("peer"),
                                   msg=obj.get("msg"), detail=obj.get("detail", {}))
             except KeyError as exc:
-                raise TraceFormatError(f"record missing field {exc}") from exc
+                raise TraceFormatError(f"line {lineno}: record missing field {exc}") from exc
             if not (isinstance(rec.actor, str) and isinstance(rec.detail, dict)
                     and isinstance(rec.peer, (str, type(None)))
                     and isinstance(rec.msg, (dict, type(None)))):
@@ -100,9 +103,9 @@ class Trace:
             if not all(isinstance(v, str) for v in rec.detail.values()):
                 raise TraceFormatError(f"line {lineno}: detail values must be strings")
             if rec.kind not in RECORD_KINDS:
-                raise TraceFormatError(f"unknown record kind {rec.kind!r}")
+                raise TraceFormatError(f"line {lineno}: unknown record kind {rec.kind!r}")
             if rec.step != prev_step + 1:
-                raise TraceFormatError(f"non-consecutive step {rec.step}")
+                raise TraceFormatError(f"line {lineno}: non-consecutive step {rec.step}")
             prev_step = rec.step
             trace.records.append(rec)
         return trace
@@ -112,8 +115,11 @@ class TraceFormatError(Exception):
     pass
 
 
-def _json_object(line: str, lineno: int) -> dict:
-    obj = json.loads(line)
+def _json_object(lineno: int, line: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"line {lineno}: {exc.msg}") from None
     if not isinstance(obj, dict):
         raise TraceFormatError(f"line {lineno}: expected a JSON object")
     return obj

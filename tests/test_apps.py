@@ -1,5 +1,6 @@
 from sdnsim.apps import MacLearner, StaticRouter, make_app, state_digest
 from sdnsim.ofmodel import FlowMod, Match, Output, PacketOut
+from sdnsim.scenario import Route
 
 
 def learner():
@@ -52,7 +53,7 @@ def test_short_payload_is_a_no_op():
 
 
 def test_static_router_with_no_routes_is_identity():
-    app = StaticRouter([])
+    app = StaticRouter(())
     state = app.initial_state()
     new_state, cmds = app.step(state, 0, 1, b"\x02\xaa")
     assert new_state == state
@@ -60,7 +61,7 @@ def test_static_router_with_no_routes_is_identity():
 
 
 def test_static_router_installs_matching_route():
-    app = StaticRouter([(b"\x02", 2)])
+    app = StaticRouter((Route(b"\x02", 2),))
     _, cmds = app.step(app.initial_state(), 0, 1, b"\x02\xaa")
     assert cmds == {0: [FlowMod(Match(payload_prefix=b"\x02"), 20, (Output(2),))]}
     _, cmds = app.step(app.initial_state(), 0, 1, b"\x03\xaa")
@@ -73,6 +74,6 @@ def test_state_digest_is_canonical():
 
 
 def test_make_app_selects_by_name():
-    assert isinstance(make_app("mac-learner", {}, {0: [1]}), MacLearner)
-    router = make_app("static-router", {"routes": [{"prefix": "02", "port": 2}]}, {})
-    assert router.routes == [(b"\x02", 2)]
+    assert isinstance(make_app("mac-learner", (), {0: [1]}), MacLearner)
+    router = make_app("static-router", (Route(b"\x02", 2),), {})
+    assert router.routes == (Route(b"\x02", 2),)

@@ -200,6 +200,17 @@ def test_p5_ignores_crashed_replicas():
     assert check_replica_convergence(_Run(trace)).passed
 
 
+def test_p5_is_gated_by_quiescence():
+    divergent = [
+        apply_event("c0", 2, "0:2", digest="aa"),
+        apply_event("c1", 2, "0:2", digest="bb"),
+        apply_event("c2", 1, "0:1", digest="aa"),
+    ]
+    verdict = check_replica_convergence(_Run(synthetic_trace(divergent, quiesced=False)))
+    assert verdict.passed and verdict.note == "not checked: requires quiescence"
+    assert not check_replica_convergence(_Run(synthetic_trace(divergent))).passed
+
+
 # ----------------------------------------------------------------------
 # P6 bundle atomicity
 

@@ -74,6 +74,14 @@ def _route(obj):
     return obj["app_config"]["routes"][0]
 
 
+def _switch(obj):
+    return obj["switches"][0]
+
+
+def _event(obj):
+    return obj["workload"][0]
+
+
 # id -> (damage to scenarios/one_command.json, expected error text)
 MALFORMED_SCENARIOS = {
     "switches-not-a-list": (
@@ -114,6 +122,66 @@ MALFORMED_SCENARIOS = {
     "route-without-port": (
         lambda obj: _route(obj).pop("port"),
         "app_config.routes[0]: missing required key 'port'"),
+    # one case per value rule of Scenario.validate, in its order
+    "variant-unknown": (
+        lambda obj: obj.update(variant="PAXOS"), "variant: unknown variant 'PAXOS'"),
+    "n_controllers-zero": (
+        lambda obj: obj.update(variant="NAIVE", n_controllers=0),
+        "n_controllers: must be at least 1"),
+    "n_controllers-even": (
+        lambda obj: obj.update(n_controllers=4),
+        "n_controllers: replicated variants need an odd count >= 3"),
+    "suppress_slave_events-on-PAPER_A": (
+        lambda obj: obj.update(suppress_slave_events=True),
+        "suppress_slave_events: only meaningful for the NAIVE variant"),
+    "app-unknown": (
+        lambda obj: obj.update(app="firewall"), "app: unknown app 'firewall'"),
+    "detector_delay-zero": (
+        lambda obj: obj.update(detector_delay=0), "detector_delay: must be at least 1"),
+    "latency-zero": (
+        lambda obj: obj.update(latency=0), "latency: must be at least 1"),
+    "quiesce_limit-zero": (
+        lambda obj: obj.update(quiesce_limit=0), "quiesce_limit: must be at least 1"),
+    "seed-negative": (
+        lambda obj: obj.update(seed=-1), "seed: must be non-negative"),
+    "switch-id-negative": (
+        lambda obj: _switch(obj).update(id=-1), "switches[0].id: must be non-negative"),
+    "switch-id-duplicate": (
+        lambda obj: obj["switches"].append(dict(_switch(obj))),
+        "switches[1].id: duplicate switch id 0"),
+    "port-zero": (
+        lambda obj: _switch(obj).update(ports=[0, 2]), "switches[0].ports: invalid port 0"),
+    "flow-output-not-on-switch": (
+        lambda obj: _switch(obj)["flows"].append({"out_ports": [3]}),
+        "switches[0].flows[0]: output port 3 not on switch"),
+    "workload-t-zero": (
+        lambda obj: _event(obj).update(t=0), "workload[0].t: must be at least 1"),
+    "workload-unknown-switch": (
+        lambda obj: _event(obj).update(switch=5), "workload[0].switch: unknown switch 5"),
+    "workload-port-not-on-switch": (
+        lambda obj: _event(obj).update(in_port=3),
+        "workload[0].in_port: port 3 not on switch"),
+    "workload-payload-ack-marker": (
+        lambda obj: _event(obj).update(payload="d7ac6b1e00"),
+        "workload[0].payload: workload payload may not start with the ack marker"),
+    "fault-target-unknown": (
+        lambda obj: obj.update(faults=[{"target": 3, "at_time": 5}]),
+        "faults[0].target: unknown controller 3"),
+    "fault-without-trigger": (
+        lambda obj: obj.update(faults=[{"target": 0}]),
+        "faults[0]: exactly one of at_time/at_point is required"),
+    "fault-at_time-zero": (
+        lambda obj: obj.update(faults=[{"target": 0, "at_time": 0}]),
+        "faults[0].at_time: must be at least 1"),
+    "at_point-direction-unknown": (
+        lambda obj: obj.update(faults=[{"target": 0, "at_point": {"direction": "UP"}}]),
+        "faults[0].at_point.direction: must be one of"),
+    "at_point-occurrence-zero": (
+        lambda obj: obj.update(faults=[{"target": 0, "at_point": {"occurrence": 0}}]),
+        "faults[0].at_point.occurrence: must be >= 1"),
+    "route-port-zero": (
+        lambda obj: _route(obj).update(port=0),
+        "app_config.routes[0].port: routes must target physical ports"),
 }
 
 
@@ -237,6 +305,22 @@ MALFORMED_TRACES = {
         "PAPER_A",
         lambda objs: _record(objs, "APPLY", actor="c")["detail"].update(event=[0, 1]),
         "detail values must be strings"),
+    # a string stands for a raw, unparsed line
+    "invalid-json-line-1": (
+        "PAPER_A", lambda objs: objs.__setitem__(0, '{"meta": '),
+        "line 1: Expecting value"),
+    "invalid-json-line-2": (
+        "PAPER_A", lambda objs: objs.__setitem__(1, '{"step": 1,'),
+        "line 2: Expecting property name"),
+    "invalid-json-line-9": (
+        "PAPER_A", lambda objs: objs.__setitem__(8, "step 8"),
+        "line 9: Expecting value"),
+    "record-missing-kind": (
+        "PAPER_A", lambda objs: _packet_in(objs).pop("kind"),
+        "record missing field 'kind'"),
+    "record-kind-unknown": (
+        "PAPER_A", lambda objs: _packet_in(objs).update(kind="PING"),
+        "unknown record kind 'PING'"),
 }
 
 
@@ -248,9 +332,23 @@ def test_check_malformed_trace_exits_two(tmp_path, capsys, variant, damage, mess
     objs = [json.loads(ln) for ln in lines]
     damage(objs)
     path = tmp_path / "run.trace"
-    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    path.write_text("".join((o if isinstance(o, str) else json.dumps(o)) + "\n"
+                            for o in objs))
     assert main(["check", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_check_names_the_file_line_across_blank_lines(tmp_path, capsys):
+    lines = Simulation(one_command_scenario()).run().to_lines()
+    path = tmp_path / "run.trace"
+    path.write_text("\n".join(lines[:2] + ["", "{"] + lines[3:]) + "\n")
+    assert main(["check", str(path)]) == 2
+    assert "error: line 4: " in capsys.readouterr().err
+
+
+def test_check_missing_file_exits_two(tmp_path, capsys):
+    assert main(["check", str(tmp_path / "nope.trace")]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_check_empty_file_exits_two(tmp_path):
@@ -280,9 +378,11 @@ def test_sweep_rejects_point_faulted_scenario(tmp_path):
     assert main(["sweep", path]) == 2
 
 
-def test_sweep_rejects_bad_crash_selector(tmp_path):
+def test_sweep_rejects_bad_crash_selector(tmp_path, capsys):
     path = write_scenario(tmp_path, one_command_scenario())
-    assert main(["sweep", path, "--crash", "nonsense"]) == 2
+    for selector in ("nonsense", "replica:x", "replica:", "replica:9"):
+        assert main(["sweep", path, "--crash", selector]) == 2, selector
+        assert capsys.readouterr().err.startswith("error: "), selector
 
 
 def test_compare_reports_counts_and_equivalence(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from sdnsim import (
     run_all_checks,
     sweep_crash_points,
 )
+from sdnsim.netsim import _is_crash_point
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -175,6 +177,53 @@ def test_derived_runs_replay_the_base_prefix():
     assert all(r.t == point.t for r in between)
 
 
+# the trace-point forms the demos and acceptance tests crash at, and the
+# sweep's form
+POINT_FORMS = [TracePointSpec("SEND", "BundleCommit", 1),
+               TracePointSpec("DELIVER", "BundleCtrlReply", 1),
+               TracePointSpec("DELIVER", "PacketIn", 2),
+               TracePointSpec("ANY", None, 7)]
+
+
+def matching_records(trace, actor, spec):
+    """The records a trace-point spec counts, written out independently of
+    the simulator's predicate."""
+    kinds = ("SEND", "DELIVER") if spec.direction == "ANY" else (spec.direction,)
+    return [r for r in trace.records
+            if r.kind in kinds and r.actor == actor
+            and (spec.msg_type is None or r.msg["type"] == spec.msg_type)]
+
+
+@pytest.mark.parametrize("spec", POINT_FORMS,
+                         ids=lambda s: f"{s.direction}-{s.msg_type}-{s.occurrence}")
+def test_point_fault_crashes_at_the_selected_record(spec):
+    sc = one_command_scenario()
+    base = run_trace(sc)
+    selected = [r for r in base.records if _is_crash_point(r, "c0", spec)]
+    assert selected == matching_records(base, "c0", spec)
+    rec = selected[spec.occurrence - 1]
+
+    trace = run_trace(sc.with_extra_fault(FaultSpec(target=0, at_point=spec)))
+    crashes = [r for r in trace.records if r.kind == "CRASH"]
+    assert len(crashes) == 1
+    crash = crashes[0]
+    # the crash lands at the event boundary right after the selected record
+    assert crash.step > rec.step and crash.t == rec.t
+    assert [r.to_obj() for r in trace.records[:crash.step - 1]] == \
+        [r.to_obj() for r in base.records[:crash.step - 1]]
+
+
+@pytest.mark.parametrize("spec", POINT_FORMS,
+                         ids=lambda s: f"{s.direction}-{s.msg_type}")
+def test_point_fault_past_the_last_match_never_fires(spec):
+    sc = one_command_scenario()
+    base = run_trace(sc)
+    past = replace(spec, occurrence=len(matching_records(base, "c0", spec)) + 1)
+    trace = run_trace(sc.with_extra_fault(FaultSpec(target=0, at_point=past)))
+    assert not any(r.kind == "CRASH" for r in trace.records)
+    assert trace.to_lines() == base.to_lines()
+
+
 def forked_sweep(scenario, target):
     """(point, trace lines) for every point of the forked sweep, and the
     fault-free trace it returns."""
@@ -269,8 +318,9 @@ def test_resolve_crash_target():
     assert resolve_crash_target(sc, "replica:2") == 2
     with pytest.raises(ScenarioError):
         resolve_crash_target(sc, "replica:9")
-    with pytest.raises(ScenarioError):
-        resolve_crash_target(sc, "banana")
+    for selector in ("banana", "replica:x", "replica:"):
+        with pytest.raises(ScenarioError):
+            resolve_crash_target(sc, selector)
 
 
 def test_follower_crash_sweep_is_clean():

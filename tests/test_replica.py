@@ -30,10 +30,11 @@ from sdnsim.replica import (
     ViewEntry,
     build_bundle,
 )
+from sdnsim.scenario import Route
 
 
 def route_app():
-    return StaticRouter([(b"\x02", 2)])
+    return StaticRouter((Route(b"\x02", 2),))
 
 
 def make_replica(rid=0, n=3, switches=(0,), app=None, use_bundles=True):
