@@ -4,6 +4,12 @@ An app is a pure step function over a JSON-serializable state value:
 ``step(state, switch, in_port, payload) -> (state', commands)``. No clocks,
 no randomness, no hidden inputs; replicas applying the same log must arrive
 at byte-identical states, which is what the convergence check asserts.
+States are never mutated: a step that changes the state returns a new one.
+
+Because steps are pure, a run steps each app through one ``StepMemo``:
+every replica, and every fork of the run, that applies the same input to
+the same state object gets the one cached result (new state, commands and
+the new state's digest) instead of stepping and digesting it again.
 
 Workload payload convention: byte 0 is the destination address, byte 1 the
 source address.
@@ -12,8 +18,8 @@ source address.
 from __future__ import annotations
 
 import hashlib
-import json
-from typing import Any
+from collections import OrderedDict
+from typing import Any, Callable
 
 from .ofmodel import (
     ControlMessage,
@@ -25,6 +31,7 @@ from .ofmodel import (
     SwitchId,
 )
 from .scenario import Route
+from .trace import canonical_json
 
 AppState = Any  # JSON-serializable value; compared across replicas
 Commands = dict[SwitchId, list[ControlMessage]]
@@ -34,8 +41,48 @@ ROUTE_PRIORITY = 20
 
 
 def state_digest(state: AppState) -> str:
-    canon = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(state).encode("utf-8")).hexdigest()[:16]
+
+
+class StepMemo:
+    """An app's steps, each computed once per parent state object and input.
+
+    ``step`` returns ``(new_state, commands, digest)``, where ``digest`` is
+    ``digest(new_state)``. A step is keyed by the identity of its parent
+    state and its inputs, and a hit requires the cached parent to be the
+    very object passed; the entry keeps that parent alive, so its id cannot
+    be reused meanwhile. Since apps are pure, a hit returns what a fresh
+    step would: correctness never rests on state equality or on digests
+    being unique. The memo keeps the ``size`` most recently used steps; an
+    evicted step is simply computed again, to the same result. Replicas
+    start from ``initial_state``, whose digest is ``initial_digest``.
+    """
+
+    def __init__(self, app, digest: Callable[[AppState], str], size: int = 64):
+        self.app = app
+        self.digest = digest
+        self.size = size
+        self.initial_state = app.initial_state()
+        self.initial_digest = digest(self.initial_state)
+        # (id(parent), sw, in_port, payload) -> (parent, result)
+        self._steps: OrderedDict[tuple, tuple] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def step(self, state: AppState, sw: SwitchId, in_port: PortId,
+             payload: bytes) -> tuple[AppState, Commands, str]:
+        key = (id(state), sw, in_port, payload)
+        cached = self._steps.get(key)
+        if cached is not None and cached[0] is state:
+            self._steps.move_to_end(key)
+            return cached[1]
+        new_state, cmds = self.app.step(state, sw, in_port, payload)
+        result = (new_state, cmds, self.digest(new_state))
+        self._steps[key] = (state, result)
+        if len(self._steps) > self.size:
+            self._steps.popitem(last=False)
+        return result
 
 
 class MacLearner:

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 from .apps import make_app
 from .ofmodel import Match, Output
-from .replica import Note, Replica, SendToReplica, SendToSwitch
+from .replica import Note, Replica, SendToReplica, SendToSwitch, shared_steps
 from .scenario import FaultSpec, Scenario, ScenarioError, SwitchSpec, TracePointSpec
 from .switchsim import ExecKind, FlowEntry, SwitchState
 from .trace import Trace, TraceRecord, msg_to_wire
@@ -62,7 +62,7 @@ class Simulation:
         self._matches_left = [f.at_point.occurrence for f in self._point_faults]
 
         switch_ports = {s.id: list(s.ports) for s in scenario.switches}
-        app = make_app(scenario.app, scenario.routes(), switch_ports)
+        steps = shared_steps(make_app(scenario.app, scenario.routes(), switch_ports))
         controllers = list(range(scenario.n_controllers))
         self.switches: dict[int, SwitchState] = {}
         for spec in scenario.switches:
@@ -76,7 +76,7 @@ class Simulation:
                               and scenario.suppress_slave_events)
         switch_ids = sorted(self.switches)
         self.replicas: dict[int, Replica] = {
-            c: Replica(c, scenario.n_controllers, switch_ids, app,
+            c: Replica(c, scenario.n_controllers, switch_ids, steps,
                        use_bundles=use_bundles, register_async=register_async)
             for c in controllers
         }

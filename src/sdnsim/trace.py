@@ -100,6 +100,8 @@ class Trace:
                     and isinstance(rec.msg, (dict, type(None)))):
                 raise TraceFormatError(f"line {lineno}: actor and peer must be "
                                        f"strings, msg and detail objects")
+            if rec.msg is not None and not isinstance(rec.msg.get("type"), str):
+                raise TraceFormatError(f"line {lineno}: msg.type must be a string")
             if not all(isinstance(v, str) for v in rec.detail.values()):
                 raise TraceFormatError(f"line {lineno}: detail values must be strings")
             if rec.kind not in RECORD_KINDS:
@@ -125,8 +127,11 @@ def _json_object(lineno: int, line: str) -> dict:
     return obj
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def msg_to_wire(msg: Any) -> dict:

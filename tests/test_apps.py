@@ -1,4 +1,4 @@
-from sdnsim.apps import MacLearner, StaticRouter, make_app, state_digest
+from sdnsim.apps import MacLearner, StaticRouter, StepMemo, make_app, state_digest
 from sdnsim.ofmodel import FlowMod, Match, Output, PacketOut
 from sdnsim.scenario import Route
 
@@ -77,3 +77,56 @@ def test_make_app_selects_by_name():
     assert isinstance(make_app("mac-learner", (), {0: [1]}), MacLearner)
     router = make_app("static-router", (Route(b"\x02", 2),), {})
     assert router.routes == (Route(b"\x02", 2),)
+
+
+class CountingLearner(MacLearner):
+    def __init__(self):
+        super().__init__({0: [1, 2, 3], 1: [1, 2]})
+        self.steps = 0
+
+    def step(self, state, sw, in_port, payload):
+        self.steps += 1
+        return super().step(state, sw, in_port, payload)
+
+
+def test_step_memo_returns_one_result_per_parent_object_and_input():
+    app = CountingLearner()
+    memo = StepMemo(app, state_digest)
+    assert memo.initial_state == {}
+    assert memo.initial_digest == state_digest({})
+    first = memo.step(memo.initial_state, 0, 1, b"\x05\x01")
+    assert memo.step(memo.initial_state, 0, 1, b"\x05\x01") is first
+    assert app.steps == 1
+    new_state, cmds, digest = first
+    assert (new_state, cmds) == learner().step({}, 0, 1, b"\x05\x01")
+    assert digest == state_digest(new_state)
+    for other_input in ((1, 1, b"\x05\x01"), (0, 2, b"\x05\x01"), (0, 1, b"\x05\x02")):
+        memo.step(memo.initial_state, *other_input)
+    assert app.steps == 4
+
+
+def test_step_memo_keys_on_identity_not_equality():
+    app = CountingLearner()
+    memo = StepMemo(app, state_digest)
+    state = {"0:1": 1}
+    memo.step(state, 0, 2, b"\x05\x02")
+    equal = dict(state)
+    result = memo.step(equal, 0, 2, b"\x05\x02")
+    assert app.steps == 2
+    assert memo.step(equal, 0, 2, b"\x05\x02") is result
+    assert app.steps == 2
+
+
+def test_step_memo_evicts_the_least_recently_used_step():
+    app = CountingLearner()
+    memo = StepMemo(app, state_digest, size=2)
+    state = {}
+    for src in (1, 2):
+        memo.step(state, 0, 1, bytes([9, src]))
+    memo.step(state, 0, 1, bytes([9, 1]))  # refresh src 1, so src 2 goes next
+    memo.step(state, 0, 1, bytes([9, 3]))
+    assert len(memo) == 2 and app.steps == 3
+    memo.step(state, 0, 1, bytes([9, 1]))
+    assert app.steps == 3
+    memo.step(state, 0, 1, bytes([9, 2]))
+    assert app.steps == 4

@@ -305,6 +305,16 @@ MALFORMED_TRACES = {
         "PAPER_A",
         lambda objs: _record(objs, "APPLY", actor="c")["detail"].update(event=[0, 1]),
         "detail values must be strings"),
+    **{f"msg-type-{name}": (
+        "PAPER_A",
+        lambda objs, value=value: _record(objs, "DELIVER", "Append", actor="c")
+        ["msg"].update(type=value),
+        "msg.type must be a string")
+       for name, value in (("null", None), ("number", 7), ("list", ["Append"]),
+                           ("object", {"name": "Append"}))},
+    "msg-type-missing": (
+        "PAPER_A", lambda objs: _packet_in(objs)["msg"].pop("type"),
+        "msg.type must be a string"),
     # a string stands for a raw, unparsed line
     "invalid-json-line-1": (
         "PAPER_A", lambda objs: objs.__setitem__(0, '{"meta": '),

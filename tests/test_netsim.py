@@ -16,7 +16,10 @@ from sdnsim import (
     run_all_checks,
     sweep_crash_points,
 )
+from sdnsim import netsim, replica
+from sdnsim.apps import StepMemo, state_digest
 from sdnsim.netsim import _is_crash_point
+from sdnsim.scenario import WorkloadItem
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -363,3 +366,52 @@ def test_acks_arrive_before_role_reply_on_every_channel():
                if r.kind == "SEND" and r.actor == "c1"
                and (r.msg or {}).get("type") == "BundleCommit"]
     assert resends == []  # fence saw the ack; nothing to resend
+
+
+def test_replicas_share_app_states_and_digest_each_once(monkeypatch):
+    digested = []  # keeps every digested state alive, so ids stay unique
+
+    def counting_digest(state):
+        digested.append(state)
+        return state_digest(state)
+
+    monkeypatch.setattr(replica, "state_digest", counting_digest)
+    sim = Simulation(load_scenario(str(SCENARIO_DIR / "paper_a.json")))
+    trace = sim.run()
+    survivors = [r for rid, r in sim.replicas.items() if rid not in sim.crashed]
+    assert len(survivors) == sim.sc.n_controllers
+    assert all(r.app_state is survivors[0].app_state for r in survivors)
+    assert len({r.app_digest for r in survivors}) == 1
+    assert len({id(state) for state in digested}) == len(digested)
+    event_applies = [r for r in trace.records if r.kind == "APPLY" and r.actor == "c0"
+                     and r.detail["entry"] == "EVENT"]
+    assert len(digested) == 1 + len(event_applies)  # each learner step makes a new state
+
+
+def always_miss_steps(app):
+    return StepMemo(app, state_digest, size=0)
+
+
+@pytest.mark.parametrize("name", ["paper_a", "naive"])
+def test_forced_step_misses_change_no_trace(monkeypatch, name):
+    scenario = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    shared = [forked_sweep(scenario, t) for t in range(scenario.n_controllers)]
+    monkeypatch.setattr(netsim, "shared_steps", always_miss_steps)
+    missed = [forked_sweep(scenario, t) for t in range(scenario.n_controllers)]
+    for (points, base), (missed_points, missed_base) in zip(shared, missed):
+        assert base.to_lines() == missed_base.to_lines()
+        assert points == missed_points
+
+
+def test_step_memo_stays_within_its_bound():
+    events = [WorkloadItem(t=5 + 3 * i, switch=i % 2, in_port=1 + i % 2,
+                           payload=bytes([i % 7, 7 + i % 5]))
+              for i in range(500)]
+    sim = Simulation(learning_scenario(workload=tuple(events), quiesce_limit=100000))
+    sim.start()
+    steps = sim.replicas[0].steps
+    sizes = []
+    while sim.step():
+        sizes.append(len(steps))
+    assert sim.quiesced
+    assert max(sizes) == steps.size

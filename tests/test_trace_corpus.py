@@ -1,0 +1,56 @@
+"""Golden corpus: the simulator's traces and the checker's verdicts on a
+fixed set of runs must not change byte for byte.
+
+The corpus is the fault-free run and every crash-sweep point of each
+shipped scenario under NAIVE, PAPER_A and PAPER_B, at every crash target
+(``suppress_slave_events`` is dropped outside NAIVE, where it is invalid);
+``majority_loss`` contributes its plain run only. The test hashes every
+trace's canonical lines and the repr of its verdicts into one sha256.
+A change that alters any trace or verdict must say so and re-pin the
+digest.
+"""
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+from sdnsim import Simulation, load_scenario, run_all_checks, sweep_crash_points
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+VARIANTS = ("NAIVE", "PAPER_A", "PAPER_B")
+RUN_ONLY = {"majority_loss"}
+
+CORPUS_TRACES = 1092
+CORPUS_SHA256 = "7429907208ee56576d8549db2732ff7d662208fdd7894cff8c6f5ea18df45e8b"
+
+
+def corpus_traces():
+    """Yield every corpus trace in a fixed order."""
+    for path in sorted(SCENARIOS.glob("*.json")):
+        base = load_scenario(str(path))
+        for variant in VARIANTS:
+            scenario = replace(base, variant=variant,
+                               suppress_slave_events=(variant == "NAIVE"
+                                                      and base.suppress_slave_events))
+            if path.stem in RUN_ONLY:
+                yield Simulation(scenario).run()
+                continue
+            for target in range(scenario.n_controllers):
+                points = []
+                fault_free = sweep_crash_points(
+                    scenario, target, lambda point, trace: points.append(trace))
+                if target == 0:
+                    yield fault_free
+                yield from points
+
+
+def test_corpus_traces_and_verdicts_are_unchanged():
+    digest = hashlib.sha256()
+    count = 0
+    for trace in corpus_traces():
+        for line in trace.to_lines():
+            digest.update(line.encode("utf-8") + b"\n")
+        digest.update(repr(run_all_checks(trace)).encode("utf-8") + b"\n")
+        count += 1
+    assert count == CORPUS_TRACES
+    assert digest.hexdigest() == CORPUS_SHA256
