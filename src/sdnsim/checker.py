@@ -74,9 +74,12 @@ class _Run:
             crashed = meta["crashed"]
         except KeyError as exc:
             raise CheckError(f"trace metadata missing {exc}") from exc
-        if not isinstance(self.n, int) or not isinstance(crashed, list):
-            raise CheckError("trace metadata: n_controllers must be an integer "
-                             "and crashed a list")
+        if not (type(self.n) is int and type(self.variant) is str
+                and type(self.quiesced) is bool and type(crashed) is list
+                and all(type(c) is int for c in crashed)):
+            raise CheckError("trace metadata: n_controllers must be an integer, "
+                             "variant a string, quiesced a bool and crashed a list "
+                             "of integers")
         self.crashed: set[int] = set(crashed)
         self.survivors = [c for c in range(self.n) if c not in self.crashed]
         self.last_step = trace.records[-1].step if trace.records else 0

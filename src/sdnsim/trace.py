@@ -1,42 +1,50 @@
 """Totally ordered run record: the simulator's only output and the
 checker's only input.
 
-Every record serializes to one canonical (key-sorted, compact) JSON line,
-so byte equality of trace files is meaningful. The first line of a trace
-file holds run metadata the checker needs (variant, controller count,
-quiescence, crash set).
+Every record serializes to one canonical (key-sorted, compact, ASCII) JSON
+line, so byte equality of trace files is meaningful. The first line of a
+trace file holds run metadata the checker needs (variant, controller
+count, quiescence, crash set).
+
+A record is an immutable tuple, so forked traces share record objects.
+Lines are written by one prebuilt C encoder and read by the C scanner;
+files are split only on ``"\\n"``. A line the scanner cannot read whole
+as one object is parsed again by ``json.loads``, so every error names its
+file line and the decoder's own message. Record fields are checked
+strictly: ``step`` and ``t`` are integers (not bools), ``actor`` is a
+string, ``peer`` a string or absent, ``msg`` an object with a string
+``type``, ``detail`` an object of strings, and steps count up from 1.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any, NamedTuple, Optional
 
 from .codec import encode
 
 RECORD_KINDS = ("SEND", "DELIVER", "DROP", "CRASH", "DETECT", "APPLY", "EXEC", "STALL")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     step: int
     t: int
     kind: str
     actor: str
-    peer: Optional[str] = None
-    msg: Optional[dict] = None
-    detail: dict[str, str] = field(default_factory=dict)
+    peer: Optional[str]
+    msg: Optional[dict]
+    detail: dict[str, str]
 
     def to_obj(self) -> dict:
-        obj: dict[str, Any] = {"step": self.step, "t": self.t, "kind": self.kind,
-                               "actor": self.actor}
-        if self.peer is not None:
-            obj["peer"] = self.peer
-        if self.msg is not None:
-            obj["msg"] = self.msg
-        if self.detail:
-            obj["detail"] = self.detail
+        step, t, kind, actor, peer, msg, detail = self
+        obj: dict[str, Any] = {"step": step, "t": t, "kind": kind, "actor": actor}
+        if peer is not None:
+            obj["peer"] = peer
+        if msg is not None:
+            obj["msg"] = msg
+        if detail:
+            obj["detail"] = detail
         return obj
 
 
@@ -48,8 +56,7 @@ class Trace:
     def append(self, t: int, kind: str, actor: str, peer: Optional[str] = None,
                msg: Optional[dict] = None, detail: Optional[dict[str, str]] = None) -> TraceRecord:
         assert kind in RECORD_KINDS, kind
-        rec = TraceRecord(step=len(self.records) + 1, t=t, kind=kind, actor=actor,
-                          peer=peer, msg=msg, detail=detail or {})
+        rec = TraceRecord(len(self.records) + 1, t, kind, actor, peer, msg, detail or {})
         self.records.append(rec)
         return rec
 
@@ -72,7 +79,7 @@ class Trace:
     @classmethod
     def read(cls, path: str) -> "Trace":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_lines(fh.read().splitlines())
+            return cls.from_lines(fh.read().split("\n"))
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Trace":
@@ -86,30 +93,31 @@ class Trace:
         if not isinstance(head.get("meta"), dict):
             raise TraceFormatError("first trace line must carry run metadata")
         trace = cls(head["meta"])
-        prev_step = 0
+        records = trace.records
         for lineno, ln in numbered:
             obj = _json_object(lineno, ln)
             try:
-                rec = TraceRecord(step=obj["step"], t=obj["t"], kind=obj["kind"],
-                                  actor=obj["actor"], peer=obj.get("peer"),
-                                  msg=obj.get("msg"), detail=obj.get("detail", {}))
+                step, t, kind, actor = obj["step"], obj["t"], obj["kind"], obj["actor"]
             except KeyError as exc:
                 raise TraceFormatError(f"line {lineno}: record missing field {exc}") from exc
-            if not (isinstance(rec.actor, str) and isinstance(rec.detail, dict)
-                    and isinstance(rec.peer, (str, type(None)))
-                    and isinstance(rec.msg, (dict, type(None)))):
+            peer, msg, detail = obj.get("peer"), obj.get("msg"), obj.get("detail", {})
+            if not (type(actor) is str and type(detail) is dict
+                    and (peer is None or type(peer) is str)
+                    and (msg is None or type(msg) is dict)):
                 raise TraceFormatError(f"line {lineno}: actor and peer must be "
                                        f"strings, msg and detail objects")
-            if rec.msg is not None and not isinstance(rec.msg.get("type"), str):
+            if msg is not None and type(msg.get("type")) is not str:
                 raise TraceFormatError(f"line {lineno}: msg.type must be a string")
-            if not all(isinstance(v, str) for v in rec.detail.values()):
-                raise TraceFormatError(f"line {lineno}: detail values must be strings")
-            if rec.kind not in RECORD_KINDS:
-                raise TraceFormatError(f"line {lineno}: unknown record kind {rec.kind!r}")
-            if rec.step != prev_step + 1:
-                raise TraceFormatError(f"line {lineno}: non-consecutive step {rec.step}")
-            prev_step = rec.step
-            trace.records.append(rec)
+            for value in detail.values():
+                if type(value) is not str:
+                    raise TraceFormatError(f"line {lineno}: detail values must be strings")
+            if kind not in RECORD_KINDS:
+                raise TraceFormatError(f"line {lineno}: unknown record kind {kind!r}")
+            if type(step) is not int or type(t) is not int:
+                raise TraceFormatError(f"line {lineno}: step and t must be integers")
+            if step != len(records) + 1:
+                raise TraceFormatError(f"line {lineno}: non-consecutive step {step}")
+            records.append(TraceRecord(step, t, kind, actor, peer, msg, detail))
         return trace
 
 
@@ -117,7 +125,19 @@ class TraceFormatError(Exception):
     pass
 
 
+_SCAN = json.JSONDecoder().scan_once
+
+
 def _json_object(lineno: int, line: str) -> dict:
+    """The object on one line: read by the C scanner when the line is
+    exactly one object, else by ``json.loads``, whose error names the
+    fault."""
+    try:
+        obj, end = _SCAN(line, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end == len(line) and type(obj) is dict:
+        return obj
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -127,11 +147,15 @@ def _json_object(lineno: int, line: str) -> dict:
     return obj
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# What ``JSONEncoder(sort_keys=True, separators=(",", ":")).encode`` builds
+# on every call, built once. No cycle check: decoded JSON and encoded
+# messages hold no cycles.
+_ENCODER = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                          None, ":", ",", True, False, True)
 
 
 def canonical_json(obj: Any) -> str:
-    return _CANONICAL.encode(obj)
+    return "".join(_ENCODER(obj, 0))
 
 
 def msg_to_wire(msg: Any) -> dict:

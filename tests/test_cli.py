@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from sdnsim.scenario import scenario_to_obj
 
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_scenario(tmp_path, scenario, name="scenario.json"):
@@ -331,6 +335,30 @@ MALFORMED_TRACES = {
     "record-kind-unknown": (
         "PAPER_A", lambda objs: _packet_in(objs).update(kind="PING"),
         "unknown record kind 'PING'"),
+    "record-kind-a-list": (
+        "PAPER_A", lambda objs: _packet_in(objs).update(kind=["SEND"]),
+        "unknown record kind ['SEND']"),
+    "step-a-bool": (
+        "PAPER_A", lambda objs: objs[1].update(step=True), "step and t must be integers"),
+    "step-a-float": (
+        "PAPER_A", lambda objs: objs[1].update(step=1.0), "step and t must be integers"),
+    "t-a-string": (
+        "PAPER_A", lambda objs: _packet_in(objs).update(t="x"),
+        "step and t must be integers"),
+    "t-null": (
+        "PAPER_A", lambda objs: _packet_in(objs).update(t=None),
+        "step and t must be integers"),
+    "n_controllers-a-bool": (
+        "PAPER_A", lambda objs: objs[0]["meta"].update(n_controllers=True),
+        "n_controllers must be an integer"),
+    "quiesced-a-string": (
+        "PAPER_A", lambda objs: objs[0]["meta"].update(quiesced="no"),
+        "quiesced a bool"),
+    "crashed-not-integers": (
+        "PAPER_A", lambda objs: objs[0]["meta"].update(crashed=["x"]),
+        "crashed a list of integers"),
+    "variant-a-number": (
+        "PAPER_A", lambda objs: objs[0]["meta"].update(variant=3), "variant a string"),
 }
 
 
@@ -354,6 +382,34 @@ def test_check_names_the_file_line_across_blank_lines(tmp_path, capsys):
     path.write_text("\n".join(lines[:2] + ["", "{"] + lines[3:]) + "\n")
     assert main(["check", str(path)]) == 2
     assert "error: line 4: " in capsys.readouterr().err
+
+
+def test_check_splits_lines_only_on_newline(tmp_path, capsys):
+    # U+2028, U+0085 and U+001E are line breaks to str.splitlines(), but
+    # JSON allows them raw inside a string
+    objs = [json.loads(ln) for ln in Simulation(one_command_scenario()).run().to_lines()]
+    _record(objs, "EXEC")["detail"]["note"] = "a\u2028b\x85c\x1ed"
+    lines = [json.dumps(o, ensure_ascii=False) for o in objs]
+    path = tmp_path / "run.trace"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text("\n".join(lines[:3] + ["{"] + lines[4:]) + "\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert "error: line 4: " in capsys.readouterr().err
+
+
+def test_python_m_sdnsim_checks_a_trace_file(tmp_path):
+    lines = Simulation(one_command_scenario()).run().to_lines()
+    good, truncated = tmp_path / "good.trace", tmp_path / "truncated.trace"
+    good.write_text("\n".join(lines) + "\n")
+    truncated.write_text("\n".join(lines[:1] + lines[3:]) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    for path, code in ((good, 0), (truncated, 2)):
+        proc = subprocess.run([sys.executable, "-m", "sdnsim", "check", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+    assert "non-consecutive step 3" in proc.stderr
 
 
 def test_check_missing_file_exits_two(tmp_path, capsys):

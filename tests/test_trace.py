@@ -1,0 +1,82 @@
+import json
+
+import pytest
+
+from builders import learning_scenario
+from sdnsim import Simulation, Trace, TraceRecord
+from sdnsim.trace import TraceFormatError, canonical_json
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return Simulation(learning_scenario()).run()
+
+
+@pytest.fixture
+def loads_calls(monkeypatch):
+    """Count the calls to ``json.loads``, the decoder's fallback."""
+    calls = []
+    real = json.loads
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    return calls
+
+
+def test_canonical_trace_never_takes_the_fallback(trace, loads_calls):
+    back = Trace.from_lines(trace.to_lines())
+    assert back.records == trace.records
+    assert loads_calls == []
+
+
+def test_padded_lines_are_still_accepted(trace, loads_calls):
+    lines = trace.to_lines()
+    padded = [" \t" + ln + "\t " for ln in lines]
+    back = Trace.from_lines(padded)
+    assert back.meta == trace.meta
+    assert back.records == trace.records
+    assert len(loads_calls) == len(lines)
+
+
+def test_partly_scanned_line_reports_the_decoder_error():
+    # the scanner reads the object and stops; the fallback names the fault
+    lines = Trace({"variant": "PAPER_A"}).to_lines() + ['{"step": 1} x']
+    with pytest.raises(TraceFormatError, match="^line 2: Extra data$"):
+        Trace.from_lines(lines)
+
+
+def test_records_are_immutable(trace):
+    rec = trace.records[0]
+    for name in TraceRecord._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+
+
+def test_fork_shares_record_objects(trace):
+    fork = trace.fork()
+    fork.append(999, "STALL", "sim")
+    assert len(fork.records) == len(trace.records) + 1
+    assert all(a is b for a, b in zip(fork.records, trace.records))
+
+
+def test_appended_records_get_their_own_detail(trace):
+    fresh = Trace({})
+    a, b = fresh.append(1, "STALL", "sim"), fresh.append(2, "STALL", "sim")
+    assert a.detail == {} and a.detail is not b.detail
+
+
+def test_canonical_json_matches_the_stdlib_encoder(trace):
+    reference = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    objs = [{"meta": trace.meta}, {"s": " é\"\\", "f": 0.1, "n": None, "l": [True]}]
+    objs += [r.to_obj() for r in trace.records]
+    for obj in objs:
+        assert canonical_json(obj) == reference.encode(obj)
+
+
+def test_canonical_json_rejects_unserializable_values():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_json({"a": b"x"})
+    assert canonical_json({"b": 1}) == '{"b":1}'  # the shared encoder still works

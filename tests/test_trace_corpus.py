@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import replace
 from pathlib import Path
 
-from sdnsim import Simulation, load_scenario, run_all_checks, sweep_crash_points
+from sdnsim import Simulation, Trace, load_scenario, run_all_checks, sweep_crash_points
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 VARIANTS = ("NAIVE", "PAPER_A", "PAPER_B")
@@ -54,3 +54,16 @@ def test_corpus_traces_and_verdicts_are_unchanged():
         count += 1
     assert count == CORPUS_TRACES
     assert digest.hexdigest() == CORPUS_SHA256
+
+
+def test_corpus_traces_read_back_unchanged():
+    count = 0
+    for trace in corpus_traces():
+        lines = trace.to_lines()
+        back = Trace.from_lines(lines)
+        assert back.meta == trace.meta
+        assert back.records == trace.records
+        assert back.to_lines() == lines
+        assert repr(run_all_checks(back)) == repr(run_all_checks(trace))
+        count += 1
+    assert count == CORPUS_TRACES
