@@ -68,7 +68,8 @@ class Simulation:
         for spec in scenario.switches:
             sw = SwitchState(spec.id, list(spec.ports), controllers,
                              clone_acks_to_all=(scenario.variant == "PAPER_B"))
-            sw.flow_table.extend(_initial_flow_entries(spec))
+            for entry in _initial_flow_entries(spec):
+                sw.install(entry)
             self.switches[spec.id] = sw
 
         use_bundles = scenario.variant != "NAIVE"

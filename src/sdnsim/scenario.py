@@ -142,11 +142,17 @@ class Scenario:
             for p in sw.ports:
                 if p <= 0 or p == CONTROLLER_PORT:
                     raise ScenarioError(f"{path}.ports: invalid port {p}")
+            # a switch holds one entry per (match, priority)
+            first_flow: dict[tuple, int] = {}
             for j, fl in enumerate(sw.flows):
                 for p in fl.out_ports:
                     if p != CONTROLLER_PORT and p not in sw.ports:
                         raise ScenarioError(
                             f"{path}.flows[{j}]: output port {p} not on switch")
+                k = first_flow.setdefault((fl.in_port, fl.payload_prefix, fl.priority), j)
+                if k != j:
+                    raise ScenarioError(
+                        f"{path}.flows[{j}]: same match and priority as flows[{k}]")
 
         by_id = {sw.id: sw for sw in self.switches}
         for i, w in enumerate(self.workload):

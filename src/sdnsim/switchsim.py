@@ -1,6 +1,14 @@
 """Switch-side state machine: per-connection roles and async configs,
 atomic bundles, the flow table, and PacketIn fan-out.
 
+The flow table holds one entry per (match, priority), as an OpenFlow ADD
+replaces the entry with the same match and priority. It is indexed by
+match, and a lookup does one hash probe per match shape present (whether
+``in_port`` is set, and the prefix length or None), keeping the best
+entry by (priority, installed_seq) -- tuple space search, as in Open
+vSwitch's classifier. ``Match.matches`` remains the specification the
+index must agree with.
+
 Models a stock OpenFlow 1.4 switch. Two rules here carry the whole
 failover story and must not be weakened:
 
@@ -100,7 +108,10 @@ class SwitchState:
                  controllers: list[ControllerId], clone_acks_to_all: bool = False):
         self.id = switch_id
         self.ports = list(ports)
-        self.flow_table: list[FlowEntry] = []
+        # match -> {priority: entry}; inner dicts are replaced, never mutated
+        self._flows: dict[Match, dict[int, FlowEntry]] = {}
+        # (in_port set, prefix length or None) of each match in the table
+        self._shapes: tuple[tuple[bool, Optional[int]], ...] = ()
         self.conns: dict[ControllerId, ConnState] = {
             c: ConnState(controller=c) for c in controllers
         }
@@ -111,10 +122,11 @@ class SwitchState:
         self._install_seq = 0
 
     def fork(self) -> "SwitchState":
-        """An independent copy; flow entries, messages and exec records are
-        never mutated in place and stay shared."""
+        """An independent copy; flow entries and their per-match dicts,
+        messages and exec records are never mutated in place and stay
+        shared."""
         new = copy.copy(self)
-        new.flow_table = list(self.flow_table)
+        new._flows = dict(self._flows)
         new.conns = {c: replace(conn, open_bundles={b: list(staged) for b, staged
                                                     in conn.open_bundles.items()})
                      for c, conn in self.conns.items()}
@@ -192,15 +204,26 @@ class SwitchState:
     def _apply_flow_mod(self, msg: FlowMod, sender: ControllerId,
                         bundle_id: Optional[int]) -> None:
         self._install_seq += 1
-        entry = FlowEntry(msg.match, msg.priority, msg.actions, self._install_seq)
-        for i, existing in enumerate(self.flow_table):
-            if existing.match == msg.match and existing.priority == msg.priority:
-                self.flow_table[i] = entry
-                break
-        else:
-            self.flow_table.append(entry)
+        self.install(FlowEntry(msg.match, msg.priority, msg.actions, self._install_seq))
         self._exec(ExecKind.FLOWMOD, bundle_id, sender,
                    f"prio={msg.priority} match={_fmt_match(msg.match)}")
+
+    def install(self, entry: FlowEntry) -> None:
+        """Add ``entry``, replacing the one with the same match and priority."""
+        match = entry.match
+        by_priority = self._flows.get(match)
+        if by_priority is None:
+            by_priority = {}
+            shape = (match.in_port is not None,
+                     None if match.payload_prefix is None else len(match.payload_prefix))
+            if shape not in self._shapes:
+                self._shapes += (shape,)
+        self._flows[match] = {**by_priority, entry.priority: entry}
+
+    @property
+    def flow_table(self) -> list[FlowEntry]:
+        """The installed entries, as a new list."""
+        return [e for by_priority in self._flows.values() for e in by_priority.values()]
 
     def _exec_packet_out(self, msg: PacketOut, sender: ControllerId,
                          bundle_id: Optional[int]) -> Outbound:
@@ -231,10 +254,16 @@ class SwitchState:
         return out
 
     def _lookup(self, in_port: PortId, payload: bytes) -> Optional[FlowEntry]:
+        flows = self._flows
         best: Optional[FlowEntry] = None
-        for entry in self.flow_table:
-            if not entry.match.matches(in_port, payload):
+        for has_port, length in self._shapes:
+            if length is not None and len(payload) < length:
+                continue  # as startswith: too short for any prefix this long
+            by_priority = flows.get(Match(in_port if has_port else None,
+                                          None if length is None else payload[:length]))
+            if by_priority is None:
                 continue
+            entry = by_priority[max(by_priority)]
             if best is None or (entry.priority, entry.installed_seq) > (best.priority, best.installed_seq):
                 best = entry
         return best

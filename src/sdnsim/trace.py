@@ -7,20 +7,22 @@ trace file holds run metadata the checker needs (variant, controller
 count, quiescence, crash set).
 
 A record is an immutable tuple, so forked traces share record objects.
-Lines are written by one prebuilt C encoder and read by the C scanner;
-files are split only on ``"\\n"``. A line the scanner cannot read whole
-as one object is parsed again by ``json.loads``, so every error names its
-file line and the decoder's own message. Record fields are checked
-strictly: ``step`` and ``t`` are integers (not bools), ``actor`` is a
-string, ``peer`` a string or absent, ``msg`` an object with a string
-``type``, ``detail`` an object of strings, and steps count up from 1.
+A record's line is built field by field in key order, with ``msg`` and
+``detail`` written by one prebuilt C encoder. Lines are read by the C
+scanner, and files are split only on ``"\\n"``. A line the scanner cannot
+read whole as one object is parsed again by ``json.loads``, so every
+error names its file line and the decoder's own message. Record fields
+are checked strictly: ``step`` and ``t`` are integers (not bools),
+``actor`` is a string, ``peer`` a string or absent, ``msg`` an object
+with a string ``type``, ``detail`` an object of strings, and steps count
+up from 1.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, NamedTuple, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from .codec import encode
 
@@ -68,13 +70,12 @@ class Trace:
 
     def to_lines(self) -> list[str]:
         lines = [canonical_json({"meta": self.meta})]
-        lines.extend(canonical_json(r.to_obj()) for r in self.records)
+        lines.extend(_record_lines(self.records))
         return lines
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for line in self.to_lines():
-                fh.write(line + "\n")
+            fh.write("\n".join(self.to_lines()) + "\n")
 
     @classmethod
     def read(cls, path: str) -> "Trace":
@@ -156,6 +157,36 @@ _ENCODER = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_as
 
 def canonical_json(obj: Any) -> str:
     return "".join(_ENCODER(obj, 0))
+
+
+def _record_lines(records: list[TraceRecord]) -> Iterator[str]:
+    """Each record's ``canonical_json(rec.to_obj())``, built field by field
+    in key order without the dict.
+
+    A simulated SEND and the DELIVER or DROP of its message share one wire
+    dict, so the SEND's encoding is kept until that record takes it. The
+    first DELIVER with nothing kept for it (a trace read from a file
+    shares no dicts) ends the keeping."""
+    kept: Optional[dict[int, str]] = {}
+    for step, t, kind, actor, peer, msg, detail in records:
+        text = None
+        if msg is not None:
+            if kept is not None:
+                if kind == "SEND":
+                    text = kept[id(msg)] = canonical_json(msg)
+                else:
+                    text = kept.pop(id(msg), None)
+                    if text is None and kind == "DELIVER":
+                        kept = None
+            if text is None:
+                text = canonical_json(msg)
+        yield "".join((
+            '{"actor":', encode_basestring_ascii(actor),
+            ',"detail":' + canonical_json(detail) if detail else "",
+            ',"kind":', encode_basestring_ascii(kind),
+            ',"msg":' + text if text is not None else "",
+            ',"peer":' + encode_basestring_ascii(peer) if peer is not None else "",
+            f',"step":{step},"t":{t}}}'))
 
 
 def msg_to_wire(msg: Any) -> dict:

@@ -158,6 +158,12 @@ MALFORMED_SCENARIOS = {
     "flow-output-not-on-switch": (
         lambda obj: _switch(obj)["flows"].append({"out_ports": [3]}),
         "switches[0].flows[0]: output port 3 not on switch"),
+    "flow-same-match-and-priority": (
+        lambda obj: _switch(obj)["flows"].extend([
+            {"payload_prefix": "02", "priority": 3, "out_ports": [1]},
+            {"payload_prefix": "02", "priority": 4},
+            {"payload_prefix": "02", "priority": 3, "out_ports": [2]}]),
+        "switches[0].flows[2]: same match and priority as flows[0]"),
     "workload-t-zero": (
         lambda obj: _event(obj).update(t=0), "workload[0].t: must be at least 1"),
     "workload-unknown-switch": (

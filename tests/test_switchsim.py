@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sdnsim.ofmodel import (
@@ -22,7 +24,7 @@ from sdnsim.ofmodel import (
     SetAsyncConfig,
     encode_ack,
 )
-from sdnsim.switchsim import ExecKind, SwitchState
+from sdnsim.switchsim import ExecKind, FlowEntry, SwitchState
 
 
 def make_switch(clone=False):
@@ -241,6 +243,108 @@ def test_flow_mod_replaces_same_match_and_priority():
     sw.handle_message(0, FlowMod(Match(payload_prefix=b"\x02"), 5, (Output(2),)))
     assert len(sw.flow_table) == 1
     assert sw.flow_table[0].actions == (Output(2),)
+
+
+# ----------------------------------------------------------------------
+# flow-table index against a linear scan
+
+def scan_lookup(entries, in_port, payload):
+    """The specification: of the entries whose match accepts the packet,
+    the one with the highest (priority, installed_seq)."""
+    hits = [e for e in entries if e.match.matches(in_port, payload)]
+    return max(hits, key=lambda e: (e.priority, e.installed_seq), default=None)
+
+
+def random_match(rng, alphabet=b"\x01\x02"):
+    length = rng.choice([None, 0, 1, 2, 3])
+    prefix = None if length is None else bytes(rng.choices(alphabet, k=length))
+    return Match(rng.choice([None, 1, 2]), prefix)
+
+
+def random_packet(rng, alphabet=b"\x01\x02"):
+    return rng.choice([1, 2, 3]), bytes(rng.choices(alphabet, k=rng.randrange(5)))
+
+
+def table_values(entries):
+    return sorted((e.installed_seq, e.match.in_port, e.match.payload_prefix, e.priority,
+                   e.actions) for e in entries)
+
+
+def test_lookup_agrees_with_a_linear_scan():
+    rng = random.Random(8)
+    lookups = 0
+    for _ in range(40):
+        sw = registered_switch()
+        model = []  # the table as a list, replacing on equal (match, priority)
+
+        def installed(entry):
+            model[:] = [e for e in model
+                        if (e.match, e.priority) != (entry.match, entry.priority)]
+            model.append(entry)
+
+        n_initial = rng.randrange(4)
+        for i in range(n_initial):
+            entry = FlowEntry(random_match(rng), rng.randrange(3), (Output(1),),
+                              installed_seq=i - n_initial)
+            sw.install(entry)
+            installed(entry)
+        for seq in range(1, rng.randrange(1, 40)):
+            mod = FlowMod(random_match(rng), rng.randrange(3), (Output(rng.choice([1, 2])),))
+            sw.handle_message(0, mod)
+            installed(FlowEntry(mod.match, mod.priority, mod.actions, seq))
+            assert table_values(sw.flow_table) == table_values(model)
+            for _ in range(5):
+                in_port, payload = random_packet(rng)
+                assert sw._lookup(in_port, payload) is scan_lookup(sw.flow_table,
+                                                                   in_port, payload)
+                lookups += 1
+    assert lookups > 3000
+
+
+def test_lookup_on_a_large_table_never_scans(monkeypatch):
+    rng = random.Random(9)
+    sw = registered_switch()
+    alphabet = bytes(range(1, 17))
+    for _ in range(3000):
+        sw.handle_message(0, FlowMod(random_match(rng, alphabet), rng.randrange(3),
+                                     (Output(2),)))
+    assert len(sw.flow_table) >= 1000
+    packets = [random_packet(rng, alphabet) for _ in range(300)]
+    expected = [scan_lookup(sw.flow_table, *p) for p in packets]
+    assert sum(e is not None for e in expected) > 150
+
+    def no_scan(*args):
+        raise AssertionError("lookup called Match.matches")
+
+    monkeypatch.setattr(Match, "matches", no_scan)
+    assert all(sw._lookup(*p) is e for p, e in zip(packets, expected))
+
+
+def test_fork_flow_mods_stay_in_their_copy():
+    sw = registered_switch()
+    prefix = Match(payload_prefix=b"\x02")
+    sw.handle_message(0, FlowMod(prefix, 5, (Output(1),)))
+    fork = sw.fork()
+    parent_before, fork_before = table_values(sw.flow_table), table_values(fork.flow_table)
+
+    # the fork replaces the shared (match, priority) and adds a match
+    fork.handle_message(0, FlowMod(prefix, 5, (Output(2),)))
+    fork.handle_message(0, FlowMod(Match(in_port=3), 9, (Output(2),)))
+    assert table_values(sw.flow_table) == parent_before
+    assert sw._lookup(1, b"\x02").actions == (Output(1),)
+    assert sw._lookup(3, b"\x01") is None
+    assert fork._lookup(1, b"\x02").actions == (Output(2),)
+    assert fork._lookup(3, b"\x01").priority == 9
+
+    # the parent adds a priority under the shared match, then replaces it
+    fork_after = table_values(fork.flow_table)
+    sw.handle_message(0, FlowMod(prefix, 7, (Output(2),)))
+    sw.handle_message(0, FlowMod(prefix, 5, (Output(3),)))
+    assert table_values(fork.flow_table) == fork_after != fork_before
+    assert fork._lookup(1, b"\x02").actions == (Output(2),)
+    assert sw._lookup(1, b"\x02").actions == (Output(2),)
+    assert [(e.priority, e.actions) for e in sw.flow_table] == [(5, (Output(3),)),
+                                                              (7, (Output(2),))]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from builders import learning_scenario
-from sdnsim import Simulation, Trace, TraceRecord
+from sdnsim import FaultSpec, Simulation, Trace, TraceRecord
 from sdnsim.trace import TraceFormatError, canonical_json
 
 
@@ -80,3 +80,39 @@ def test_canonical_json_rejects_unserializable_values():
     with pytest.raises(TypeError, match="not JSON serializable"):
         canonical_json({"a": b"x"})
     assert canonical_json({"b": 1}) == '{"b":1}'  # the shared encoder still works
+
+
+def hand_built_trace():
+    """Records without peer, msg or detail, non-ASCII text, a DROP whose
+    message no SEND carried, and a wire dict sent twice."""
+    trace = Trace({"scenario": "hand-built"})
+    sent_twice = {"type": "BundleOpen", "bundle_id": 3}
+    trace.append(1, "STALL", "sim")
+    trace.append(1, "CRASH", "c0", peer="s\u00e9")
+    trace.append(2, "APPLY", "c1", detail={"event": "0:1", "note": "\u2603 \"q\""})
+    trace.append(2, "DROP", "s0", peer="c0", msg={"type": "FlowMod", "priority": 1},
+                 detail={"reason": "connection_drop", "bundle": "3"})
+    trace.append(3, "SEND", "c1", peer="s0", msg=sent_twice)
+    trace.append(3, "SEND", "c1", peer="s0", msg=sent_twice)
+    trace.append(4, "DELIVER", "s0", peer="c1", msg=sent_twice)
+    trace.append(4, "DELIVER", "s0", peer="c1", msg=sent_twice)
+    trace.append(5, "SEND", "c1", peer="s0", msg={"type": "BundleCommit", "bundle_id": 3})
+    return trace
+
+
+def test_record_lines_match_the_stdlib_encoder(trace):
+    crashed = Simulation(learning_scenario(faults=(FaultSpec(target=0, at_time=9),))).run()
+    shared = [r for r in crashed.records if r.kind in ("DELIVER", "DROP")]
+    assert {r.kind for r in shared} == {"DELIVER", "DROP"}
+    sent = {id(r.msg) for r in crashed.records if r.kind == "SEND"}
+    assert all(id(r.msg) in sent for r in shared)  # simulated records share wire dicts
+    read_back = Trace.from_lines(crashed.to_lines())
+    for t in (trace, crashed, read_back, hand_built_trace()):
+        assert t.to_lines()[1:] == [json.dumps(r.to_obj(), sort_keys=True,
+                                               separators=(",", ":")) for r in t.records]
+
+
+def test_write_puts_one_line_per_record(tmp_path, trace):
+    path = tmp_path / "run.trace"
+    trace.write(str(path))
+    assert path.read_text(encoding="utf-8") == "".join(ln + "\n" for ln in trace.to_lines())
