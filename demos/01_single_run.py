@@ -9,7 +9,7 @@ route inside an atomic bundle that carries a commit acknowledgement back to
 all three controllers.
 """
 
-from sdnsim import (Scenario, Simulation, SwitchSpec, WorkloadItem,
+from sdnsim import (AppConfig, Route, Scenario, Simulation, SwitchSpec, WorkloadItem,
                     compute_metrics, run_all_checks, summary_line)
 
 scenario = Scenario(
@@ -18,7 +18,7 @@ scenario = Scenario(
     n_controllers=3,
     switches=(SwitchSpec(id=0, ports=(1, 2)),),
     app="static-router",
-    app_config={"routes": [{"prefix": "02", "port": 2}]},
+    app_config=AppConfig(routes=(Route(prefix=b"\x02", port=2),)),
     workload=(WorkloadItem(t=5, switch=0, in_port=1,
                            payload=bytes.fromhex("02aa")),),
 )

@@ -11,8 +11,8 @@ channel is FIFO, every acknowledgement the switch emitted before the role
 change has arrived by the time the RoleReply does.
 """
 
-from sdnsim import (FaultSpec, Scenario, Simulation, SwitchSpec, TracePointSpec,
-                    WorkloadItem, all_passed, run_all_checks)
+from sdnsim import (AppConfig, FaultSpec, Route, Scenario, Simulation, SwitchSpec,
+                    TracePointSpec, WorkloadItem, all_passed, run_all_checks)
 
 base = Scenario(
     name="failover-timings",
@@ -20,7 +20,7 @@ base = Scenario(
     n_controllers=3,
     switches=(SwitchSpec(id=0, ports=(1, 2)),),
     app="static-router",
-    app_config={"routes": [{"prefix": "02", "port": 2}]},
+    app_config=AppConfig(routes=(Route(prefix=b"\x02", port=2),)),
     workload=(WorkloadItem(t=5, switch=0, in_port=1,
                            payload=bytes.fromhex("02aa")),),
 )

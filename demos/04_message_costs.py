@@ -15,7 +15,7 @@ bundle, no replies, no ack fan-out. The difference is the price of knowing,
 at every controller, exactly which commands every switch has executed.
 """
 
-from sdnsim import (Scenario, Simulation, SwitchSpec, WorkloadItem,
+from sdnsim import (AppConfig, Route, Scenario, Simulation, SwitchSpec, WorkloadItem,
                     compute_metrics)
 
 base = Scenario(
@@ -24,7 +24,7 @@ base = Scenario(
     n_controllers=3,
     switches=(SwitchSpec(id=0, ports=(1, 2)),),
     app="static-router",
-    app_config={"routes": [{"prefix": "02", "port": 2}]},
+    app_config=AppConfig(routes=(Route(prefix=b"\x02", port=2),)),
     workload=(WorkloadItem(t=5, switch=0, in_port=1,
                            payload=bytes.fromhex("02aa")),),
 )

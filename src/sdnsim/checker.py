@@ -24,11 +24,16 @@ from .trace import Trace, TraceRecord
 
 PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P6")
 
+# witness tag (the text before a description's first colon) -> anomaly
 ANOMALY_LABELS = {
-    "P1": "ORDER_DIVERGENCE",
-    "P2": "LOST_EVENT",
-    "P3": "REPEATED_EVENT",
-    "P5": "STATE_DIVERGENCE",
+    "order-divergence": "ORDER_DIVERGENCE",
+    "lost-event": "LOST_EVENT",
+    "repeated-event": "REPEATED_EVENT",
+    "repeated-command": "REPEATED_COMMAND",
+    "spurious-effect": "REPEATED_COMMAND",
+    "missing-command": "MISSING_COMMAND",
+    "partial-bundle": "MISSING_COMMAND",
+    "state-divergence": "STATE_DIVERGENCE",
 }
 
 
@@ -50,12 +55,10 @@ class Verdict:
     note: str = ""
 
 
-def _fail(prop: str, witnesses: list[Witness], note: str = "") -> Verdict:
-    return Verdict(prop, False, tuple(witnesses), note)
-
-
-def _pass(prop: str, note: str = "") -> Verdict:
-    return Verdict(prop, True, (), note)
+def _verdict(prop: str, witnesses: list[Witness], note: str = "") -> Verdict:
+    """A property's verdict: it passes exactly when nothing witnesses a
+    violation."""
+    return Verdict(prop, not witnesses, tuple(witnesses), note)
 
 
 # ----------------------------------------------------------------------
@@ -69,12 +72,12 @@ class _Run:
         meta = trace.meta
         try:
             self.n: int = meta["n_controllers"]
-            self.variant: str = meta["variant"]
+            variant = meta["variant"]
             self.quiesced: bool = meta["quiesced"]
             crashed = meta["crashed"]
         except KeyError as exc:
             raise CheckError(f"trace metadata missing {exc}") from exc
-        if not (type(self.n) is int and type(self.variant) is str
+        if not (type(self.n) is int and type(variant) is str
                 and type(self.quiesced) is bool and type(crashed) is list
                 and all(type(c) is int for c in crashed)):
             raise CheckError("trace metadata: n_controllers must be an integer, "
@@ -83,8 +86,8 @@ class _Run:
         self.crashed: set[int] = set(crashed)
         self.survivors = [c for c in range(self.n) if c not in self.crashed]
         self.last_step = trace.records[-1].step if trace.records else 0
-        # replica -> its APPLY entries, and separately its EVENT ones
-        self.applies: dict[int, list[dict]] = defaultdict(list)
+        # replica -> (index, digest, step) of its last APPLY, and its EVENT ones
+        self.last_apply: dict[int, tuple[int, str, int]] = {}
         self.events: dict[int, list[dict]] = defaultdict(list)
         self.emitted: dict[str, int] = {}  # workload event -> first SEND step
         # (switch, log index) -> steps executing that entry's command batch
@@ -131,18 +134,16 @@ class _Run:
 
     def _add_apply(self, rec: TraceRecord) -> None:
         rid = _endpoint_id(rec, "actor", "c")
+        detail = rec.detail
         try:
-            entry = {"step": rec.step, "index": int(rec.detail["index"]),
-                     "kind": rec.detail["entry"],
-                     "digest": rec.detail.get("digest", "")}
+            index, kind = int(detail["index"]), detail["entry"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckError(f"malformed APPLY record at step {rec.step}") from exc
-        self.applies[rid].append(entry)
-        if entry["kind"] == "EVENT":
-            entry["event"] = rec.detail.get("event", "")
-            entry["commands"] = _parse_commands(rec.detail.get("commands", ""),
-                                                rec.step)
-            self.events[rid].append(entry)
+        self.last_apply[rid] = (index, detail.get("digest", ""), rec.step)
+        if kind == "EVENT":
+            self.events[rid].append({
+                "step": rec.step, "index": index, "event": detail.get("event", ""),
+                "commands": _parse_commands(detail.get("commands", ""), rec.step)})
 
     @property
     def fault_bound_ok(self) -> bool:
@@ -234,14 +235,14 @@ def check_total_order(run: _Run) -> Verdict:
                         f"order-divergence: c{a} applied {sa[k][0]} at position "
                         f"{k + 1} where c{b} applied {sb[k][0]}"))
                     break
-    return _fail("P1", witnesses) if witnesses else _pass("P1")
+    return _verdict("P1", witnesses)
 
 
 def check_at_least_once(run: _Run) -> Verdict:
     """P2: every switch-emitted event is applied by every surviving replica."""
     if not run.quiesced or not run.fault_bound_ok:
-        return _pass("P2", note="not checked: requires quiescence and at most "
-                                 "floor(n/2) crashes")
+        return _verdict("P2", [], note="not checked: requires quiescence and at "
+                                        "most floor(n/2) crashes")
     witnesses: list[Witness] = []
     for rid in run.survivors:
         applied = {a["event"] for a in run.events.get(rid, [])}
@@ -249,7 +250,7 @@ def check_at_least_once(run: _Run) -> Verdict:
             if event not in applied:
                 witnesses.append(Witness(
                     (step,), f"lost-event: {event} emitted but never applied by c{rid}"))
-    return _fail("P2", witnesses) if witnesses else _pass("P2")
+    return _verdict("P2", witnesses)
 
 
 def check_at_most_once(run: _Run) -> Verdict:
@@ -264,7 +265,7 @@ def check_at_most_once(run: _Run) -> Verdict:
                     f"repeated-event: c{rid} applied {a['event']} twice"))
             else:
                 seen[a["event"]] = a["step"]
-    return _fail("P3", witnesses) if witnesses else _pass("P3")
+    return _verdict("P3", witnesses)
 
 
 def check_exactly_once_commands(run: _Run) -> Verdict:
@@ -300,22 +301,14 @@ def check_exactly_once_commands(run: _Run) -> Verdict:
     else:
         note = "completeness not checked: requires quiescence and at most " \
                "floor(n/2) crashes"
-    return (_fail("P4", witnesses, note) if witnesses
-            else _pass("P4", note))
+    return _verdict("P4", witnesses, note)
 
 
 def check_replica_convergence(run: _Run) -> Verdict:
     """P5: surviving replicas end at the same applied index and app state."""
     if not run.quiesced:
-        return _pass("P5", note="not checked: requires quiescence")
-    finals: dict[int, tuple[int, str, int]] = {}
-    for rid in run.survivors:
-        applies = run.applies.get(rid, [])
-        if applies:
-            last = applies[-1]
-            finals[rid] = (last["index"], last["digest"], last["step"])
-        else:
-            finals[rid] = (0, "-", 0)
+        return _verdict("P5", [], note="not checked: requires quiescence")
+    finals = {rid: run.last_apply.get(rid, (0, "-", 0)) for rid in run.survivors}
     witnesses: list[Witness] = []
     if finals:
         rids = sorted(finals)
@@ -328,7 +321,7 @@ def check_replica_convergence(run: _Run) -> Verdict:
                     f"state-divergence: c{rids[0]} ended at index {ref[0]} "
                     f"digest {ref[1]} but c{rid} at index {finals[rid][0]} "
                     f"digest {finals[rid][1]}"))
-    return _fail("P5", witnesses) if witnesses else _pass("P5")
+    return _verdict("P5", witnesses)
 
 
 def check_bundle_atomicity(run: _Run) -> Verdict:
@@ -373,7 +366,7 @@ def check_bundle_atomicity(run: _Run) -> Verdict:
                 j += 1
             else:
                 j += 1
-    return _fail("P6", witnesses) if witnesses else _pass("P6")
+    return _verdict("P6", witnesses)
 
 
 # ----------------------------------------------------------------------
@@ -391,21 +384,9 @@ def run_all_checks(trace: Trace) -> list[Verdict]:
 
 
 def classify_anomalies(verdicts: list[Verdict]) -> list[str]:
-    """Map failed properties to the anomaly taxonomy."""
-    labels: set[str] = set()
-    for v in verdicts:
-        if v.passed:
-            continue
-        if v.prop in ANOMALY_LABELS:
-            labels.add(ANOMALY_LABELS[v.prop])
-        else:  # P4 and P6 classify per witness
-            for w in v.witnesses:
-                tag = w.description.split(":", 1)[0]
-                if tag in ("repeated-command", "spurious-effect"):
-                    labels.add("REPEATED_COMMAND")
-                elif tag in ("missing-command", "partial-bundle"):
-                    labels.add("MISSING_COMMAND")
-    return sorted(labels)
+    """Map the witnesses of failed properties to the anomaly taxonomy."""
+    return sorted({ANOMALY_LABELS[w.description.split(":", 1)[0]]
+                   for v in verdicts for w in v.witnesses})
 
 
 def all_passed(verdicts: list[Verdict]) -> bool:

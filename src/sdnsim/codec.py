@@ -12,7 +12,7 @@ object does, so a type tag appears only where classes must be told apart.
 ``decode`` is strict: it rejects unknown keys, missing required keys and
 values of the wrong JSON type, naming the JSON path, and coerces nothing
 (an ``int`` is never a ``bool``). It reads what scenario files hold:
-``int``, ``str``, ``bool``, ``dict``, ``bytes`` as hex, ``Optional[X]``,
+``int``, ``str``, ``bool``, ``bytes`` as hex, ``Optional[X]``,
 ``tuple[X, ...]`` and nested dataclasses.
 """
 
@@ -55,7 +55,7 @@ def _field_encoders(cls: type) -> tuple[tuple[str, Optional[Callable]], ...]:
 
 def _encoder(tp: Any) -> Optional[Callable]:
     """How to encode a non-None value of type ``tp``; None when the value
-    is JSON already (``int``, ``str``, ``bool``, ``dict``)."""
+    is JSON already (``int``, ``str``, ``bool``)."""
     args = [a for a in typing.get_args(tp) if a is not type(None)]
     if typing.get_origin(tp) is typing.Union:
         if len(args) == 1:  # Optional[X]
@@ -84,7 +84,7 @@ def decode(tp: Any, value: Any, path: str = "") -> Any:
     return _decoder(tp)(value, path)
 
 
-_JSON_NAMES = {int: "an integer", str: "a string", bool: "a boolean", dict: "an object"}
+_JSON_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
 
 
 @functools.cache

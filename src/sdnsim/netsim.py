@@ -24,14 +24,18 @@ from __future__ import annotations
 import copy
 import heapq
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, get_args
 
 from .apps import make_app
-from .ofmodel import Match, Output
-from .replica import Note, Replica, SendToReplica, SendToSwitch, shared_steps
+from .ofmodel import ControlMessage, Match, Output
+from .replica import Note, ReplMessage, Replica, SendToReplica, SendToSwitch, shared_steps
 from .scenario import FaultSpec, Scenario, ScenarioError, SwitchSpec, TracePointSpec
 from .switchsim import ExecKind, FlowEntry, SwitchState
 from .trace import Trace, TraceRecord, msg_to_wire
+
+
+# The "type" tags msg_to_wire writes: every message class the simulator sends.
+_MSG_TYPES = frozenset(t.__name__ for t in get_args(ControlMessage) + get_args(ReplMessage))
 
 
 def _initial_flow_entries(spec: SwitchSpec) -> list[FlowEntry]:
@@ -57,16 +61,21 @@ class Simulation:
         self.quiesced = True
         self.crashed: set[int] = set()
         self._pending_crashes: list[int] = []
+        for i, f in enumerate(scenario.faults):
+            msg_type = f.at_point and f.at_point.msg_type
+            if msg_type is not None and msg_type not in _MSG_TYPES:
+                raise ScenarioError(f"faults[{i}].at_point.msg_type: unknown message "
+                                    f"type {msg_type!r}")
         self._point_faults = tuple(f for f in scenario.faults if f.at_point is not None)
         # matches each point fault still needs; it fires when its count hits 0
         self._matches_left = [f.at_point.occurrence for f in self._point_faults]
 
         switch_ports = {s.id: list(s.ports) for s in scenario.switches}
-        steps = shared_steps(make_app(scenario.app, scenario.routes(), switch_ports))
+        steps = shared_steps(make_app(scenario.app, scenario.app_config.routes, switch_ports))
         controllers = list(range(scenario.n_controllers))
         self.switches: dict[int, SwitchState] = {}
         for spec in scenario.switches:
-            sw = SwitchState(spec.id, list(spec.ports), controllers,
+            sw = SwitchState(spec.id, controllers,
                              clone_acks_to_all=(scenario.variant == "PAPER_B"))
             for entry in _initial_flow_entries(spec):
                 sw.install(entry)
@@ -229,13 +238,14 @@ class Simulation:
 
     def _switch_call(self, sw: SwitchState, deliver_detail: dict[str, str],
                      method: Callable, *args) -> None:
-        """Call one of ``sw``'s input methods, record the EXEC records it
-        appends and send the messages it returns. Commands executed outside
-        a bundle carry the ``cmd_`` tags of the delivery that brought them."""
+        """Call one of ``sw``'s input methods, take the EXEC records it
+        appends into a trace record each, leaving ``sw.exec_log`` empty, and
+        send the messages it returns. Commands executed outside a bundle
+        carry the ``cmd_`` tags of the delivery that brought them."""
         me = f"s{sw.id}"
-        before = len(sw.exec_log)
         outbound = method(*args)
-        for er in sw.exec_log[before:]:
+        execs, sw.exec_log = sw.exec_log, []
+        for er in execs:
             detail = {"exec": er.kind.value, "info": er.detail}
             if er.bundle_id is not None:
                 detail["bundle"] = str(er.bundle_id)

@@ -11,7 +11,7 @@ starts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from .codec import DecodeError, decode, encode
@@ -75,6 +75,13 @@ class Route:
 
 
 @dataclass(frozen=True)
+class AppConfig:
+    """The app's settings; only ``static-router`` takes any (its routes)."""
+
+    routes: tuple[Route, ...] = ()
+
+
+@dataclass(frozen=True)
 class Scenario:
     name: str
     variant: str
@@ -82,7 +89,7 @@ class Scenario:
     switches: tuple[SwitchSpec, ...]
     app: str
     workload: tuple[WorkloadItem, ...]
-    app_config: dict = field(default_factory=dict)
+    app_config: AppConfig = AppConfig()
     faults: tuple[FaultSpec, ...] = ()
     detector_delay: int = 2
     seed: int = 0
@@ -99,14 +106,6 @@ class Scenario:
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
-
-    def routes(self) -> tuple[Route, ...]:
-        """The ``static-router`` routes decoded from ``app_config.routes``;
-        empty for other apps."""
-        if self.app != "static-router":
-            return ()
-        return _decode(tuple[Route, ...], self.app_config.get("routes", []),
-                       "app_config.routes")
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -183,7 +182,9 @@ class Scenario:
                 if f.at_point.occurrence < 1:
                     raise ScenarioError(f"{path}.at_point.occurrence: must be >= 1")
 
-        for i, r in enumerate(self.routes()):
+        if self.app_config.routes and self.app != "static-router":
+            raise ScenarioError(f"app_config.routes: app {self.app!r} takes no routes")
+        for i, r in enumerate(self.app_config.routes):
             if r.port <= 0 or r.port == CONTROLLER_PORT:
                 raise ScenarioError(
                     f"app_config.routes[{i}].port: routes must target physical ports")

@@ -66,7 +66,7 @@ class ExecKind(Enum):
 
 @dataclass(frozen=True)
 class ExecRecord:
-    """One entry of the switch's append-only execution log."""
+    """One execution by the switch, logged in ``SwitchState.exec_log``."""
 
     kind: ExecKind
     bundle_id: Optional[int] = None
@@ -104,10 +104,9 @@ class FlowEntry:
 class SwitchState:
     """One simulated switch; processes one message to completion at a time."""
 
-    def __init__(self, switch_id: SwitchId, ports: list[PortId],
-                 controllers: list[ControllerId], clone_acks_to_all: bool = False):
+    def __init__(self, switch_id: SwitchId, controllers: list[ControllerId],
+                 clone_acks_to_all: bool = False):
         self.id = switch_id
-        self.ports = list(ports)
         # match -> {priority: entry}; inner dicts are replaced, never mutated
         self._flows: dict[Match, dict[int, FlowEntry]] = {}
         # (in_port set, prefix length or None) of each match in the table
@@ -118,6 +117,8 @@ class SwitchState:
         self.seq_counter = 0
         self.generation_id_seen: Optional[int] = None
         self.clone_acks_to_all = clone_acks_to_all
+        # executions not yet taken by the simulator, which takes them after
+        # each input it gives the switch
         self.exec_log: list[ExecRecord] = []
         self._install_seq = 0
 

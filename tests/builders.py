@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from sdnsim import Scenario, SwitchSpec, Trace, WorkloadItem
+from sdnsim import AppConfig, Route, Scenario, SwitchSpec, Trace, WorkloadItem
 
 
 def one_command_scenario(variant: str = "PAPER_A", **overrides) -> Scenario:
@@ -13,7 +13,7 @@ def one_command_scenario(variant: str = "PAPER_A", **overrides) -> Scenario:
         n_controllers=3,
         switches=(SwitchSpec(id=0, ports=(1, 2)),),
         app="static-router",
-        app_config={"routes": [{"prefix": "02", "port": 2}]},
+        app_config=AppConfig(routes=(Route(prefix=b"\x02", port=2),)),
         workload=(WorkloadItem(t=5, switch=0, in_port=1,
                                payload=bytes.fromhex("02aa")),),
     )

@@ -113,6 +113,9 @@ MALFORMED_SCENARIOS = {
         "faults[0].at_point.msg_type: expected a string"),
     "app_config-a-list": (
         lambda obj: obj.update(app_config=[]), "app_config: expected an object"),
+    "app_config-unknown-key": (
+        lambda obj: obj["app_config"].update(route=obj["app_config"].pop("routes")),
+        "app_config: unknown key(s) ['route']"),
     "name-not-a-string": (
         lambda obj: obj.update(name=7), "name: expected a string"),
     "suppress_slave_events-not-a-bool": (
@@ -189,9 +192,17 @@ MALFORMED_SCENARIOS = {
     "at_point-occurrence-zero": (
         lambda obj: obj.update(faults=[{"target": 0, "at_point": {"occurrence": 0}}]),
         "faults[0].at_point.occurrence: must be >= 1"),
+    "routes-on-mac-learner": (
+        lambda obj: obj.update(app="mac-learner"),
+        "app_config.routes: app 'mac-learner' takes no routes"),
     "route-port-zero": (
         lambda obj: _route(obj).update(port=0),
         "app_config.routes[0].port: routes must target physical ports"),
+    # checked where the simulation reads its trace-point faults
+    "at_point-msg_type-unknown": (
+        lambda obj: obj.update(
+            faults=[{"target": 0, "at_point": {"msg_type": "BundelCommit"}}]),
+        "faults[0].at_point.msg_type: unknown message type 'BundelCommit'"),
 }
 
 

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,11 +15,13 @@ from sdnsim import (
     load_scenario,
     resolve_crash_target,
     run_all_checks,
+    scenario_from_obj,
     sweep_crash_points,
 )
 from sdnsim import netsim, replica
 from sdnsim.apps import StepMemo, state_digest
 from sdnsim.netsim import _is_crash_point
+from sdnsim.ofmodel import CONTROLLER_PORT
 from sdnsim.scenario import WorkloadItem
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -251,6 +254,35 @@ def test_forked_sweep_matches_replay_on_every_shipped_scenario(path):
     scenario = load_scenario(str(path))
     for target in range(scenario.n_controllers):
         assert_sweep_matches_replay(scenario, target)
+
+
+def paper_a_with_initial_flow():
+    """``paper_a`` with an s0 flow that sends prefix-02 packets to the
+    controller and out port 3; no shipped scenario has initial flows."""
+    obj = json.loads((SCENARIO_DIR / "paper_a.json").read_text())
+    obj["switches"][0]["flows"].append(
+        {"payload_prefix": "02", "priority": 7, "out_ports": [CONTROLLER_PORT, 3]})
+    return scenario_from_obj(obj)
+
+
+@pytest.mark.parametrize("variant", ["NAIVE", "PAPER_A", "PAPER_B"])
+def test_initial_flow_to_the_controller_raises_an_applied_event(variant):
+    trace = run_trace(paper_a_with_initial_flow().with_variant(variant))
+    forwards = [r.detail["info"] for r in trace.records
+                if r.kind == "EXEC" and r.detail["exec"] == "PACKET_FWD"]
+    assert forwards.count("in=1 out=ctl,3") == 1
+    # the table hit sends the workload packet up as a reason-ACTION PacketIn
+    (event,) = {r.msg["event"] for r in trace.records
+                if r.kind == "SEND" and r.actor == "s0" and r.msg["type"] == "PacketIn"
+                and r.msg["reason"] == "ACTION" and r.msg["payload"] == "0201"}
+    appliers = {r.actor for r in trace.records
+                if r.kind == "APPLY" and r.detail.get("event") == event}
+    assert appliers == {"c0", "c1", "c2"}
+    assert all_passed(run_all_checks(trace))
+
+
+def test_initial_flow_sweep_matches_replay():
+    assert_sweep_matches_replay(paper_a_with_initial_flow(), 0)
 
 
 def test_startup_points_crash_after_the_first_dispatched_event():

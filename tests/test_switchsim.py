@@ -28,8 +28,7 @@ from sdnsim.switchsim import ExecKind, FlowEntry, SwitchState
 
 
 def make_switch(clone=False):
-    return SwitchState(7, ports=[1, 2], controllers=[0, 1, 2],
-                       clone_acks_to_all=clone)
+    return SwitchState(7, controllers=[0, 1, 2], clone_acks_to_all=clone)
 
 
 def registered_switch(clone=False):
