@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .checker import (PROPERTIES, CheckError, Verdict, all_passed,
                       classify_anomalies, run_all_checks, summary_line)
-from .metrics import compute_metrics
+from .metrics import MetricsReport, compute_metrics
 from .netsim import Simulation, resolve_crash_target, sweep_crash_points
 # The replay oracle; not called here, but the benchmark's span wrappers
 # look it up under this name.
@@ -96,6 +96,16 @@ def _print_verdicts(verdicts: list[Verdict], show_witnesses: int = 3) -> None:
         print("anomalies: " + ", ".join(anomalies))
 
 
+def _report(report: MetricsReport, verdicts: list[Verdict]) -> int:
+    """The tail ``run`` and ``check`` print after their header line: the
+    message metrics, the verdicts and the summary. Returns the exit code."""
+    for line in report.lines():
+        print(line)
+    _print_verdicts(verdicts)
+    print(summary_line(verdicts))
+    return EXIT_PASS if all_passed(verdicts) else EXIT_VIOLATION
+
+
 def cmd_run(args) -> int:
     scenario = _load(args)
     trace = Simulation(scenario).run()
@@ -109,11 +119,7 @@ def cmd_run(args) -> int:
     verdicts = run_all_checks(trace)
     print(f"scenario {scenario.name} [{scenario.variant}]: "
           f"{len(trace.records)} trace records, quiesced={trace.meta['quiesced']}")
-    for line in report.lines():
-        print(line)
-    _print_verdicts(verdicts)
-    print(summary_line(verdicts))
-    return EXIT_PASS if all_passed(verdicts) else EXIT_VIOLATION
+    return _report(report, verdicts)
 
 
 def _sweep_share(scenario: Scenario, target: int, worker: int = 0, workers: int = 1):
@@ -218,11 +224,7 @@ def cmd_check(args) -> int:
     report = compute_metrics(trace)
     print(f"trace {args.trace}: {len(trace.records)} records, "
           f"variant={trace.meta.get('variant')}, quiesced={trace.meta.get('quiesced')}")
-    for line in report.lines():
-        print(line)
-    _print_verdicts(verdicts)
-    print(summary_line(verdicts))
-    return EXIT_PASS if all_passed(verdicts) else EXIT_VIOLATION
+    return _report(report, verdicts)
 
 
 if __name__ == "__main__":

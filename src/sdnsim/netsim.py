@@ -16,7 +16,10 @@ boundary, forks it once per crash point the last event produced, crashes
 the target in the fork and runs only the suffix; each fork's trace equals
 the trace of the derived scenario that ``enumerate_crash_points`` replays
 from the start. Trace-point faults, the sweep and the enumeration pick
-crash points with one predicate, ``_is_crash_point``.
+crash points with one predicate, ``_is_crash_point``, and point faults and
+the sweep also crash at the same place: ``crash`` at the event boundary
+after the matching record, start-up's records counting as the first
+event's.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import copy
 import heapq
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, get_args
+from typing import Callable, get_args
 
 from .apps import make_app
 from .ofmodel import ControlMessage, Match, Output
@@ -60,7 +63,6 @@ class Simulation:
         self.processed = 0  # events dispatched so far
         self.quiesced = True
         self.crashed: set[int] = set()
-        self._pending_crashes: list[int] = []
         for i, f in enumerate(scenario.faults):
             msg_type = f.at_point and f.at_point.msg_type
             if msg_type is not None and msg_type not in _MSG_TYPES:
@@ -69,6 +71,7 @@ class Simulation:
         self._point_faults = tuple(f for f in scenario.faults if f.at_point is not None)
         # matches each point fault still needs; it fires when its count hits 0
         self._matches_left = [f.at_point.occurrence for f in self._point_faults]
+        self._scanned = 0  # records already scanned for point-fault matches
 
         switch_ports = {s.id: list(s.ports) for s in scenario.switches}
         steps = shared_steps(make_app(scenario.app, scenario.app_config.routes, switch_ports))
@@ -129,26 +132,35 @@ class Simulation:
             self._schedule(w.t, Simulation._inject, w.switch, w.in_port, w.payload)
         for f in self.sc.faults:
             if f.at_time is not None:
-                self._schedule(f.at_time, Simulation._crash, f.target)
+                self._schedule(f.at_time, Simulation.crash, f.target)
         for rid in sorted(self.replicas):
             self._run_effects(rid, self.replicas[rid].startup())
 
     def step(self) -> bool:
-        """Dispatch the next event and fire the crashes it triggered.
+        """Dispatch the next event, then count the records appended since
+        the previous boundary (start-up's, at the first) toward the point
+        faults and crash each target whose count reaches 0, in match order.
         Returns False, dispatching nothing, once the heap is empty or the
         quiesce limit is hit (which records one STALL)."""
         if not self._heap or not self.quiesced:
             return False
         if self.processed >= self.sc.quiesce_limit:
             self.quiesced = False
-            self._record("STALL", "sim", detail={"reason": "quiesce_limit"})
+            self.trace.append(self.now, "STALL", "sim", detail={"reason": "quiesce_limit"})
             return False
         t, _, handler, args = heapq.heappop(self._heap)
         self.now = t
         handler(self, *args)
         self.processed += 1
-        if self._pending_crashes:
-            self._fire_pending_crashes()
+        if self._point_faults:
+            records = self.trace.records
+            for rec in records[self._scanned:]:
+                for i, fault in enumerate(self._point_faults):
+                    if _is_crash_point(rec, f"c{fault.target}", fault.at_point):
+                        self._matches_left[i] -= 1
+                        if self._matches_left[i] == 0:
+                            self.crash(fault.target)
+            self._scanned = len(records)  # past the crashes' CRASH and DROP records too
         return True
 
     def fork(self) -> "Simulation":
@@ -159,24 +171,11 @@ class Simulation:
         new = copy.copy(self)
         new._heap = list(self._heap)
         new.crashed = set(self.crashed)
-        new._pending_crashes = list(self._pending_crashes)
         new._matches_left = list(self._matches_left)
         new.switches = {i: sw.fork() for i, sw in self.switches.items()}
         new.replicas = {i: r.fork() for i, r in self.replicas.items()}
         new.trace = self.trace.fork()
         return new
-
-    def crash_at_boundary(self, target: int) -> None:
-        """Crash ``target`` as a trace-point fault matched by the last
-        dispatched event does: now, or, before the first dispatch (a match
-        during start-up), right after the first event."""
-        self._pending_crashes.append(target)
-        if self.processed:
-            self._fire_pending_crashes()
-
-    def _fire_pending_crashes(self) -> None:
-        while self._pending_crashes:
-            self._crash(self._pending_crashes.pop(0))
 
     # ------------------------------------------------------------------
     # event handlers: each heap entry is (t, seq, handler, args) and runs as
@@ -189,7 +188,7 @@ class Simulation:
     def _detect(self, survivor: int, target: int) -> None:
         if survivor in self.crashed:
             return
-        self._record("DETECT", f"c{survivor}", detail={"crashed": str(target)})
+        self.trace.append(self.now, "DETECT", f"c{survivor}", detail={"crashed": str(target)})
         self._run_effects(survivor, self.replicas[survivor].on_failure_notice(target))
 
     def _deliver(self, src: str, dst: str, msg, wire: dict,
@@ -197,9 +196,9 @@ class Simulation:
         if self._endpoint_dead(src) or self._endpoint_dead(dst):
             drop_detail = dict(detail)
             drop_detail["reason"] = "crash"
-            self._record("DROP", dst, peer=src, msg=wire, detail=drop_detail)
+            self.trace.append(self.now, "DROP", dst, peer=src, msg=wire, detail=drop_detail)
             return
-        self._record("DELIVER", dst, peer=src, msg=wire, detail=detail)
+        self.trace.append(self.now, "DELIVER", dst, peer=src, msg=wire, detail=detail)
         if dst.startswith("s"):
             sw = self.switches[int(dst[1:])]
             self._switch_call(sw, detail, sw.handle_message, int(src[1:]), msg)
@@ -220,7 +219,7 @@ class Simulation:
             elif isinstance(e, SendToReplica):
                 self._send(me, f"c{e.dst}", e.msg, {})
             elif isinstance(e, Note):
-                self._record(e.kind, me, detail=dict(e.detail))
+                self.trace.append(self.now, e.kind, me, detail=dict(e.detail))
             else:
                 raise AssertionError(f"unknown effect {e!r}")
 
@@ -232,7 +231,7 @@ class Simulation:
         if self._first_workload_t is None or self.now < self._first_workload_t:
             detail["phase"] = "setup"
         wire = msg_to_wire(msg)
-        self._record("SEND", src, peer=dst, msg=wire, detail=detail)
+        self.trace.append(self.now, "SEND", src, peer=dst, msg=wire, detail=detail)
         self._schedule(self.now + self.sc.latency,
                        Simulation._deliver, src, dst, msg, wire, detail)
 
@@ -255,21 +254,24 @@ class Simulation:
                 for k, v in deliver_detail.items():
                     if k.startswith("cmd_"):
                         detail[k] = v
-            self._record("EXEC", me, detail=detail)
+            self.trace.append(self.now, "EXEC", me, detail=detail)
         for ctrl, m in outbound:
             self._send(me, f"c{ctrl}", m, {})
 
-    def _crash(self, target: int) -> None:
+    def crash(self, target: int) -> None:
+        """Crash controller ``target`` now, between events: kill its
+        channels, discard the bundles it staged and schedule the survivors'
+        failure notices. Timed faults run it as a heap handler."""
         if target in self.crashed:
             return
         self.crashed.add(target)
-        self._record("CRASH", f"c{target}")
+        self.trace.append(self.now, "CRASH", f"c{target}")
         for sw_id in sorted(self.switches):
             for bundle_id, staged in self.switches[sw_id].on_connection_drop(target):
-                self._record("DROP", f"s{sw_id}", peer=f"c{target}",
-                             msg=msg_to_wire(staged),
-                             detail={"reason": "connection_drop",
-                                     "bundle": str(bundle_id)})
+                self.trace.append(self.now, "DROP", f"s{sw_id}", peer=f"c{target}",
+                                  msg=msg_to_wire(staged),
+                                  detail={"reason": "connection_drop",
+                                          "bundle": str(bundle_id)})
         for ctrl in sorted(self.replicas):
             if ctrl != target and ctrl not in self.crashed:
                 self._schedule(self.now + self.sc.detector_delay,
@@ -282,16 +284,6 @@ class Simulation:
         heapq.heappush(self._heap, (t, self._seq, handler, args))
         self._seq += 1
 
-    def _record(self, kind: str, actor: str, peer: Optional[str] = None,
-                msg: Optional[dict] = None, detail: Optional[dict[str, str]] = None) -> None:
-        """Append a record at the current time and count it toward the
-        scenario's trace-point faults."""
-        rec = self.trace.append(self.now, kind, actor, peer=peer, msg=msg, detail=detail)
-        for i, fault in enumerate(self._point_faults):
-            if _is_crash_point(rec, f"c{fault.target}", fault.at_point):
-                self._matches_left[i] -= 1
-                if self._matches_left[i] == 0:
-                    self._pending_crashes.append(fault.target)
 
 
 @dataclass(frozen=True)
@@ -343,9 +335,10 @@ def sweep_crash_points(scenario: Scenario, target: int,
     sharing the fault-free prefix instead of replaying it.
 
     The fault-free base run is stepped one event at a time. At each event
-    boundary, every target send/deliver since the previous boundary is a
-    crash point: the base is forked, the crash is queued there and the fork
-    is run to the end. ``on_point(point, trace)`` gets each point with its
+    boundary, every target send/deliver since the previous boundary
+    (start-up's, at the first) is a crash point: the base is forked there,
+    the fork crashes the target and is run to the end, as the derived
+    scenario's point fault would. ``on_point(point, trace)`` gets each point with its
     finished trace, in occurrence order, and nothing keeps the trace after
     it returns. Worker ``worker`` of ``workers`` forks only the points with
     ``(occurrence - 1) % workers == worker``. Returns the fault-free trace."""
@@ -354,7 +347,7 @@ def sweep_crash_points(scenario: Scenario, target: int,
     base.start()
     actor = f"c{target}"
     occurrence = seen = 0
-    while True:
+    while base.step():
         records = base.trace.records
         for rec in records[seen:]:
             if not _is_crash_point(rec, actor, _ANY_POINT):
@@ -365,11 +358,10 @@ def sweep_crash_points(scenario: Scenario, target: int,
             point = _sweep_point(scenario, target, occurrence, rec)
             fork = base.fork()
             fork.trace.meta["scenario"] = point.scenario.name
-            fork.crash_at_boundary(target)
+            fork.crash(target)
             on_point(point, fork.run())
         seen = len(records)
-        if not base.step():
-            return base.run()
+    return base.run()
 
 
 def _check_sweep_base(scenario: Scenario) -> None:

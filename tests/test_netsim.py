@@ -337,14 +337,36 @@ def test_fork_is_independent_of_its_parent():
         assert sim.step()
     n = sim.processed
     plain, crashed = sim.fork(), sim.fork()
-    crashed.crash_at_boundary(1)  # a follower: the leader's bundle stays open
+    crashed.crash(1)  # a follower: the leader's bundle stays open
     assert plain.run().to_lines() == run_trace(sc).to_lines()
     crashed_lines = crashed.run().to_lines()
     assert sim.run().to_lines() == run_trace(sc).to_lines()
 
     unforked = stepped(sc, n)
-    unforked.crash_at_boundary(1)
+    unforked.crash(1)
     assert unforked.run().to_lines() == crashed_lines
+
+
+@pytest.mark.parametrize("variant", ["PAPER_A", "PAPER_B"])
+def test_dead_masters_staged_bundle_never_commits(variant):
+    # No sweep point falls between a switch's deliveries of one bundle, so
+    # step to a switch holding c0's bundle open with a command staged in it
+    # and crash c0 there.
+    sim = stepped(one_command_scenario(variant), 0)
+    while not any(staged for sw in sim.switches.values() for conn in sw.conns.values()
+                  for staged in conn.open_bundles.values()):
+        assert sim.step()
+    sim.crash(0)
+    trace = sim.run()
+    (drop,) = [r for r in trace.records
+               if r.kind == "DROP" and r.detail.get("reason") == "connection_drop"]
+    assert (drop.actor, drop.peer, drop.detail, drop.msg["type"]) == (
+        "s0", "c0", {"reason": "connection_drop", "bundle": "1"}, "FlowMod")
+    commits = [r.detail.get("from") for r in trace.records
+               if r.kind == "EXEC" and r.detail["exec"] == "BUNDLE_COMMIT"
+               and r.detail.get("bundle") == "1"]
+    assert commits == ["1"]
+    assert all_passed(run_all_checks(trace))
 
 
 def test_resolve_crash_target():

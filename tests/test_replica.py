@@ -124,6 +124,26 @@ def test_stale_view_messages_are_ignored():
     assert r.on_replica_message(0, Append(0, (entry,), 0)) == []
     assert r.log == []
 
+    def ignored(r, src, msg):
+        before = (list(r.log), r.commit_index, r.applied_index, dict(r.acked_through))
+        return (r.on_replica_message(src, msg) == []
+                and (r.log, r.commit_index, r.applied_index, r.acked_through) == before)
+
+    # a stalled replica ignores every replica message
+    stalled = make_replica(rid=1)
+    stalled.stalled = True
+    assert ignored(stalled, 0, Append(0, (entry,), 0))
+    # an ack from another view, or to a replica that is not the leader
+    leader = fenced_leader()
+    leader.on_switch_message(0, event_pkt(1))
+    assert ignored(leader, 1, AppendAck(1, 1))
+    follower = make_replica(rid=1)
+    follower.on_replica_message(0, Append(0, (entry,), 0))
+    assert ignored(follower, 2, AppendAck(0, 1))
+    # a commit advance from an older view
+    follower.view = 2
+    assert ignored(follower, 0, CommitAdvance(0, 1))
+
 
 def test_follower_appends_and_acks():
     r = make_replica(rid=1)
