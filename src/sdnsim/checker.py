@@ -11,6 +11,10 @@ CheckError instead of yielding a verdict. Liveness-flavored obligations
 the run quiesced with at most floor(n/2) crashes; the safety halves are
 asserted unconditionally. Failed verdicts carry witnesses that cite real
 trace steps.
+
+The checker also owns what is made of verdicts: ``combined`` folds many
+runs' verdicts into one per property, and ``summary_line`` writes the
+``RESULT`` line that ends every command's output.
 """
 
 from __future__ import annotations
@@ -393,7 +397,19 @@ def all_passed(verdicts: list[Verdict]) -> bool:
     return all(v.passed for v in verdicts)
 
 
-def summary_line(verdicts: list[Verdict]) -> str:
+def combined(runs: list[list[Verdict]]) -> list[Verdict]:
+    """One verdict per property over many runs' ``run_all_checks``
+    results, carrying every run's witnesses: it fails exactly when some
+    run fails it. With no runs, every property passes."""
+    return [_verdict(prop, [w for verdicts in runs for w in verdicts[i].witnesses])
+            for i, prop in enumerate(PROPERTIES)]
+
+
+def summary_line(verdicts: list[Verdict], passed: Optional[bool] = None) -> str:
+    """The ``RESULT pass|fail P1=+ ... P6=+`` line. The status is
+    ``passed`` when given, for a caller whose status also rests on
+    something besides the verdicts, and otherwise whether all passed."""
+    if passed is None:
+        passed = all_passed(verdicts)
     flags = " ".join(f"{v.prop}={'+' if v.passed else '-'}" for v in verdicts)
-    status = "pass" if all_passed(verdicts) else "fail"
-    return f"RESULT {status} {flags}"
+    return f"RESULT {'pass' if passed else 'fail'} {flags}"

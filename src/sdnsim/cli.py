@@ -3,7 +3,7 @@ protocol variants, and check stored traces.
 
 Exit codes: 0 all properties pass, 1 property violation, 2 usage or
 configuration error. The last line of every command's output is the
-machine-parseable verdict summary (``RESULT pass|fail P1=+ ... P6=+``).
+machine-parseable verdict summary that ``checker.summary_line`` writes.
 """
 
 from __future__ import annotations
@@ -14,26 +14,23 @@ import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .checker import (PROPERTIES, CheckError, Verdict, all_passed,
-                      classify_anomalies, run_all_checks, summary_line)
+from .checker import (CheckError, Verdict, all_passed, classify_anomalies,
+                      combined, run_all_checks, summary_line)
 from .metrics import MetricsReport, compute_metrics
 from .netsim import Simulation, resolve_crash_target, sweep_crash_points
 # The replay oracle; not called here, but the benchmark's span wrappers
 # look it up under this name.
 from .netsim import enumerate_crash_points  # noqa: F401
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import VARIANTS, Scenario, ScenarioError, load_scenario
 from .trace import Trace, TraceFormatError
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
-_VARIANT_ORDER = ("NAIVE", "PAPER_A", "PAPER_B")
-
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, TraceFormatError, CheckError, OSError) as exc:
@@ -46,28 +43,27 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sdnsim",
         description="deterministic replicated-controller simulator and checker")
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario_args = argparse.ArgumentParser(add_help=False)
+    scenario_args.add_argument("scenario")
+    scenario_args.add_argument("--seed", type=int, help="override the scenario seed")
+    sweep_args = argparse.ArgumentParser(add_help=False, parents=[scenario_args])
+    sweep_args.add_argument("--jobs", type=_jobs, default=1)
 
-    p_run = sub.add_parser("run", help="run one scenario and check it")
-    p_run.add_argument("scenario")
+    p_run = sub.add_parser("run", parents=[scenario_args],
+                           help="run one scenario and check it")
     p_run.add_argument("--trace", help="write the trace file here")
     p_run.add_argument("--metrics", help="write message metrics (JSON) here")
-    p_run.add_argument("--seed", type=int, help="override the scenario seed")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="crash the target at every trace point")
-    p_sweep.add_argument("scenario")
+    p_sweep = sub.add_parser("sweep", parents=[sweep_args],
+                             help="crash the target at every trace point")
     p_sweep.add_argument("--crash", default="leader",
                          help="leader or replica:<id> (default: leader)")
-    p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--seed", type=int, help="override the scenario seed")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_cmp = sub.add_parser("compare",
-                           help="run the workload under all three variants")
-    p_cmp.add_argument("scenario")
-    p_cmp.add_argument("--jobs", type=int, default=1)
-    p_cmp.add_argument("--seed", type=int, help="override the scenario seed")
-    p_cmp.set_defaults(func=cmd_compare)
+    sub.add_parser("compare", parents=[sweep_args],
+                   help="run the workload under all three variants",
+                   ).set_defaults(func=cmd_compare)
 
     p_check = sub.add_parser("check", help="check a stored trace file")
     p_check.add_argument("trace")
@@ -75,33 +71,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _jobs(text: str) -> int:
+    """A ``--jobs`` value: a count of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
-        scenario = scenario.with_seed(args.seed)
-    return scenario
+    return scenario if args.seed is None else scenario.with_seed(args.seed)
 
 
-def _print_verdicts(verdicts: list[Verdict], show_witnesses: int = 3) -> None:
+def _report(report: MetricsReport, verdicts: list[Verdict], shown: int = 3) -> int:
+    """The tail ``run`` and ``check`` print after their header line: the
+    message metrics, each verdict with at most ``shown`` witnesses, the
+    anomalies and the summary. Returns the exit code."""
+    for line in report.lines():
+        print(line)
     for v in verdicts:
-        status = "pass" if v.passed else "FAIL"
         note = f" ({v.note})" if v.note else ""
-        print(f"{v.prop}: {status}{note}")
-        for w in v.witnesses[:show_witnesses]:
+        print(f"{v.prop}: {'pass' if v.passed else 'FAIL'}{note}")
+        for w in v.witnesses[:shown]:
             print(f"    steps {list(w.steps)}: {w.description}")
-        if len(v.witnesses) > show_witnesses:
-            print(f"    ... {len(v.witnesses) - show_witnesses} more")
+        if len(v.witnesses) > shown:
+            print(f"    ... {len(v.witnesses) - shown} more")
     anomalies = classify_anomalies(verdicts)
     if anomalies:
         print("anomalies: " + ", ".join(anomalies))
-
-
-def _report(report: MetricsReport, verdicts: list[Verdict]) -> int:
-    """The tail ``run`` and ``check`` print after their header line: the
-    message metrics, the verdicts and the summary. Returns the exit code."""
-    for line in report.lines():
-        print(line)
-    _print_verdicts(verdicts)
     print(summary_line(verdicts))
     return EXIT_PASS if all_passed(verdicts) else EXIT_VIOLATION
 
@@ -147,14 +148,6 @@ def _sweep(scenario: Scenario, target: int, jobs: int):
     return shares[0][0], rows
 
 
-def _combined(per_run_verdicts: list[list[Verdict]]) -> list[Verdict]:
-    combined = []
-    for i, prop in enumerate(PROPERTIES):
-        passed = all(vs[i].passed for vs in per_run_verdicts) if per_run_verdicts else True
-        combined.append(Verdict(prop, passed))
-    return combined
-
-
 def cmd_sweep(args) -> int:
     scenario = _load(args)
     target = resolve_crash_target(scenario, args.crash)
@@ -167,54 +160,42 @@ def cmd_sweep(args) -> int:
         anomalies = ",".join(classify_anomalies(verdicts)) or "-"
         where = f"{point.kind} {point.msg_type}"
         print(f"{point.occurrence:>5} {point.t:>4} {where:<24} {flags:<13} {anomalies}")
-    combined = _combined([vs for _, vs in rows])
-    print(summary_line(combined))
-    return EXIT_PASS if all_passed(combined) else EXIT_VIOLATION
+    verdicts = combined([vs for _, vs in rows])
+    print(summary_line(verdicts))
+    return EXIT_PASS if all_passed(verdicts) else EXIT_VIOLATION
 
 
 def cmd_compare(args) -> int:
     """Side-by-side message counts and verdicts across the three variants.
-
     Passing means the two bundle-ack variants are violation-free (fault-free
     and across the full leader-crash sweep) and verdict-equivalent; the
-    naive baseline's violations are reported but expected.
-    """
+    naive baseline's violations are reported but expected."""
     scenario = _load(args)
-    rows = {}
-    for variant in _VARIANT_ORDER:
-        trace, sweep_rows = _sweep(scenario.with_variant(variant), 0, args.jobs)
-        rows[variant] = (compute_metrics(trace), run_all_checks(trace),
-                         [vs for _, vs in sweep_rows])
+    runs = {}  # variant -> (metrics, [fault-free verdicts, *sweep verdicts])
+    for variant in VARIANTS:
+        trace, rows = _sweep(scenario.with_variant(variant), 0, args.jobs)
+        runs[variant] = (compute_metrics(trace),
+                         [run_all_checks(trace)] + [vs for _, vs in rows])
 
     print(f"workload {scenario.name}: {len(scenario.workload)} events, "
           f"{scenario.n_controllers} controllers")
     print(f"{'variant':<9} {'deliveries':>10} {'per-event':>9} {'fault-free':<11} "
           f"{'sweep':>6} {'violating':>9} anomalies")
-    for variant in _VARIANT_ORDER:
-        report, verdicts, sweep_verdicts = rows[variant]
-        violating = [vs for vs in sweep_verdicts if not all_passed(vs)]
-        labels = sorted({a for vs in violating for a in classify_anomalies(vs)})
+    for variant, (report, (verdicts, *sweep)) in runs.items():
+        violating = sum(not all_passed(vs) for vs in sweep)
+        labels = ",".join(classify_anomalies(combined(sweep))) or "-"
         ff = "pass" if all_passed(verdicts) else "FAIL"
         print(f"{variant:<9} {report.total:>10} {report.per_event:>9.1f} {ff:<11} "
-              f"{len(sweep_verdicts):>6} {len(violating):>9} {','.join(labels) or '-'}")
+              f"{len(sweep):>6} {violating:>9} {labels}")
 
-    def flags(variant):
-        _, verdicts, sweep_verdicts = rows[variant]
-        return [[v.passed for v in vs] for vs in [verdicts] + sweep_verdicts]
-
-    equivalent = flags("PAPER_A") == flags("PAPER_B")
+    paper_a, paper_b = (runs[variant][1] for variant in ("PAPER_A", "PAPER_B"))
+    equivalent = ([[v.passed for v in vs] for vs in paper_a]
+                  == [[v.passed for v in vs] for vs in paper_b])
     print(f"variant equivalence (PAPER_A vs PAPER_B verdicts): "
           f"{'yes' if equivalent else 'NO'}")
-
-    ack_variant_runs = []
-    for variant in ("PAPER_A", "PAPER_B"):
-        _, verdicts, sweep_verdicts = rows[variant]
-        ack_variant_runs.append(verdicts)
-        ack_variant_runs.extend(sweep_verdicts)
-    combined = _combined(ack_variant_runs)
-    ok = all_passed(combined) and equivalent
-    prop_flags = " ".join(f"{v.prop}={'+' if v.passed else '-'}" for v in combined)
-    print(f"RESULT {'pass' if ok else 'fail'} {prop_flags}")
+    verdicts = combined(paper_a + paper_b)
+    ok = all_passed(verdicts) and equivalent
+    print(summary_line(verdicts, ok))
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 

@@ -14,6 +14,8 @@ values of the wrong JSON type, naming the JSON path, and coerces nothing
 (an ``int`` is never a ``bool``). It reads what scenario files hold:
 ``int``, ``str``, ``bool``, ``bytes`` as hex, ``Optional[X]``,
 ``tuple[X, ...]`` and nested dataclasses.
+
+``read_text`` reads the files the codec's JSON comes in.
 """
 
 from __future__ import annotations
@@ -146,3 +148,19 @@ def _decode_hex(v: Any, path: str) -> bytes:
 
 def _where(path: str) -> str:
     return path or "top level"
+
+
+# ----------------------------------------------------------------------
+# files
+
+def read_text(path: str, error: type[Exception]) -> str:
+    """The file's text, decoded as UTF-8 with universal newlines. Bytes
+    that are not UTF-8 raise ``error`` naming the line they start on."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"line {line}: not valid UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-from .codec import DecodeError, decode, encode
+from .codec import DecodeError, decode, encode, read_text
 from .ofmodel import ACK_MARKER, CONTROLLER_PORT
 
 VARIANTS = ("NAIVE", "PAPER_A", "PAPER_B")
@@ -212,8 +212,7 @@ def scenario_to_obj(sc: Scenario) -> dict:
 
 def load_scenario(path: str) -> Scenario:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = json.loads(read_text(path, ScenarioError))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:

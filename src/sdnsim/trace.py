@@ -24,7 +24,7 @@ import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterator, NamedTuple, Optional
 
-from .codec import encode
+from .codec import encode, read_text
 
 RECORD_KINDS = ("SEND", "DELIVER", "DROP", "CRASH", "DETECT", "APPLY", "EXEC", "STALL")
 
@@ -79,8 +79,7 @@ class Trace:
 
     @classmethod
     def read(cls, path: str) -> "Trace":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_lines(fh.read().split("\n"))
+        return cls.from_lines(read_text(path, TraceFormatError).split("\n"))
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Trace":

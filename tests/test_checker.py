@@ -4,7 +4,9 @@ from builders import (apply_event, bundle_commit_exec, one_command_scenario,
                       packet_in_send, synthetic_trace)
 from sdnsim import Simulation, checker, compute_metrics
 from sdnsim.checker import (
+    PROPERTIES,
     CheckError,
+    Verdict,
     _Run,
     check_at_least_once,
     check_at_most_once,
@@ -13,6 +15,7 @@ from sdnsim.checker import (
     check_replica_convergence,
     check_total_order,
     classify_anomalies,
+    combined,
     run_all_checks,
     summary_line,
 )
@@ -295,6 +298,24 @@ def test_run_all_checks_parses_each_trace_once(monkeypatch):
 def test_summary_line_format():
     verdicts = run_all_checks(synthetic_trace([]))
     assert summary_line(verdicts) == "RESULT pass P1=+ P2=+ P3=+ P4=+ P5=+ P6=+"
+
+
+def test_summary_line_status_can_be_given():
+    verdicts = run_all_checks(synthetic_trace([]))
+    assert summary_line(verdicts, False) == "RESULT fail P1=+ P2=+ P3=+ P4=+ P5=+ P6=+"
+
+
+def test_combined_fails_a_property_exactly_when_some_run_fails_it():
+    clean = run_all_checks(synthetic_trace([]))
+    repeated = run_all_checks(synthetic_trace([apply_event("c0", 1, "0:1"),
+                                               apply_event("c0", 2, "0:1")]))
+    assert [v.passed for v in repeated] == [True, True, False, True, False, True]
+    verdicts = combined([clean, repeated, clean])
+    assert [v.prop for v in verdicts] == ["P1", "P2", "P3", "P4", "P5", "P6"]
+    assert [v.passed for v in verdicts] == [v.passed for v in repeated]
+    assert [v.witnesses for v in verdicts] == [v.witnesses for v in repeated]
+    all_pass = [Verdict(prop, True) for prop in PROPERTIES]
+    assert combined([clean, clean]) == combined([]) == all_pass
 
 
 def test_classify_returns_empty_on_all_pass():

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from builders import learning_scenario, one_command_scenario
-from sdnsim import (Simulation, Trace, all_passed, enumerate_crash_points,
+from builders import apply_event, learning_scenario, one_command_scenario, synthetic_trace
+from sdnsim import (Simulation, Trace, all_passed, cli, enumerate_crash_points,
                     load_scenario, run_all_checks)
 from sdnsim.cli import main
 from sdnsim.scenario import scenario_to_obj
@@ -174,6 +174,8 @@ MALFORMED_SCENARIOS = {
     "workload-port-not-on-switch": (
         lambda obj: _event(obj).update(in_port=3),
         "workload[0].in_port: port 3 not on switch"),
+    "workload-payload-a-number": (
+        lambda obj: _event(obj).update(payload=7), "workload[0].payload: expected a hex string"),
     "workload-payload-ack-marker": (
         lambda obj: _event(obj).update(payload="d7ac6b1e00"),
         "workload[0].payload: workload payload may not start with the ack marker"),
@@ -215,6 +217,18 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys, damage, message):
     path.write_text(json.dumps(obj))
     assert main(["run", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff{}", "line 1: not valid UTF-8"),
+    # a bad byte on line 3, after a valid two-byte character
+    (b'{\n  "name": "\xc3\xa9",\n  "app": "\xff"\n}', "line 3: not valid UTF-8"),
+], ids=["first-byte", "line-3"])
+def test_run_non_utf8_scenario_exits_two(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_run_missing_file_exits_two(tmp_path):
@@ -272,6 +286,11 @@ def _drop_exec_field(exec_kind, field):
 
 def _packet_in(objs):
     return _record(objs, "SEND", "PacketIn")
+
+
+def _event_apply(objs):
+    return next(o for o in objs[1:]
+                if o["kind"] == "APPLY" and o["detail"]["entry"] == "EVENT")
 
 
 # id -> (variant, damage to the parsed trace lines, expected error text)
@@ -336,7 +355,15 @@ MALFORMED_TRACES = {
     "msg-type-missing": (
         "PAPER_A", lambda objs: _packet_in(objs)["msg"].pop("type"),
         "msg.type must be a string"),
-    # a string stands for a raw, unparsed line
+    "commands-without-count": (
+        "PAPER_A", lambda objs: _event_apply(objs)["detail"].update(commands="0"),
+        "malformed commands detail at step"),
+    "commands-count-not-a-number": (
+        "PAPER_A", lambda objs: _event_apply(objs)["detail"].update(commands="0=x"),
+        "malformed commands detail at step"),
+    # a string stands for a raw, unparsed line and bytes for its raw bytes
+    "line-2-not-utf8": (
+        "PAPER_A", lambda objs: objs.__setitem__(1, b"\xff"), "line 2: not valid UTF-8"),
     "invalid-json-line-1": (
         "PAPER_A", lambda objs: objs.__setitem__(0, '{"meta": '),
         "line 1: Expecting value"),
@@ -387,10 +414,26 @@ def test_check_malformed_trace_exits_two(tmp_path, capsys, variant, damage, mess
     objs = [json.loads(ln) for ln in lines]
     damage(objs)
     path = tmp_path / "run.trace"
-    path.write_text("".join((o if isinstance(o, str) else json.dumps(o)) + "\n"
-                            for o in objs))
+    path.write_bytes(b"".join(
+        (o if isinstance(o, bytes) else (o if isinstance(o, str) else json.dumps(o)).encode())
+        + b"\n" for o in objs))
     assert main(["check", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_check_shows_three_witnesses_then_how_many_more(tmp_path, capsys):
+    trace = synthetic_trace([apply_event("c0", i, "0:1") for i in range(1, 6)])
+    path = tmp_path / "run.trace"
+    trace.write(str(path))
+    assert main(["check", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    p3 = lines.index("P3: FAIL")
+    assert lines[p3 + 1:p3 + 5] == [
+        "    steps [1, 2]: repeated-event: c0 applied 0:1 twice",
+        "    steps [1, 3]: repeated-event: c0 applied 0:1 twice",
+        "    steps [1, 4]: repeated-event: c0 applied 0:1 twice",
+        "    ... 1 more",
+    ]
 
 
 def test_check_names_the_file_line_across_blank_lines(tmp_path, capsys):
@@ -466,6 +509,36 @@ def test_sweep_rejects_bad_crash_selector(tmp_path, capsys):
     for selector in ("nonsense", "replica:x", "replica:", "replica:9"):
         assert main(["sweep", path, "--crash", selector]) == 2, selector
         assert capsys.readouterr().err.startswith("error: "), selector
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exits_two_before_any_run(tmp_path, capsys, monkeypatch,
+                                                 command, jobs):
+    def no_sweep(*args):
+        raise AssertionError("a sweep started")
+    monkeypatch.setattr(cli, "_sweep", no_sweep)
+    path = write_scenario(tmp_path, one_command_scenario())
+    with pytest.raises(SystemExit) as exit_:
+        main([command, path, "--jobs", jobs])
+    assert exit_.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
+def test_compare_fails_when_the_ack_variants_verdicts_differ(tmp_path, capsys, monkeypatch):
+    sweep = cli._sweep
+
+    def one_more_paper_b_row(scenario, target, jobs):
+        trace, rows = sweep(scenario, target, jobs)
+        return trace, rows + rows[-1:] if scenario.variant == "PAPER_B" else rows
+
+    monkeypatch.setattr(cli, "_sweep", one_more_paper_b_row)
+    path = write_scenario(tmp_path, one_command_scenario())
+    assert main(["compare", path]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "variant equivalence (PAPER_A vs PAPER_B verdicts): NO",
+        "RESULT fail P1=+ P2=+ P3=+ P4=+ P5=+ P6=+",
+    ]
 
 
 def test_compare_reports_counts_and_equivalence(tmp_path, capsys):
