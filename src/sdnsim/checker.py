@@ -87,6 +87,11 @@ class _Run:
             raise CheckError("trace metadata: n_controllers must be an integer, "
                              "variant a string, quiesced a bool and crashed a list "
                              "of integers")
+        if self.n < 1:
+            raise CheckError(f"trace metadata: n_controllers must be at least 1, "
+                             f"got {self.n}")
+        for c in crashed:
+            self._controller(c, None, "crashed")
         self.crashed: set[int] = set(crashed)
         self.survivors = [c for c in range(self.n) if c not in self.crashed]
         self.last_step = trace.records[-1].step if trace.records else 0
@@ -112,7 +117,8 @@ class _Run:
                     self.emitted.setdefault(event, rec.step)
             elif kind == "DELIVER" and rec.msg and rec.msg.get("type") in (
                     "BundleOpen", "BundleAdd"):
-                key = (_endpoint_id(rec, "actor", "s"), _endpoint_id(rec, "peer", "c"),
+                key = (_endpoint_id(rec, "actor", "s"),
+                       self._controller(_endpoint_id(rec, "peer", "c"), rec, "peer"),
                        _msg_field(rec, "bundle_id", int))
                 if rec.msg["type"] == "BundleOpen":
                     # a re-open of a live id is rejected by the switch
@@ -120,7 +126,7 @@ class _Run:
                 elif key in open_bundles:
                     open_bundles[key].append(_msg_field(rec, "inner.type", str))
             elif kind == "CRASH":
-                dead = _endpoint_id(rec, "actor", "c")
+                dead = self._controller(_endpoint_id(rec, "actor", "c"), rec, "actor")
                 for key in [k for k in open_bundles if k[1] == dead]:
                     del open_bundles[key]
             elif kind == "EXEC":
@@ -128,8 +134,8 @@ class _Run:
                 self.execs[sw].append(rec)
                 if rec.detail.get("exec") == "BUNDLE_COMMIT":
                     index = _detail_int(rec, "bundle")
-                    self.staged[rec.step] = open_bundles.pop(
-                        (sw, _detail_int(rec, "from"), index), None)
+                    sender = self._controller(_detail_int(rec, "from"), rec, "detail.from")
+                    self.staged[rec.step] = open_bundles.pop((sw, sender, index), None)
                 elif rec.detail.get("cmd_ord") == "0":
                     index = _detail_int(rec, "cmd_index")
                 else:
@@ -137,7 +143,7 @@ class _Run:
                 self.executions[(sw, index)].append(rec.step)
 
     def _add_apply(self, rec: TraceRecord) -> None:
-        rid = _endpoint_id(rec, "actor", "c")
+        rid = self._controller(_endpoint_id(rec, "actor", "c"), rec, "actor")
         detail = rec.detail
         try:
             index, kind = int(detail["index"]), detail["entry"]
@@ -148,6 +154,16 @@ class _Run:
             self.events[rid].append({
                 "step": rec.step, "index": index, "event": detail.get("event", ""),
                 "commands": _parse_commands(detail.get("commands", ""), rec.step)})
+
+    def _controller(self, rid: int, rec: Optional[TraceRecord], field: str) -> int:
+        """``rid``, which ``field`` of ``rec`` (of the metadata when None)
+        names, if the trace has that controller."""
+        if not 0 <= rid < self.n:
+            where = ("trace metadata" if rec is None
+                     else f"malformed {rec.kind} record at step {rec.step}")
+            raise CheckError(f"{where}: {field} c{rid} is not one of the trace's "
+                             f"{self.n} controllers")
+        return rid
 
     @property
     def fault_bound_ok(self) -> bool:

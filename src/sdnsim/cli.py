@@ -30,7 +30,10 @@ EXIT_CONFIG = 2
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after -h
+        return exc.code
     try:
         return args.func(args)
     except (ScenarioError, TraceFormatError, CheckError, OSError) as exc:

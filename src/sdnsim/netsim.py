@@ -32,22 +32,13 @@ from typing import Callable, get_args
 from .apps import make_app
 from .ofmodel import ControlMessage, Match, Output
 from .replica import Note, ReplMessage, Replica, SendToReplica, SendToSwitch, shared_steps
-from .scenario import FaultSpec, Scenario, ScenarioError, SwitchSpec, TracePointSpec
-from .switchsim import ExecKind, FlowEntry, SwitchState
+from .scenario import FaultSpec, Scenario, ScenarioError, TracePointSpec
+from .switchsim import SwitchState
 from .trace import Trace, TraceRecord, msg_to_wire
 
 
 # The "type" tags msg_to_wire writes: every message class the simulator sends.
 _MSG_TYPES = frozenset(t.__name__ for t in get_args(ControlMessage) + get_args(ReplMessage))
-
-
-def _initial_flow_entries(spec: SwitchSpec) -> list[FlowEntry]:
-    entries = []
-    for i, fl in enumerate(spec.flows):
-        actions = tuple(Output(p) for p in fl.out_ports)
-        entries.append(FlowEntry(Match(fl.in_port, fl.payload_prefix),
-                                 fl.priority, actions, installed_seq=-(len(spec.flows) - i)))
-    return entries
 
 
 class Simulation:
@@ -80,8 +71,9 @@ class Simulation:
         for spec in scenario.switches:
             sw = SwitchState(spec.id, controllers,
                              clone_acks_to_all=(scenario.variant == "PAPER_B"))
-            for entry in _initial_flow_entries(spec):
-                sw.install(entry)
+            for fl in spec.flows:
+                sw.install(Match(fl.in_port, fl.payload_prefix), fl.priority,
+                           tuple(Output(p) for p in fl.out_ports))
             self.switches[spec.id] = sw
 
         use_bundles = scenario.variant != "NAIVE"
@@ -237,20 +229,16 @@ class Simulation:
 
     def _switch_call(self, sw: SwitchState, deliver_detail: dict[str, str],
                      method: Callable, *args) -> None:
-        """Call one of ``sw``'s input methods, take the EXEC records it
-        appends into a trace record each, leaving ``sw.exec_log`` empty, and
-        send the messages it returns. Commands executed outside a bundle
-        carry the ``cmd_`` tags of the delivery that brought them."""
+        """Call one of ``sw``'s input methods, append each EXEC detail it
+        logs to the trace as one record, leaving ``sw.exec_log`` empty, and
+        send the messages it returns. Executions outside a bundle also
+        carry the ``cmd_`` tags of the delivery that brought them (a table
+        hit, brought by no delivery, carries none)."""
         me = f"s{sw.id}"
         outbound = method(*args)
         execs, sw.exec_log = sw.exec_log, []
-        for er in execs:
-            detail = {"exec": er.kind.value, "info": er.detail}
-            if er.bundle_id is not None:
-                detail["bundle"] = str(er.bundle_id)
-            if er.sender is not None:
-                detail["from"] = str(er.sender)
-            if er.bundle_id is None and er.kind in (ExecKind.FLOWMOD, ExecKind.PACKETOUT):
+        for detail in execs:
+            if "bundle" not in detail:
                 for k, v in deliver_detail.items():
                     if k.startswith("cmd_"):
                         detail[k] = v

@@ -1,13 +1,20 @@
 """Switch-side state machine: per-connection roles and async configs,
 atomic bundles, the flow table, and PacketIn fan-out.
 
-The flow table holds one entry per (match, priority), as an OpenFlow ADD
-replaces the entry with the same match and priority. It is indexed by
-match, and a lookup does one hash probe per match shape present (whether
-``in_port`` is set, and the prefix length or None), keeping the best
-entry by (priority, installed_seq) -- tuple space search, as in Open
-vSwitch's classifier. ``Match.matches`` remains the specification the
-index must agree with.
+This module alone knows a switch's internals. The flow table holds one
+entry per (match, priority), as an OpenFlow ADD replaces the entry with
+the same match and priority. ``install`` numbers every entry in install
+order, scenario flows and FlowMods alike, so on equal priority the later
+install wins. The table is indexed by match, and a lookup does one hash
+probe per match shape present (whether ``in_port`` is set, and the prefix
+length or None), keeping the best entry by (priority, installed_seq) --
+tuple space search, as in Open vSwitch's classifier. ``Match.matches``
+remains the specification the index must agree with.
+
+Each execution appends its EXEC trace detail to ``exec_log``: ``exec``
+(BUNDLE_COMMIT, FLOWMOD, PACKETOUT or PACKET_FWD) and ``info``, plus
+``bundle`` and ``from`` when set. ``conns`` holds the open connections
+only; a dropped connection is removed.
 
 Models a stock OpenFlow 1.4 switch. Two rules here carry the whole
 failover story and must not be weakened:
@@ -21,7 +28,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Optional
 
 from .ofmodel import (
@@ -57,23 +63,6 @@ Outbound = list[tuple[ControllerId, ControlMessage]]
 _SLAVE_REJECTED = (FlowMod, PacketOut, BundleOpen, BundleAdd, BundleCommit)
 
 
-class ExecKind(Enum):
-    BUNDLE_COMMIT = "BUNDLE_COMMIT"
-    FLOWMOD = "FLOWMOD"
-    PACKETOUT = "PACKETOUT"
-    PACKET_FWD = "PACKET_FWD"
-
-
-@dataclass(frozen=True)
-class ExecRecord:
-    """One execution by the switch, logged in ``SwitchState.exec_log``."""
-
-    kind: ExecKind
-    bundle_id: Optional[int] = None
-    sender: Optional[ControllerId] = None
-    detail: str = ""
-
-
 @dataclass
 class ConnState:
     """State the switch keeps per controller connection."""
@@ -84,7 +73,6 @@ class ConnState:
     # slaves do not); SetAsyncConfig installs an explicit override.
     packet_in_override: Optional[bool] = None
     open_bundles: dict[int, list[ControlMessage]] = field(default_factory=dict)
-    alive: bool = True
 
     @property
     def packet_in_enabled(self) -> bool:
@@ -117,15 +105,14 @@ class SwitchState:
         self.seq_counter = 0
         self.generation_id_seen: Optional[int] = None
         self.clone_acks_to_all = clone_acks_to_all
-        # executions not yet taken by the simulator, which takes them after
-        # each input it gives the switch
-        self.exec_log: list[ExecRecord] = []
+        # EXEC details not yet taken by the simulator, which takes them
+        # after each input it gives the switch
+        self.exec_log: list[dict[str, str]] = []
         self._install_seq = 0
 
     def fork(self) -> "SwitchState":
-        """An independent copy; flow entries and their per-match dicts,
-        messages and exec records are never mutated in place and stay
-        shared."""
+        """An independent copy; flow entries, their per-match dicts and
+        messages are never mutated in place and stay shared."""
         new = copy.copy(self)
         new._flows = dict(self._flows)
         new.conns = {c: replace(conn, open_bundles={b: list(staged) for b, staged
@@ -139,9 +126,6 @@ class SwitchState:
 
     def handle_message(self, sender: ControllerId, msg: ControlMessage) -> Outbound:
         conn = self.conns[sender]
-        if not conn.alive:
-            raise AssertionError(f"message delivered on dead connection {sender}")
-
         if isinstance(msg, RoleRequest):
             return self._handle_role_request(conn, msg)
         if isinstance(msg, SetAsyncConfig):
@@ -188,8 +172,7 @@ class SwitchState:
         if bundle_id not in conn.open_bundles:
             return [(conn.controller, ErrorMsg(ErrorCode.BAD_BUNDLE))]
         staged = conn.open_bundles.pop(bundle_id)
-        self._exec(ExecKind.BUNDLE_COMMIT, bundle_id, conn.controller,
-                   f"messages={len(staged)}")
+        self._exec("BUNDLE_COMMIT", f"messages={len(staged)}", bundle_id, conn.controller)
         out: Outbound = []
         for inner in staged:
             if isinstance(inner, FlowMod):
@@ -204,14 +187,14 @@ class SwitchState:
 
     def _apply_flow_mod(self, msg: FlowMod, sender: ControllerId,
                         bundle_id: Optional[int]) -> None:
-        self._install_seq += 1
-        self.install(FlowEntry(msg.match, msg.priority, msg.actions, self._install_seq))
-        self._exec(ExecKind.FLOWMOD, bundle_id, sender,
-                   f"prio={msg.priority} match={_fmt_match(msg.match)}")
+        self.install(msg.match, msg.priority, msg.actions)
+        self._exec("FLOWMOD", f"prio={msg.priority} match={_fmt_match(msg.match)}",
+                   bundle_id, sender)
 
-    def install(self, entry: FlowEntry) -> None:
-        """Add ``entry``, replacing the one with the same match and priority."""
-        match = entry.match
+    def install(self, match: Match, priority: int, actions: tuple[Output, ...]) -> None:
+        """Add an entry numbered after every earlier one, replacing the
+        entry with the same match and priority."""
+        self._install_seq += 1
         by_priority = self._flows.get(match)
         if by_priority is None:
             by_priority = {}
@@ -219,7 +202,8 @@ class SwitchState:
                      None if match.payload_prefix is None else len(match.payload_prefix))
             if shape not in self._shapes:
                 self._shapes += (shape,)
-        self._flows[match] = {**by_priority, entry.priority: entry}
+        self._flows[match] = {**by_priority,
+                              priority: FlowEntry(match, priority, actions, self._install_seq)}
 
     @property
     def flow_table(self) -> list[FlowEntry]:
@@ -228,8 +212,7 @@ class SwitchState:
 
     def _exec_packet_out(self, msg: PacketOut, sender: ControllerId,
                          bundle_id: Optional[int]) -> Outbound:
-        self._exec(ExecKind.PACKETOUT, bundle_id, sender,
-                   f"out={_fmt_actions(msg.actions)}")
+        self._exec("PACKETOUT", f"out={_fmt_actions(msg.actions)}", bundle_id, sender)
         out: Outbound = []
         for action in msg.actions:
             if action.port == CONTROLLER_PORT:
@@ -245,8 +228,7 @@ class SwitchState:
         if entry is None:
             pkt = self._fresh_packet_in(PacketInReason.NO_MATCH, in_port, payload)
             return self.deliver_packet_in(pkt)
-        self._exec(ExecKind.PACKET_FWD, None, None,
-                   f"in={in_port} out={_fmt_actions(entry.actions)}")
+        self._exec("PACKET_FWD", f"in={in_port} out={_fmt_actions(entry.actions)}")
         out: Outbound = []
         for action in entry.actions:
             if action.port == CONTROLLER_PORT:
@@ -283,10 +265,7 @@ class SwitchState:
         clone = self.clone_acks_to_all and is_ack_payload(pkt.payload)
         out: Outbound = []
         for c in sorted(self.conns):
-            conn = self.conns[c]
-            if not conn.alive:
-                continue
-            if clone or conn.packet_in_enabled:
+            if clone or self.conns[c].packet_in_enabled:
                 out.append((c, pkt))
         return out
 
@@ -298,17 +277,18 @@ class SwitchState:
 
         Returns the discarded staged messages for trace recording.
         """
-        conn = self.conns[controller]
-        assert conn.alive
-        conn.alive = False
-        discarded = [(bid, m) for bid, staged in sorted(conn.open_bundles.items())
-                     for m in staged]
-        conn.open_bundles.clear()
-        return discarded
+        conn = self.conns.pop(controller)
+        return [(bid, m) for bid, staged in sorted(conn.open_bundles.items())
+                for m in staged]
 
-    def _exec(self, kind: ExecKind, bundle_id: Optional[int],
-              sender: Optional[ControllerId], detail: str) -> None:
-        self.exec_log.append(ExecRecord(kind, bundle_id, sender, detail))
+    def _exec(self, kind: str, info: str, bundle_id: Optional[int] = None,
+              sender: Optional[ControllerId] = None) -> None:
+        detail = {"exec": kind, "info": info}
+        if bundle_id is not None:
+            detail["bundle"] = str(bundle_id)
+        if sender is not None:
+            detail["from"] = str(sender)
+        self.exec_log.append(detail)
 
 
 def _fmt_actions(actions: tuple[Output, ...]) -> str:

@@ -403,6 +403,33 @@ MALFORMED_TRACES = {
         "crashed a list of integers"),
     "variant-a-number": (
         "PAPER_A", lambda objs: objs[0]["meta"].update(variant=3), "variant a string"),
+    # controller ids outside range(n_controllers)
+    **{f"n_controllers-{n}": (
+        "PAPER_A", lambda objs, n=n: objs[0]["meta"].update(n_controllers=n),
+        f"n_controllers must be at least 1, got {n}")
+       for n in (0, -1)},
+    "n_controllers-below-an-applier": (
+        "PAPER_A", lambda objs: objs[0]["meta"].update(n_controllers=2),
+        "actor c2 is not one of the trace's 2 controllers"),
+    "crashed-out-of-range": (
+        "PAPER_A", lambda objs: objs[0]["meta"].update(crashed=[7]),
+        "trace metadata: crashed c7 is not one of the trace's 3 controllers"),
+    "apply-actor-out-of-range": (
+        "PAPER_A", lambda objs: objs.extend([
+            {"step": len(objs) + i, "t": 99, "kind": "APPLY", "actor": "c3",
+             "detail": {"index": str(i + 1), "entry": "EVENT", "event": event}}
+            for i, event in enumerate(["0:2", "0:1", "0:1"])]),
+        "APPLY record at step 59: actor c3 is not one of the trace's 3 controllers"),
+    "crash-actor-out-of-range": (
+        "PAPER_A",
+        lambda objs: objs.append({"step": len(objs), "t": 99, "kind": "CRASH", "actor": "c3"}),
+        "CRASH record at step 59: actor c3 is not one of the trace's 3 controllers"),
+    "bundle-peer-out-of-range": (
+        "PAPER_A", lambda objs: _record(objs, "DELIVER", "BundleOpen").update(peer="c3"),
+        "peer c3 is not one of the trace's 3 controllers"),
+    "exec-from-out-of-range": (
+        "PAPER_A", lambda objs: _record(objs, "EXEC")["detail"].update({"from": "3"}),
+        "detail.from c3 is not one of the trace's 3 controllers"),
 }
 
 
@@ -519,10 +546,21 @@ def test_jobs_below_one_exits_two_before_any_run(tmp_path, capsys, monkeypatch,
         raise AssertionError("a sweep started")
     monkeypatch.setattr(cli, "_sweep", no_sweep)
     path = write_scenario(tmp_path, one_command_scenario())
-    with pytest.raises(SystemExit) as exit_:
-        main([command, path, "--jobs", jobs])
-    assert exit_.value.code == 2
+    assert main([command, path, "--jobs", jobs]) == 2
     assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, code, text", [
+    (["--frobnicate"], 2, "unrecognized arguments: --frobnicate"),
+    (["--seed", "x"], 2, "argument --seed: invalid int value: 'x'"),
+    (["-h"], 0, "usage: sdnsim run"),
+], ids=["unknown-option", "seed-not-an-int", "help"])
+def test_argument_errors_and_help_return_their_exit_code(tmp_path, capsys, extra, code,
+                                                         text):
+    path = write_scenario(tmp_path, one_command_scenario())
+    assert main(["run", path, *extra]) == code
+    out, err = capsys.readouterr()
+    assert text in (err if code else out)
 
 
 def test_compare_fails_when_the_ack_variants_verdicts_differ(tmp_path, capsys, monkeypatch):

@@ -19,10 +19,10 @@ from sdnsim import (
     sweep_crash_points,
 )
 from sdnsim import netsim, replica
-from sdnsim.apps import StepMemo, state_digest
+from sdnsim.apps import ROUTE_PRIORITY, StepMemo, state_digest
 from sdnsim.netsim import _is_crash_point
 from sdnsim.ofmodel import CONTROLLER_PORT
-from sdnsim.scenario import WorkloadItem
+from sdnsim.scenario import InitialFlow, SwitchSpec, WorkloadItem
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -283,6 +283,22 @@ def test_initial_flow_to_the_controller_raises_an_applied_event(variant):
 
 def test_initial_flow_sweep_matches_replay():
     assert_sweep_matches_replay(paper_a_with_initial_flow(), 0)
+
+
+def test_runtime_flow_mod_wins_a_priority_tie_with_an_initial_flow():
+    # the initial in_port=1 flow and the route the first packet installs
+    # both have priority 20, and the second packet matches both
+    sc = one_command_scenario(
+        switches=(SwitchSpec(id=0, ports=(1, 2, 3),
+                             flows=(InitialFlow(in_port=1, priority=ROUTE_PRIORITY,
+                                                out_ports=(3,)),)),),
+        workload=(WorkloadItem(t=5, switch=0, in_port=2, payload=bytes.fromhex("02aa")),
+                  WorkloadItem(t=40, switch=0, in_port=1, payload=bytes.fromhex("02bb"))))
+    trace = run_trace(sc)
+    forwards = [r.detail["info"] for r in trace.records
+                if r.kind == "EXEC" and r.detail["exec"] == "PACKET_FWD"]
+    assert forwards == ["in=1 out=2"]
+    assert all_passed(run_all_checks(trace))
 
 
 def test_startup_points_crash_after_the_first_dispatched_event():
