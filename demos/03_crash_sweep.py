@@ -42,13 +42,14 @@ for variant, suppress in [("PAPER_A", False), ("PAPER_B", False),
     points = []
     by_anomaly = {}
 
-    def check(point, trace):
-        # each point's trace arrives once, forked from the fault-free run
-        points.append(point)
+    def check(fork_points, trace):
+        # one fork, run from the fault-free prefix, stands for every point
+        # at its event boundary, since each of them crashes there
+        points.extend(fork_points)
         verdicts = run_all_checks(trace)
         if not all_passed(verdicts):
             for label in classify_anomalies(verdicts):
-                by_anomaly.setdefault(label, []).append(point.occurrence)
+                by_anomaly.setdefault(label, []).extend(p.occurrence for p in fork_points)
 
     sweep_crash_points(scenario(variant, suppress), 0, check)
 

@@ -127,19 +127,24 @@ def cmd_run(args) -> int:
 
 
 def _sweep_share(scenario: Scenario, target: int, worker: int = 0, workers: int = 1):
-    """Check one worker's share of the crash points as they are swept.
-    Returns the fault-free trace and one (point, verdicts) row per point."""
+    """Check one worker's share of the sweep's forks as they finish, once
+    per fork. Returns the fault-free trace and one (point, verdicts) row per
+    point, the rows of one fork sharing its verdicts."""
     rows = []
-    base = sweep_crash_points(
-        scenario, target, lambda point, trace: rows.append((point, run_all_checks(trace))),
-        worker, workers)
+
+    def check(points, trace):
+        verdicts = run_all_checks(trace)
+        rows.extend((point, verdicts) for point in points)
+
+    base = sweep_crash_points(scenario, target, check, worker, workers)
     return base, rows
 
 
 def _sweep(scenario: Scenario, target: int, jobs: int):
     """The fault-free trace and the (point, verdicts) rows of every crash
-    point, in occurrence order. With ``jobs`` > 1 each worker process
-    repeats the fault-free run and forks only its own share of the points."""
+    point, in occurrence order. All points at one event boundary share one
+    fork and one check. With ``jobs`` > 1 each worker process repeats the
+    fault-free run and forks only its own share of the boundaries."""
     if jobs <= 1:
         return _sweep_share(scenario, target)
     with ProcessPoolExecutor(max_workers=jobs,

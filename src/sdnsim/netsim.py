@@ -12,14 +12,15 @@ failure notices after the detector delay.
 
 A run can be stepped one dispatched event at a time and forked between
 events. The crash sweep steps one fault-free base run and, at each event
-boundary, forks it once per crash point the last event produced, crashes
-the target in the fork and runs only the suffix; each fork's trace equals
-the trace of the derived scenario that ``enumerate_crash_points`` replays
-from the start. Trace-point faults, the sweep and the enumeration pick
-crash points with one predicate, ``_is_crash_point``, and point faults and
-the sweep also crash at the same place: ``crash`` at the event boundary
-after the matching record, start-up's records counting as the first
-event's.
+boundary where the last event produced crash points, forks it once,
+crashes the target in the fork and runs only the suffix. Every point at
+one boundary crashes there, so the fork stands for all of them: its trace
+equals, but for the scenario name in its metadata, the trace of each
+derived scenario that ``enumerate_crash_points`` replays from the start.
+Trace-point faults, the sweep and the enumeration pick crash points with
+one predicate, ``_is_crash_point``, and point faults and the sweep also
+crash at the same place: ``crash`` at the event boundary after the
+matching record, start-up's records counting as the first event's.
 """
 
 from __future__ import annotations
@@ -317,38 +318,42 @@ def enumerate_crash_points(scenario: Scenario, target: int) -> list[SweepPoint]:
 
 
 def sweep_crash_points(scenario: Scenario, target: int,
-                       on_point: Callable[[SweepPoint, Trace], None],
+                       on_fork: Callable[[list[SweepPoint], Trace], None],
                        worker: int = 0, workers: int = 1) -> Trace:
     """Crash the target at every point ``enumerate_crash_points`` derives,
     sharing the fault-free prefix instead of replaying it.
 
-    The fault-free base run is stepped one event at a time. At each event
-    boundary, every target send/deliver since the previous boundary
-    (start-up's, at the first) is a crash point: the base is forked there,
-    the fork crashes the target and is run to the end, as the derived
-    scenario's point fault would. ``on_point(point, trace)`` gets each point with its
-    finished trace, in occurrence order, and nothing keeps the trace after
-    it returns. Worker ``worker`` of ``workers`` forks only the points with
-    ``(occurrence - 1) % workers == worker``. Returns the fault-free trace."""
+    The fault-free base run is stepped one event at a time. Every target
+    send/deliver since the previous boundary (start-up's, at the first) is
+    a crash point, and each derived scenario's point fault crashes at that
+    boundary, so the boundary's points share one run: the base is forked
+    once there, and the fork crashes the target and is run to the end.
+    ``on_fork(points, trace)`` gets the boundary's points, in occurrence
+    order, with the finished trace, whose meta names the first point's
+    derived scenario; nothing keeps the trace after it returns. Counting
+    only boundaries with crash points, from 0, worker ``worker`` of
+    ``workers`` forks the boundaries whose index is ``worker`` modulo
+    ``workers``. Returns the fault-free trace."""
     _check_sweep_base(scenario)
     base = Simulation(scenario)
     base.start()
     actor = f"c{target}"
-    occurrence = seen = 0
+    occurrence = seen = boundary = 0
     while base.step():
         records = base.trace.records
-        for rec in records[seen:]:
-            if not _is_crash_point(rec, actor, _ANY_POINT):
-                continue
-            occurrence += 1
-            if (occurrence - 1) % workers != worker:
-                continue
-            point = _sweep_point(scenario, target, occurrence, rec)
-            fork = base.fork()
-            fork.trace.meta["scenario"] = point.scenario.name
-            fork.crash(target)
-            on_point(point, fork.run())
+        hits = [rec for rec in records[seen:] if _is_crash_point(rec, actor, _ANY_POINT)]
         seen = len(records)
+        if not hits:
+            continue
+        if boundary % workers == worker:
+            points = [_sweep_point(scenario, target, n, rec)
+                      for n, rec in enumerate(hits, occurrence + 1)]
+            fork = base.fork()
+            fork.trace.meta["scenario"] = points[0].scenario.name
+            fork.crash(target)
+            on_fork(points, fork.run())
+        boundary += 1
+        occurrence += len(hits)
     return base.run()
 
 

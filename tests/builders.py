@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from sdnsim import AppConfig, Route, Scenario, SwitchSpec, Trace, WorkloadItem
+from sdnsim.trace import canonical_json
 
 
 def one_command_scenario(variant: str = "PAPER_A", **overrides) -> Scenario:
@@ -43,6 +44,16 @@ def learning_scenario(variant: str = "PAPER_A", **overrides) -> Scenario:
     )
     kw.update(overrides)
     return Scenario(**kw)
+
+
+def point_lines(points, trace: Trace) -> list[tuple]:
+    """Expand one crash-sweep fork into (point, trace lines) per crash
+    point: the fork's lines, with a meta line naming that point's derived
+    scenario, as a replay of that scenario writes it."""
+    lines = trace.to_lines()
+    return [(p, [canonical_json({"meta": {**trace.meta, "scenario": p.scenario.name}}),
+                 *lines[1:]])
+            for p in points]
 
 
 BASE_META = {

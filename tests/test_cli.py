@@ -1,7 +1,10 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -548,6 +551,59 @@ def test_jobs_below_one_exits_two_before_any_run(tmp_path, capsys, monkeypatch,
     path = write_scenario(tmp_path, one_command_scenario())
     assert main([command, path, "--jobs", jobs]) == 2
     assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
+def test_one_fork_per_event_boundary(monkeypatch):
+    scenario = load_scenario(str(SCENARIO_DIR / "paper_a.json"))
+    forked_at = []  # events the base run had dispatched at each fork
+    fork = Simulation.fork
+
+    def counted_fork(sim):
+        forked_at.append(sim.processed)
+        return fork(sim)
+
+    groups = []  # the occurrences each fork stands for
+    sweep = cli.sweep_crash_points
+
+    def grouped(scenario, target, on_fork, *share):
+        def record(points, trace):
+            groups.append([p.occurrence for p in points])
+            on_fork(points, trace)
+        return sweep(scenario, target, record, *share)
+
+    monkeypatch.setattr(Simulation, "fork", counted_fork)
+    monkeypatch.setattr(cli, "sweep_crash_points", grouped)
+    _, rows = cli._sweep(scenario, 0, 1)
+    assert len(forked_at) == len(groups) == 21
+    assert len(set(forked_at)) == 21  # each at its own boundary
+    assert all(groups)
+    assert [n for g in groups for n in g] == list(range(1, 50))  # consecutive, in order
+    assert [p.occurrence for p, _ in rows] == list(range(1, 50))
+    monkeypatch.undo()
+    for point, verdicts in rows:
+        replayed = run_all_checks(Simulation(point.scenario).run())
+        assert verdicts == replayed, f"point {point.occurrence}"
+
+
+def test_parallel_sweep_and_compare_print_what_one_job_prints(monkeypatch, capsys):
+    path = str(SCENARIO_DIR / "paper_a.json")
+    serial = {}
+    for command in ("sweep", "compare"):
+        code = main([command, path])
+        serial[command] = (code, capsys.readouterr().out)
+    opened = []
+    with ProcessPoolExecutor(max_workers=2,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        def shared_pool(max_workers, mp_context):
+            assert (max_workers, mp_context.get_start_method()) == (2, "spawn")
+            opened.append(max_workers)
+            return nullcontext(pool)  # one pool of two workers serves every sweep
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", shared_pool)
+        for command in ("sweep", "compare"):
+            code = main([command, path, "--jobs", "2"])
+            assert (code, capsys.readouterr().out) == serial[command], command
+    assert len(opened) == 4  # sweep's and each of compare's three variants'
 
 
 @pytest.mark.parametrize("extra, code, text", [

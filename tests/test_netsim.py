@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from builders import learning_scenario, one_command_scenario
+from builders import learning_scenario, one_command_scenario, point_lines
 from sdnsim import (
     FaultSpec,
     ScenarioError,
@@ -235,7 +235,7 @@ def forked_sweep(scenario, target):
     fault-free trace it returns."""
     out = []
     base = sweep_crash_points(scenario, target,
-                              lambda p, trace: out.append((p, trace.to_lines())))
+                              lambda points, trace: out.extend(point_lines(points, trace)))
     return out, base
 
 
@@ -328,10 +328,18 @@ def test_forks_stall_at_the_same_step_as_replays(limit):
 def test_parallel_shares_partition_the_points():
     sc = learning_scenario()
     whole, _ = forked_sweep(sc, 0)
+    boundaries = []
+    sweep_crash_points(sc, 0, lambda points, trace: boundaries.append(points))
     shares = []
     for worker in range(3):
-        sweep_crash_points(sc, 0, lambda p, trace: shares.append((p, trace.to_lines())),
-                           worker, 3)
+        mine = []
+
+        def take(points, trace):
+            mine.append(points)
+            shares.extend(point_lines(points, trace))
+
+        sweep_crash_points(sc, 0, take, worker, 3)
+        assert mine == boundaries[worker::3]  # every third boundary, not point
     assert sorted(shares, key=lambda s: s[0].occurrence) == whole
 
 

@@ -14,6 +14,7 @@ import hashlib
 from dataclasses import replace
 from pathlib import Path
 
+from builders import point_lines
 from sdnsim import Simulation, Trace, load_scenario, run_all_checks, sweep_crash_points
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -25,7 +26,10 @@ CORPUS_SHA256 = "7429907208ee56576d8549db2732ff7d662208fdd7894cff8c6f5ea18df45e8
 
 
 def corpus_traces():
-    """Yield every corpus trace in a fixed order."""
+    """Yield (trace, lines) for every corpus trace in a fixed order: the
+    trace the simulator returned and the corpus trace's lines. A sweep fork
+    is one corpus trace per crash point it stands for, each with a meta
+    line naming that point's derived scenario."""
     for path in sorted(SCENARIOS.glob("*.json")):
         base = load_scenario(str(path))
         for variant in VARIANTS:
@@ -33,22 +37,25 @@ def corpus_traces():
                                suppress_slave_events=(variant == "NAIVE"
                                                       and base.suppress_slave_events))
             if path.stem in RUN_ONLY:
-                yield Simulation(scenario).run()
+                trace = Simulation(scenario).run()
+                yield trace, trace.to_lines()
                 continue
             for target in range(scenario.n_controllers):
-                points = []
+                forks = []
                 fault_free = sweep_crash_points(
-                    scenario, target, lambda point, trace: points.append(trace))
+                    scenario, target, lambda points, trace: forks.append((points, trace)))
                 if target == 0:
-                    yield fault_free
-                yield from points
+                    yield fault_free, fault_free.to_lines()
+                for points, trace in forks:
+                    for _, lines in point_lines(points, trace):
+                        yield trace, lines
 
 
 def test_corpus_traces_and_verdicts_are_unchanged():
     digest = hashlib.sha256()
     count = 0
-    for trace in corpus_traces():
-        for line in trace.to_lines():
+    for trace, lines in corpus_traces():
+        for line in lines:
             digest.update(line.encode("utf-8") + b"\n")
         digest.update(repr(run_all_checks(trace)).encode("utf-8") + b"\n")
         count += 1
@@ -58,10 +65,10 @@ def test_corpus_traces_and_verdicts_are_unchanged():
 
 def test_corpus_traces_read_back_unchanged():
     count = 0
-    for trace in corpus_traces():
-        lines = trace.to_lines()
+    for trace, lines in corpus_traces():
         back = Trace.from_lines(lines)
-        assert back.meta == trace.meta
+        # a fork's meta names its first point; the lines name their own
+        assert back.meta == {**trace.meta, "scenario": back.meta["scenario"]}
         assert back.records == trace.records
         assert back.to_lines() == lines
         assert repr(run_all_checks(back)) == repr(run_all_checks(trace))
