@@ -4,13 +4,13 @@ P1 total event order, P2 no lost events, P3 no repeated events, P4
 exactly-once commands, P5 replica convergence, P6 bundle atomicity.
 
 Each property is a read-only function of ``_Run``, the one parsed view
-of a trace, which a single ordered pass over the records builds;
-``run_all_checks`` builds it once per trace. A malformed trace raises
-CheckError instead of yielding a verdict. Liveness-flavored obligations
-(P2, and P4's "commands eventually execute" half) are only asserted when
-the run quiesced with at most floor(n/2) crashes; the safety halves are
-asserted unconditionally. Failed verdicts carry witnesses that cite real
-trace steps.
+of a trace, which a single ordered pass over the records builds and which
+keeps no record; ``run_all_checks`` builds it once per trace. A
+malformed trace raises CheckError instead of yielding a verdict.
+Liveness-flavored obligations (P2, and P4's "commands eventually
+execute" half) are only asserted when the run quiesced with at most
+floor(n/2) crashes; the safety halves are asserted unconditionally.
+Failed verdicts carry witnesses that cite real trace steps.
 
 The checker also owns what is made of verdicts: ``combined`` folds many
 runs' verdicts into one per property, and ``summary_line`` writes the
@@ -98,13 +98,12 @@ class _Run:
         # replica -> (index, digest, step) of its last APPLY, and its EVENT ones
         self.last_apply: dict[int, tuple[int, str, int]] = {}
         self.events: dict[int, list[dict]] = defaultdict(list)
-        self.emitted: dict[str, int] = {}  # workload event -> first SEND step
+        self.emitted: dict[str, int] = {}  # workload event -> first SEND step, in order
         # (switch, log index) -> steps executing that entry's command batch
         self.executions: dict[tuple[int, int], list[int]] = defaultdict(list)
-        self.execs: dict[int, list[TraceRecord]] = defaultdict(list)  # by switch
-        # BUNDLE_COMMIT step -> inner types staged in that bundle, or None
-        # when no bundle was open under its id
-        self.staged: dict[int, Optional[list[str]]] = {}
+        # switch -> (step, exec, bundle, staged) per EXEC; staged is the inner types
+        # a BUNDLE_COMMIT's bundle staged, or None when no bundle was open under its id
+        self.execs: dict[int, list[tuple]] = defaultdict(list)
 
         open_bundles: dict[tuple[int, int, int], list[str]] = {}  # (sw, conn, id)
         for rec in trace.records:
@@ -131,16 +130,17 @@ class _Run:
                     del open_bundles[key]
             elif kind == "EXEC":
                 sw = _endpoint_id(rec, "actor", "s")
-                self.execs[sw].append(rec)
-                if rec.detail.get("exec") == "BUNDLE_COMMIT":
+                detail = rec.detail
+                exec_kind, index, staged = detail.get("exec"), None, None
+                if exec_kind == "BUNDLE_COMMIT":
                     index = _detail_int(rec, "bundle")
                     sender = self._controller(_detail_int(rec, "from"), rec, "detail.from")
-                    self.staged[rec.step] = open_bundles.pop((sw, sender, index), None)
-                elif rec.detail.get("cmd_ord") == "0":
+                    staged = open_bundles.pop((sw, sender, index), None)
+                elif detail.get("cmd_ord") == "0":
                     index = _detail_int(rec, "cmd_index")
-                else:
-                    continue
-                self.executions[(sw, index)].append(rec.step)
+                self.execs[sw].append((rec.step, exec_kind, detail.get("bundle"), staged))
+                if index is not None:
+                    self.executions[(sw, index)].append(rec.step)
 
     def _add_apply(self, rec: TraceRecord) -> None:
         rid = self._controller(_endpoint_id(rec, "actor", "c"), rec, "actor")
@@ -241,19 +241,16 @@ def _detail_int(rec: TraceRecord, key: str) -> int:
 
 def check_total_order(run: _Run) -> Verdict:
     """P1: all replicas apply events in prefix-comparable order."""
-    seqs = {rid: [(a["event"], a["step"]) for a in run.events.get(rid, [])]
-            for rid in range(run.n)}
     witnesses: list[Witness] = []
-    rids = sorted(seqs)
-    for i, a in enumerate(rids):
-        for b in rids[i + 1:]:
-            sa, sb = seqs[a], seqs[b]
-            for k in range(min(len(sa), len(sb))):
-                if sa[k][0] != sb[k][0]:
+    for a in range(run.n):
+        for b in range(a + 1, run.n):
+            pairs = zip(run.events.get(a, ()), run.events.get(b, ()))
+            for k, (ea, eb) in enumerate(pairs, 1):
+                if ea["event"] != eb["event"]:
                     witnesses.append(Witness(
-                        (sa[k][1], sb[k][1]),
-                        f"order-divergence: c{a} applied {sa[k][0]} at position "
-                        f"{k + 1} where c{b} applied {sb[k][0]}"))
+                        (ea["step"], eb["step"]),
+                        f"order-divergence: c{a} applied {ea['event']} at position "
+                        f"{k} where c{b} applied {eb['event']}"))
                     break
     return _verdict("P1", witnesses)
 
@@ -266,7 +263,7 @@ def check_at_least_once(run: _Run) -> Verdict:
     witnesses: list[Witness] = []
     for rid in run.survivors:
         applied = {a["event"] for a in run.events.get(rid, [])}
-        for event, step in sorted(run.emitted.items(), key=lambda kv: kv[1]):
+        for event, step in run.emitted.items():
             if event not in applied:
                 witnesses.append(Witness(
                     (step,), f"lost-event: {event} emitted but never applied by c{rid}"))
@@ -344,48 +341,35 @@ def check_replica_convergence(run: _Run) -> Verdict:
     return _verdict("P5", witnesses)
 
 
+# a staged message's type -> the EXEC its commit should log for it
+_EXEC_KINDS = {"FlowMod": "FLOWMOD", "PacketOut": "PACKETOUT"}
+
+
 def check_bundle_atomicity(run: _Run) -> Verdict:
     """P6: staged effects appear contiguously after their bundle's commit,
     and discarded bundles leave no effects."""
     witnesses: list[Witness] = []
-    kind_of = {"FlowMod": "FLOWMOD", "PacketOut": "PACKETOUT"}
     for sw, execs in sorted(run.execs.items()):
         j = 0
         while j < len(execs):
-            rec = execs[j]
-            if rec.detail.get("exec") == "BUNDLE_COMMIT":
-                bundle = rec.detail["bundle"]
-                expected = run.staged[rec.step]
-                if expected is None:
+            step, exec_kind, bundle, staged = execs[j]
+            j += 1
+            if exec_kind == "BUNDLE_COMMIT":
+                if staged is None:
+                    witnesses.append(Witness((step,), f"spurious-effect: commit of bundle "
+                                             f"{bundle} on s{sw} with no staged content"))
+                elif [(b, k) for _, k, b, _ in execs[j: j + len(staged)]] == [
+                        (bundle, _EXEC_KINDS.get(t)) for t in staged]:
+                    j += len(staged)
+                else:
                     witnesses.append(Witness(
-                        (rec.step,),
-                        f"spurious-effect: commit of bundle {bundle} on s{sw} "
-                        f"with no staged content"))
-                    j += 1
-                    continue
-                window = execs[j + 1: j + 1 + len(expected)]
-                ok = len(window) == len(expected) and all(
-                    w.detail.get("bundle") == bundle
-                    and w.detail.get("exec") == kind_of.get(exp)
-                    for w, exp in zip(window, expected))
-                if not ok:
-                    witnesses.append(Witness(
-                        (rec.step,),
-                        f"partial-bundle: bundle {bundle} on s{sw} did not apply "
-                        f"its {len(expected)} staged messages contiguously"))
-                    j += 1
-                    while j < len(execs) and execs[j].detail.get("bundle") == bundle:
+                        (step,), f"partial-bundle: bundle {bundle} on s{sw} did not "
+                                 f"apply its {len(staged)} staged messages contiguously"))
+                    while j < len(execs) and execs[j][2] == bundle:
                         j += 1  # already covered by the partial-bundle witness
-                    continue
-                j += 1 + len(expected)
-            elif rec.detail.get("bundle") is not None:
-                witnesses.append(Witness(
-                    (rec.step,),
-                    f"spurious-effect: bundled effect on s{sw} outside any "
-                    f"commit window (bundle {rec.detail['bundle']})"))
-                j += 1
-            else:
-                j += 1
+            elif bundle is not None:
+                witnesses.append(Witness((step,), f"spurious-effect: bundled effect on s{sw} "
+                                         f"outside any commit window (bundle {bundle})"))
     return _verdict("P6", witnesses)
 
 

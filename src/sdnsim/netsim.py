@@ -64,6 +64,9 @@ class Simulation:
         # matches each point fault still needs; it fires when its count hits 0
         self._matches_left = [f.at_point.occurrence for f in self._point_faults]
         self._scanned = 0  # records already scanned for point-fault matches
+        # the last message _send encoded and its wire dict, which a fan-out's
+        # later sends of the same message share
+        self._last_wire: tuple = (None, None)
 
         switch_ports = {s.id: list(s.ports) for s in scenario.switches}
         steps = shared_steps(make_app(scenario.app, scenario.app_config.routes, switch_ports))
@@ -223,7 +226,10 @@ class Simulation:
         detail = dict(tags)
         if self._first_workload_t is None or self.now < self._first_workload_t:
             detail["phase"] = "setup"
-        wire = msg_to_wire(msg)
+        last, wire = self._last_wire
+        if msg is not last:
+            wire = msg_to_wire(msg)
+            self._last_wire = (msg, wire)
         self.trace.append(self.now, "SEND", src, peer=dst, msg=wire, detail=detail)
         self._schedule(self.now + self.sc.latency,
                        Simulation._deliver, src, dst, msg, wire, detail)

@@ -163,18 +163,19 @@ def _record_lines(records: list[TraceRecord]) -> Iterator[str]:
     in key order without the dict.
 
     A simulated SEND and the DELIVER or DROP of its message share one wire
-    dict, so the SEND's encoding is kept until that record takes it. The
-    first DELIVER with nothing kept for it (a trace read from a file
-    shares no dicts) ends the keeping."""
-    kept: Optional[dict[int, str]] = {}
+    dict, so the SEND's encoding is kept, under the dict and the two ends
+    (a fan-out sends one dict to several peers), until that record takes
+    it. The first DELIVER with nothing kept for it (a trace read from a
+    file shares no dicts) ends the keeping."""
+    kept: Optional[dict[tuple[int, str, Optional[str]], str]] = {}
     for step, t, kind, actor, peer, msg, detail in records:
         text = None
         if msg is not None:
             if kept is not None:
                 if kind == "SEND":
-                    text = kept[id(msg)] = canonical_json(msg)
+                    text = kept[(id(msg), actor, peer)] = canonical_json(msg)
                 else:
-                    text = kept.pop(id(msg), None)
+                    text = kept.pop((id(msg), peer, actor), None)
                     if text is None and kind == "DELIVER":
                         kept = None
             if text is None:

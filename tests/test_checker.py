@@ -265,6 +265,49 @@ def test_p6_passes_on_empty_trace():
     assert check_bundle_atomicity(_Run(synthetic_trace([]))).passed
 
 
+def switch_exec(switch, kind, bundle=None):
+    detail = {"exec": kind, "from": "0", "info": ""}
+    if bundle is not None:
+        detail["bundle"] = str(bundle)
+    return ("EXEC", switch, None, None, detail)
+
+
+PARTIAL = ("partial-bundle: bundle 4 on s0 did not apply its 2 staged "
+           "messages contiguously")
+
+
+def outside_window(switch):
+    return (f"spurious-effect: bundled effect on {switch} outside any commit "
+            f"window (bundle 4)")
+
+
+@pytest.mark.parametrize("records, expected", [
+    pytest.param([bundle_commit_exec("s0", 4)],
+                 [((1,), "spurious-effect: commit of bundle 4 on s0 with no "
+                         "staged content")],
+                 id="commit-with-nothing-staged"),
+    pytest.param(staged_bundle_records(effects=0)
+                 + [switch_exec("s0", "FLOWMOD", 4), switch_exec("s0", "PACKETOUT", 4),
+                    switch_exec("s0", "FLOWMOD", 4)],
+                 [((4,), PARTIAL)],
+                 id="wrong-kind-in-window-covers-the-whole-bundle"),
+    pytest.param(staged_bundle_records(effects=0)
+                 + [switch_exec("s0", "FLOWMOD", 4), switch_exec("s0", "PACKET_FWD"),
+                    switch_exec("s0", "FLOWMOD", 4)],
+                 [((4,), PARTIAL), ((7,), outside_window("s0"))],
+                 id="unbundled-exec-splits-the-window"),
+    pytest.param(staged_bundle_records(n_adds=1, effects=2),
+                 [((5,), outside_window("s0"))],
+                 id="effect-past-the-window"),
+    pytest.param([switch_exec("s1", "FLOWMOD", 4), switch_exec("s0", "FLOWMOD", 4)],
+                 [((2,), outside_window("s0")), ((1,), outside_window("s1"))],
+                 id="witnesses-in-switch-order"),
+])
+def test_p6_witness_shapes(records, expected):
+    verdict = check_bundle_atomicity(_Run(synthetic_trace(records)))
+    assert [(w.steps, w.description) for w in verdict.witnesses] == expected
+
+
 # ----------------------------------------------------------------------
 # framing
 

@@ -541,8 +541,17 @@ def test_sweep_rejects_bad_crash_selector(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), selector
 
 
+# --jobs value -> argparse's complaint about it
+BAD_JOBS = {
+    "0": "must be at least 1, got 0",
+    "-1": "must be at least 1, got -1",
+    "x": "invalid int value: 'x'",
+    "2.5": "invalid int value: '2.5'",
+}
+
+
 @pytest.mark.parametrize("command", ["sweep", "compare"])
-@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("jobs", BAD_JOBS)
 def test_jobs_below_one_exits_two_before_any_run(tmp_path, capsys, monkeypatch,
                                                  command, jobs):
     def no_sweep(*args):
@@ -550,7 +559,7 @@ def test_jobs_below_one_exits_two_before_any_run(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(cli, "_sweep", no_sweep)
     path = write_scenario(tmp_path, one_command_scenario())
     assert main([command, path, "--jobs", jobs]) == 2
-    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert f"argument --jobs: {BAD_JOBS[jobs]}" in capsys.readouterr().err
 
 
 def test_one_fork_per_event_boundary(monkeypatch):
