@@ -14,6 +14,7 @@ import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+from . import codec
 from .checker import (CheckError, Verdict, all_passed, classify_anomalies,
                       combined, run_all_checks, summary_line)
 from .metrics import MetricsReport, compute_metrics
@@ -118,7 +119,7 @@ def cmd_run(args) -> int:
     report = compute_metrics(trace)
     if args.metrics:
         with open(args.metrics, "w", encoding="utf-8") as fh:
-            json.dump(report.to_obj(), fh, indent=2, sort_keys=True)
+            json.dump(codec.encode(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
     verdicts = run_all_checks(trace)
     print(f"scenario {scenario.name} [{scenario.variant}]: "

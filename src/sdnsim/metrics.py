@@ -22,15 +22,6 @@ class MetricsReport:
     n_events: int
     per_event: float
 
-    def to_obj(self) -> dict:
-        return {
-            "variant": self.variant,
-            "per_kind": dict(sorted(self.per_kind.items())),
-            "total": self.total,
-            "n_events": self.n_events,
-            "per_event": self.per_event,
-        }
-
     def lines(self) -> list[str]:
         out = [f"control-message deliveries ({self.variant}, setup excluded):"]
         for kind, count in sorted(self.per_kind.items()):

@@ -43,7 +43,9 @@ _MSG_TYPES = frozenset(t.__name__ for t in get_args(ControlMessage) + get_args(R
 
 
 class Simulation:
-    """One deterministic run of a scenario."""
+    """One deterministic run of a scenario. Building it queues the workload
+    and timed faults and runs replica start-up; the trace metadata records
+    each crash and the quiesce limit as they happen."""
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
@@ -51,7 +53,6 @@ class Simulation:
         self.now = 0
         self._heap: list = []
         self._seq = 0
-        self._started = False
         self.processed = 0  # events dispatched so far
         self.quiesced = True
         self.crashed: set[int] = set()
@@ -81,8 +82,7 @@ class Simulation:
             self.switches[spec.id] = sw
 
         use_bundles = scenario.variant != "NAIVE"
-        register_async = not (scenario.variant == "NAIVE"
-                              and scenario.suppress_slave_events)
+        register_async = not scenario.suppress_slave_events
         switch_ids = sorted(self.switches)
         self.replicas: dict[int, Replica] = {
             c: Replica(c, scenario.n_controllers, switch_ids, steps,
@@ -105,32 +105,22 @@ class Simulation:
             "quiesced": True,
             "crashed": [],
         })
+        for w in scenario.workload:
+            self._schedule(w.t, Simulation._inject, w.switch, w.in_port, w.payload)
+        for f in scenario.faults:
+            if f.at_time is not None:
+                self._schedule(f.at_time, Simulation.crash, f.target)
+        for rid in sorted(self.replicas):
+            self._run_effects(rid, self.replicas[rid].startup())
 
     # ------------------------------------------------------------------
 
     def run(self) -> Trace:
         """Run to quiescence or the quiesce limit, continuing from wherever
         earlier ``step`` calls left off, and return the finished trace."""
-        self.start()
         while self.step():
             pass
-        self.trace.meta["quiesced"] = self.quiesced
-        self.trace.meta["crashed"] = sorted(self.crashed)
         return self.trace
-
-    def start(self) -> None:
-        """Queue the workload and timed faults and run replica start-up;
-        does nothing the second time."""
-        if self._started:
-            return
-        self._started = True
-        for w in self.sc.workload:
-            self._schedule(w.t, Simulation._inject, w.switch, w.in_port, w.payload)
-        for f in self.sc.faults:
-            if f.at_time is not None:
-                self._schedule(f.at_time, Simulation.crash, f.target)
-        for rid in sorted(self.replicas):
-            self._run_effects(rid, self.replicas[rid].startup())
 
     def step(self) -> bool:
         """Dispatch the next event, then count the records appended since
@@ -141,7 +131,7 @@ class Simulation:
         if not self._heap or not self.quiesced:
             return False
         if self.processed >= self.sc.quiesce_limit:
-            self.quiesced = False
+            self.quiesced = self.trace.meta["quiesced"] = False
             self.trace.append(self.now, "STALL", "sim", detail={"reason": "quiesce_limit"})
             return False
         t, _, handler, args = heapq.heappop(self._heap)
@@ -260,6 +250,7 @@ class Simulation:
         if target in self.crashed:
             return
         self.crashed.add(target)
+        self.trace.meta["crashed"] = sorted(self.crashed)
         self.trace.append(self.now, "CRASH", f"c{target}")
         for sw_id in sorted(self.switches):
             for bundle_id, staged in self.switches[sw_id].on_connection_drop(target):
@@ -342,7 +333,6 @@ def sweep_crash_points(scenario: Scenario, target: int,
     ``workers``. Returns the fault-free trace."""
     _check_sweep_base(scenario)
     base = Simulation(scenario)
-    base.start()
     actor = f"c{target}"
     occurrence = seen = boundary = 0
     while base.step():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from builders import (apply_event, bundle_commit_exec, one_command_scenario,
@@ -51,6 +53,17 @@ def test_p1_fails_on_swapped_order():
     verdict = check_total_order(_Run(trace))
     assert_valid_witnesses(verdict, trace)
     assert classify_anomalies([verdict]) == ["ORDER_DIVERGENCE"]
+
+
+def test_p1_cost_does_not_grow_with_the_controller_count_in_the_metadata():
+    # n_controllers is read from the trace file; P1 pairs only the replicas
+    # that applied an event, so a huge count costs nothing
+    trace = Simulation(one_command_scenario()).run()
+    trace.meta["n_controllers"] = 20000
+    run = _Run(trace)
+    start = time.perf_counter()
+    assert check_total_order(run).passed
+    assert time.perf_counter() - start < 2.0
 
 
 # ----------------------------------------------------------------------

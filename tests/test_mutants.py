@@ -7,34 +7,41 @@ mutant is applied with ``monkeypatch`` on ``Replica``, so ``src/`` carries
 no flag for it, and each test also runs its sweeps unmutated and requires
 every point to pass there, so it fails once its monkeypatch is removed.
 
-Only two of the paper's mechanisms are load-bearing in a verdict today:
-resending only unacknowledged batches, and registering slaves for async
-events. The fence (flushing only after the RoleReply), the majority quorum
-and the staged-bundle discard pass every sweep of the shipped scenarios
-when disabled, so their mutants need ROADMAP items 1 and 4 first. The
-fence fails only when a link is slower than the failure detector, which
-needs per-link latency; the quorum needs a check of log-index agreement or
-in-flight delivery after a crash; the discard needs controller restarts.
+Four of the paper's mechanisms are load-bearing in a verdict: resending
+only unacknowledged batches, registering slaves for async events, the
+fence (flushing only after the RoleReply) and the majority quorum. The
+first two are killed on the shipped scenarios. The fence and the quorum
+pass every sweep of the shipped scenarios when disabled, and are killed
+on ``paper_a`` and ``paper_b`` once a uniform link latency exceeds the
+detector delay, so that the survivors act on a crash while messages sent
+before it are still in flight; no per-link latency is needed. The
+staged-bundle discard stays vacuous: it needs controller restarts.
 """
 
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from sdnsim import cli, load_scenario
 from sdnsim.checker import all_passed, classify_anomalies
-from sdnsim.ofmodel import SetAsyncConfig
+from sdnsim.ofmodel import RoleReply, RoleRequest, SetAsyncConfig
 from sdnsim.replica import Replica, SendToSwitch
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = ("paper_a", "paper_b", "one_command")
+# a link slower than the failure detector
+SLOW_LINK = {"latency": 3, "detector_delay": 1}
+SLOW_LINK_SCENARIOS = ("paper_a", "paper_b")
 
 
-def leader_sweep_anomalies(name: str) -> Counter:
-    """Crash c0 at every point of a shipped scenario: each anomaly and how
-    many points show it, with one ``None`` per failing point."""
-    _, rows = cli._sweep(load_scenario(str(SCENARIO_DIR / f"{name}.json")), 0, 1)
+def leader_sweep_anomalies(name: str, **timing) -> Counter:
+    """Crash c0 at every point of a shipped scenario, with ``timing``
+    overriding its latency or detector delay: each anomaly and how many
+    points show it, with one ``None`` per failing point."""
+    scenario = replace(load_scenario(str(SCENARIO_DIR / f"{name}.json")), **timing)
+    _, rows = cli._sweep(scenario, 0, 1)
     counts = Counter()
     for _, verdicts in rows:
         if not all_passed(verdicts):
@@ -59,9 +66,36 @@ def startup_without_async_config(startup):
     return mutant
 
 
+def flush_before_the_role_reply(on_failure_notice):
+    """A new leader fences every switch at once and flushes what it owes
+    each one without waiting for the RoleReply, which it then ignores."""
+    def mutant(self, crashed):
+        effects = on_failure_notice(self, crashed)
+        if any(isinstance(e, SendToSwitch) and isinstance(e.msg, RoleRequest)
+               for e in effects):
+            for sw in self.switch_ids:
+                self.fence_done[sw] = True
+                effects.extend(self._flush_owed(sw))
+        return effects
+    return mutant
+
+
+def ignore_role_reply_once_fenced(on_switch_message):
+    def mutant(self, sw, msg):
+        if isinstance(msg, RoleReply) and self.fence_done[sw]:
+            return []
+        return on_switch_message(self, sw, msg)
+    return mutant
+
+
 @pytest.fixture(scope="module")
 def unmutated():
     return {name: leader_sweep_anomalies(name) for name in SCENARIOS}
+
+
+@pytest.fixture(scope="module")
+def unmutated_slow_link():
+    return {name: leader_sweep_anomalies(name, **SLOW_LINK) for name in SLOW_LINK_SCENARIOS}
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -96,3 +130,23 @@ def test_paper_b_ack_cloning_prevents_repeats_under_unregistered_slaves(monkeypa
     anomalies = leader_sweep_anomalies("paper_b")
     assert anomalies[None] >= 1 and anomalies["REPEATED_COMMAND"] == 0
     assert not unmutated["paper_b"]
+
+
+@pytest.mark.parametrize("name", SLOW_LINK_SCENARIOS)
+def test_flush_before_the_role_reply_repeats_commands(monkeypatch, unmutated_slow_link,
+                                                      name):
+    monkeypatch.setattr(Replica, "on_failure_notice",
+                        flush_before_the_role_reply(Replica.on_failure_notice))
+    monkeypatch.setattr(Replica, "on_switch_message",
+                        ignore_role_reply_once_fenced(Replica.on_switch_message))
+    anomalies = leader_sweep_anomalies(name, **SLOW_LINK)
+    assert anomalies["REPEATED_COMMAND"] >= 1
+    assert not unmutated_slow_link[name]
+
+
+@pytest.mark.parametrize("name", SLOW_LINK_SCENARIOS)
+def test_majority_of_one_diverges_in_order(monkeypatch, unmutated_slow_link, name):
+    monkeypatch.setattr(Replica, "majority", property(lambda self: 1))
+    anomalies = leader_sweep_anomalies(name, **SLOW_LINK)
+    assert anomalies["ORDER_DIVERGENCE"] >= 1
+    assert not unmutated_slow_link[name]

@@ -304,7 +304,6 @@ def test_runtime_flow_mod_wins_a_priority_tie_with_an_initial_flow():
 def test_startup_points_crash_after_the_first_dispatched_event():
     sc = learning_scenario()
     sim = Simulation(sc)
-    sim.start()
     n_startup = len(sim.trace.records)
     forked, _ = forked_sweep(sc, 0)
     startup = [(p, lines) for p, lines in forked if p.step <= n_startup]
@@ -345,7 +344,6 @@ def test_parallel_shares_partition_the_points():
 
 def stepped(scenario, n):
     sim = Simulation(scenario)
-    sim.start()
     for _ in range(n):
         assert sim.step()
     return sim
@@ -486,10 +484,29 @@ def test_step_memo_stays_within_its_bound():
                            payload=bytes([i % 7, 7 + i % 5]))
               for i in range(500)]
     sim = Simulation(learning_scenario(workload=tuple(events), quiesce_limit=100000))
-    sim.start()
     steps = sim.replicas[0].steps
     sizes = []
     while sim.step():
         sizes.append(len(steps))
     assert sim.quiesced
     assert max(sizes) == steps.size
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_stepping_a_run_to_its_end_matches_run(path):
+    sc = load_scenario(str(path))
+    sim = Simulation(sc)
+    while sim.step():
+        pass
+    ran = Simulation(sc).run()
+    assert sim.trace.to_lines() == ran.to_lines()
+    assert repr(run_all_checks(sim.trace)) == repr(run_all_checks(ran))
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_a_forks_crash_shows_in_its_metadata_and_not_its_parents(path):
+    sim = Simulation(load_scenario(str(path)))
+    fork = sim.fork()
+    fork.crash(0)
+    assert fork.trace.meta["crashed"] == [0]
+    assert sim.trace.meta["crashed"] == []
