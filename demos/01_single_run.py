@@ -25,7 +25,7 @@ scenario = Scenario(
 
 trace = Simulation(scenario).run()
 
-print(f"{len(trace.records)} trace records; quiesced={trace.meta['quiesced']}\n")
+print(f"{len(trace.records)} trace records; quiesced={trace.quiesced}\n")
 
 # the protocol, step by step (setup omitted)
 for rec in trace.records:

@@ -8,9 +8,10 @@ of a trace, which a single ordered pass over the records builds and which
 keeps no record; ``run_all_checks`` builds it once per trace. A
 malformed trace raises CheckError instead of yielding a verdict.
 Liveness-flavored obligations (P2, and P4's "commands eventually
-execute" half) are only asserted when the run quiesced with at most
-floor(n/2) crashes; the safety halves are asserted unconditionally.
-Failed verdicts carry witnesses that cite real trace steps.
+execute" half) are only asserted when the CRASH and STALL records show
+the run quiesced with at most floor(n/2) crashes; the safety halves are
+asserted unconditionally. Of the metadata, only the controller count and
+variant are read. Failed verdicts carry witnesses that cite real steps.
 
 The checker also owns what is made of verdicts: ``combined`` folds many
 runs' verdicts into one per property, and ``summary_line`` writes the
@@ -74,27 +75,14 @@ class _Run:
     a single ordered pass over the records. Malformed input is a CheckError."""
 
     def __init__(self, trace: Trace):
-        meta = trace.meta
-        try:
-            self.n: int = meta["n_controllers"]
-            variant = meta["variant"]
-            self.quiesced: bool = meta["quiesced"]
-            crashed = meta["crashed"]
-        except KeyError as exc:
-            raise CheckError(f"trace metadata missing {exc}") from exc
-        if not (type(self.n) is int and type(variant) is str
-                and type(self.quiesced) is bool and type(crashed) is list
-                and all(type(c) is int for c in crashed)):
-            raise CheckError("trace metadata: n_controllers must be an integer, "
-                             "variant a string, quiesced a bool and crashed a list "
-                             "of integers")
+        self.n: int = trace.meta.get("n_controllers")
+        if not (type(self.n) is int and type(trace.meta.get("variant")) is str):
+            raise CheckError("trace metadata: n_controllers must be an integer "
+                             "and variant a string")
         if self.n < 1:
-            raise CheckError(f"trace metadata: n_controllers must be at least 1, "
-                             f"got {self.n}")
-        for c in crashed:
-            self._controller(c, None, "crashed")
-        self.crashed: set[int] = set(crashed)
-        self.survivors = [c for c in range(self.n) if c not in self.crashed]
+            raise CheckError(f"trace metadata: n_controllers must be at least 1, got {self.n}")
+        self.quiesced = trace.quiesced
+        self.crashed: set[int] = set()  # the controllers CRASH records name
         self.last_step = trace.records[-1].step if trace.records else 0
         # replica -> (index, digest, step) of its last APPLY, and its EVENT ones
         self.last_apply: dict[int, tuple[int, str, int]] = {}
@@ -127,6 +115,7 @@ class _Run:
                     open_bundles[key].append(_msg_field(rec, "inner.type", str))
             elif kind == "CRASH":
                 dead = self._controller(_endpoint_id(rec, "actor", "c"), rec, "actor")
+                self.crashed.add(dead)
                 for key in [k for k in open_bundles if k[1] == dead]:
                     del open_bundles[key]
             elif kind == "EXEC":
@@ -142,6 +131,9 @@ class _Run:
                 self.execs[sw].append((rec.step, exec_kind, detail.get("bundle"), staged))
                 if index is not None:
                     self.executions[(sw, index)].append(rec.step)
+        self.survivors = [c for c in range(self.n) if c not in self.crashed]
+        # whether the run owes liveness: it quiesced with at most floor(n/2) crashes
+        self.live = self.quiesced and len(self.crashed) <= self.n // 2
 
     def _add_apply(self, rec: TraceRecord) -> None:
         rid = self._controller(_endpoint_id(rec, "actor", "c"), rec, "actor")
@@ -156,19 +148,13 @@ class _Run:
                 "step": rec.step, "index": index, "event": detail.get("event", ""),
                 "commands": _parse_commands(detail.get("commands", ""), rec.step)})
 
-    def _controller(self, rid: int, rec: Optional[TraceRecord], field: str) -> int:
-        """``rid``, which ``field`` of ``rec`` (of the metadata when None)
-        names, if the trace has that controller."""
+    def _controller(self, rid: int, rec: TraceRecord, field: str) -> int:
+        """``rid``, which ``field`` of ``rec`` names, if the trace has that controller."""
         if not 0 <= rid < self.n:
-            where = ("trace metadata" if rec is None
-                     else f"malformed {rec.kind} record at step {rec.step}")
-            raise CheckError(f"{where}: {field} c{rid} is not one of the trace's "
+            raise CheckError(f"malformed {rec.kind} record at step {rec.step}: "
+                             f"{field} c{rid} is not one of the trace's "
                              f"{self.n} controllers")
         return rid
-
-    @property
-    def fault_bound_ok(self) -> bool:
-        return len(self.crashed) <= self.n // 2
 
     def committed_commands(self) -> dict[tuple[int, int], int]:
         """(log index, switch) -> command count, unioned over survivors."""
@@ -257,7 +243,7 @@ def check_total_order(run: _Run) -> Verdict:
 
 def check_at_least_once(run: _Run) -> Verdict:
     """P2: every switch-emitted event is applied by every surviving replica."""
-    if not run.quiesced or not run.fault_bound_ok:
+    if not run.live:
         return _verdict("P2", [], note="not checked: requires quiescence and at "
                                         "most floor(n/2) crashes")
     witnesses: list[Witness] = []
@@ -298,9 +284,8 @@ def check_exactly_once_commands(run: _Run) -> Verdict:
                 f"repeated-command: batch for index {index} executed "
                 f"{len(steps)} times on s{sw}"))
 
-    gated = run.quiesced and run.fault_bound_ok
     note = ""
-    if gated:
+    if run.live:
         committed = run.committed_commands()
         for (index, sw), count in sorted(committed.items()):
             if count and (sw, index) not in executions:

@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 from . import codec
 from .checker import (CheckError, Verdict, all_passed, classify_anomalies,
@@ -123,11 +124,11 @@ def cmd_run(args) -> int:
             fh.write("\n")
     verdicts = run_all_checks(trace)
     print(f"scenario {scenario.name} [{scenario.variant}]: "
-          f"{len(trace.records)} trace records, quiesced={trace.meta['quiesced']}")
+          f"{len(trace.records)} trace records, quiesced={trace.quiesced}")
     return _report(report, verdicts)
 
 
-def _sweep_share(scenario: Scenario, target: int, worker: int = 0, workers: int = 1):
+def _sweep_share(scenario: Scenario, target: int, worker: int, workers: int):
     """Check one worker's share of the sweep's forks as they finish, once
     per fork. Returns the fault-free trace and one (point, verdicts) row per
     point, the rows of one fork sharing its verdicts."""
@@ -141,26 +142,35 @@ def _sweep_share(scenario: Scenario, target: int, worker: int = 0, workers: int 
     return base, rows
 
 
-def _sweep(scenario: Scenario, target: int, jobs: int):
+def _sweep(scenario: Scenario, target: int, jobs: int, map_=map):
     """The fault-free trace and the (point, verdicts) rows of every crash
     point, in occurrence order. All points at one event boundary share one
-    fork and one check. With ``jobs`` > 1 each worker process repeats the
-    fault-free run and forks only its own share of the boundaries."""
-    if jobs <= 1:
-        return _sweep_share(scenario, target)
-    with ProcessPoolExecutor(max_workers=jobs,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        shares = list(pool.map(_sweep_share, [scenario] * jobs, [target] * jobs,
-                               range(jobs), [jobs] * jobs))
+    fork and one check. ``map_`` runs ``jobs`` workers, each of which
+    repeats the fault-free run and forks only its own share of the
+    boundaries."""
+    shares = list(map_(_sweep_share, [scenario] * jobs, [target] * jobs,
+                       range(jobs), [jobs] * jobs))
     rows = sorted((row for _, share in shares for row in share),
                   key=lambda row: row[0].occurrence)
     return shares[0][0], rows
 
 
+@contextmanager
+def _mapper(jobs: int):
+    """The ``map`` a command's sweeps run their workers with: the built-in
+    one for one job, else that of one pool of ``jobs`` spawned processes."""
+    if jobs == 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(jobs, multiprocessing.get_context("spawn")) as pool:
+            yield pool.map
+
+
 def cmd_sweep(args) -> int:
     scenario = _load(args)
     target = resolve_crash_target(scenario, args.crash)
-    _, rows = _sweep(scenario, target, args.jobs)
+    with _mapper(args.jobs) as map_:
+        _, rows = _sweep(scenario, target, args.jobs, map_)
     print(f"sweep of {scenario.name} [{scenario.variant}]: crash c{target} at "
           f"each of {len(rows)} send/deliver points")
     print(f"{'point':>5} {'t':>4} {'at':<24} {'P1..P6':<13} anomalies")
@@ -181,10 +191,11 @@ def cmd_compare(args) -> int:
     naive baseline's violations are reported but expected."""
     scenario = _load(args)
     runs = {}  # variant -> (metrics, [fault-free verdicts, *sweep verdicts])
-    for variant in VARIANTS:
-        trace, rows = _sweep(scenario.with_variant(variant), 0, args.jobs)
-        runs[variant] = (compute_metrics(trace),
-                         [run_all_checks(trace)] + [vs for _, vs in rows])
+    with _mapper(args.jobs) as map_:
+        for variant in VARIANTS:
+            trace, rows = _sweep(scenario.with_variant(variant), 0, args.jobs, map_)
+            runs[variant] = (compute_metrics(trace),
+                             [run_all_checks(trace)] + [vs for _, vs in rows])
 
     print(f"workload {scenario.name}: {len(scenario.workload)} events, "
           f"{scenario.n_controllers} controllers")
@@ -213,7 +224,7 @@ def cmd_check(args) -> int:
     verdicts = run_all_checks(trace)
     report = compute_metrics(trace)
     print(f"trace {args.trace}: {len(trace.records)} records, "
-          f"variant={trace.meta.get('variant')}, quiesced={trace.meta.get('quiesced')}")
+          f"variant={trace.meta.get('variant')}, quiesced={trace.quiesced}")
     return _report(report, verdicts)
 
 

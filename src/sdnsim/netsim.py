@@ -44,8 +44,8 @@ _MSG_TYPES = frozenset(t.__name__ for t in get_args(ControlMessage) + get_args(R
 
 class Simulation:
     """One deterministic run of a scenario. Building it queues the workload
-    and timed faults and runs replica start-up; the trace metadata records
-    each crash and the quiesce limit as they happen."""
+    and timed faults and runs replica start-up; its trace states each crash
+    and the quiesce limit by a CRASH or STALL record, not in metadata."""
 
     def __init__(self, scenario: Scenario):
         scenario.validate()
@@ -102,8 +102,6 @@ class Simulation:
             "detector_delay": scenario.detector_delay,
             "latency": scenario.latency,
             "first_workload_t": self._first_workload_t,
-            "quiesced": True,
-            "crashed": [],
         })
         for w in scenario.workload:
             self._schedule(w.t, Simulation._inject, w.switch, w.in_port, w.payload)
@@ -131,7 +129,7 @@ class Simulation:
         if not self._heap or not self.quiesced:
             return False
         if self.processed >= self.sc.quiesce_limit:
-            self.quiesced = self.trace.meta["quiesced"] = False
+            self.quiesced = False
             self.trace.append(self.now, "STALL", "sim", detail={"reason": "quiesce_limit"})
             return False
         t, _, handler, args = heapq.heappop(self._heap)
@@ -250,7 +248,6 @@ class Simulation:
         if target in self.crashed:
             return
         self.crashed.add(target)
-        self.trace.meta["crashed"] = sorted(self.crashed)
         self.trace.append(self.now, "CRASH", f"c{target}")
         for sw_id in sorted(self.switches):
             for bundle_id, staged in self.switches[sw_id].on_connection_drop(target):

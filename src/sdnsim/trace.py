@@ -3,8 +3,9 @@ checker's only input.
 
 Every record serializes to one canonical (key-sorted, compact, ASCII) JSON
 line, so byte equality of trace files is meaningful. The first line of a
-trace file holds run metadata the checker needs (variant, controller
-count, quiescence, crash set).
+trace file holds metadata that says what was run (scenario, variant,
+controller count, switches, app, seed, timing); what happened, crashes
+and a stall included, is stated by the records alone.
 
 A record is an immutable tuple, so forked traces share record objects.
 A record's line is built field by field in key order, with ``msg`` and
@@ -61,6 +62,12 @@ class Trace:
         rec = TraceRecord(len(self.records) + 1, t, kind, actor, peer, msg, detail or {})
         self.records.append(rec)
         return rec
+
+    @property
+    def quiesced(self) -> bool:
+        """False exactly when the simulator logged a STALL: the run hit its
+        quiesce limit before the event queue drained."""
+        return not any(rec.actor == "sim" for rec in self.records if rec.kind == "STALL")
 
     def fork(self) -> "Trace":
         """A copy that can be appended to independently; records are shared."""
@@ -160,26 +167,15 @@ def canonical_json(obj: Any) -> str:
 
 def _record_lines(records: list[TraceRecord]) -> Iterator[str]:
     """Each record's ``canonical_json(rec.to_obj())``, built field by field
-    in key order without the dict.
-
-    A simulated SEND and the DELIVER or DROP of its message share one wire
-    dict, so the SEND's encoding is kept, under the dict and the two ends
-    (a fan-out sends one dict to several peers), until that record takes
-    it. The first DELIVER with nothing kept for it (a trace read from a
-    file shares no dicts) ends the keeping."""
-    kept: Optional[dict[tuple[int, str, Optional[str]], str]] = {}
+    in key order without the dict. A wire dict that records share (a SEND,
+    its fan-out copies and its DELIVER or DROP) is encoded once: the records
+    keep every dict alive during the walk, so no id is reused."""
+    texts: dict[int, str] = {}
     for step, t, kind, actor, peer, msg, detail in records:
-        text = None
-        if msg is not None:
-            if kept is not None:
-                if kind == "SEND":
-                    text = kept[(id(msg), actor, peer)] = canonical_json(msg)
-                else:
-                    text = kept.pop((id(msg), peer, actor), None)
-                    if text is None and kind == "DELIVER":
-                        kept = None
-            if text is None:
-                text = canonical_json(msg)
+        if msg is None:
+            text = None
+        elif (text := texts.get(id(msg))) is None:
+            text = texts[id(msg)] = canonical_json(msg)
         yield "".join((
             '{"actor":', encode_basestring_ascii(actor),
             ',"detail":' + canonical_json(detail) if detail else "",

@@ -66,16 +66,17 @@ BASE_META = {
     "detector_delay": 2,
     "latency": 1,
     "first_workload_t": 1,
-    "quiesced": True,
-    "crashed": [],
 }
+
+# the record the simulator logs when a run hits its quiesce limit
+STALL = ("STALL", "sim", None, None, {"reason": "quiesce_limit"})
 
 
 def synthetic_trace(records: list[tuple], **meta_overrides) -> Trace:
     """Hand-built trace for checker fixtures.
 
     Each record tuple is (kind, actor, peer, msg, detail); peer/msg/detail
-    may be None.
+    may be None. Crashes and a stall are stated as CRASH and STALL records.
     """
     meta = dict(BASE_META)
     meta.update(meta_overrides)

@@ -177,7 +177,7 @@ def test_criterion_8_synthetic_counterexamples():
                                apply_event("c1", 1, "0:2"),
                                apply_event("c1", 2, "0:1")]),
         "P2": synthetic_trace([packet_in_send("s0", "c0", "0:1"),
-                               ("CRASH", "c0", None, None, None)], crashed=[0]),
+                               ("CRASH", "c0", None, None, None)]),
         "P3": synthetic_trace([apply_event("c0", 1, "0:1"),
                                apply_event("c0", 2, "0:1")]),
         "P4": synthetic_trace(committed + [bundle_commit_exec("s1", 4),

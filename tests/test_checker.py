@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from builders import (apply_event, bundle_commit_exec, one_command_scenario,
+from builders import (STALL, apply_event, bundle_commit_exec, one_command_scenario,
                       packet_in_send, synthetic_trace)
 from sdnsim import Simulation, checker, compute_metrics
 from sdnsim.checker import (
@@ -79,18 +79,19 @@ def test_p2_fails_when_delivery_was_suppressed():
     # the event reached only the (now crashed) master
     trace = synthetic_trace(
         [packet_in_send("s0", "c0", "0:1"),
-         ("CRASH", "c0", None, None, None)],
-        crashed=[0])
+         ("CRASH", "c0", None, None, None)])
     verdict = check_at_least_once(_Run(trace))
     assert_valid_witnesses(verdict, trace)
     assert classify_anomalies([verdict]) == ["LOST_EVENT"]
 
 
 def test_p2_is_gated_by_quiescence_and_fault_bound():
-    trace = synthetic_trace([packet_in_send("s0", "c0", "0:1")], quiesced=False)
+    trace = synthetic_trace([packet_in_send("s0", "c0", "0:1"), STALL])
     verdict = check_at_least_once(_Run(trace))
     assert verdict.passed and "not checked" in verdict.note
-    trace = synthetic_trace([packet_in_send("s0", "c2", "0:1")], crashed=[0, 1])
+    trace = synthetic_trace([packet_in_send("s0", "c2", "0:1"),
+                             ("CRASH", "c0", None, None, None),
+                             ("CRASH", "c1", None, None, None)])
     assert check_at_least_once(_Run(trace)).passed
 
 
@@ -152,7 +153,7 @@ def test_p4_fails_on_double_commit():
 
 def test_p4_duplicates_flagged_even_without_quiescence():
     trace = synthetic_trace([bundle_commit_exec("s1", 4),
-                             bundle_commit_exec("s1", 4)], quiesced=False)
+                             bundle_commit_exec("s1", 4), STALL])
     verdict = check_exactly_once_commands(_Run(trace))
     assert_valid_witnesses(verdict, trace)
 
@@ -165,8 +166,10 @@ def test_p4_fails_on_missing_execution_at_quiescence():
 
 
 def test_p4_missing_execution_not_flagged_under_majority_loss():
-    records = [apply_event("c2", 4, "0:1", commands="1=1")]
-    trace = synthetic_trace(records, crashed=[0, 1])
+    records = [apply_event("c2", 4, "0:1", commands="1=1"),
+               ("CRASH", "c0", None, None, None),
+               ("CRASH", "c1", None, None, None)]
+    trace = synthetic_trace(records)
     assert check_exactly_once_commands(_Run(trace)).passed
 
 
@@ -212,7 +215,8 @@ def test_p5_ignores_crashed_replicas():
         apply_event("c0", 1, "0:1", digest="zz"),
         apply_event("c1", 2, "0:2", digest="aa"),
         apply_event("c2", 2, "0:2", digest="aa"),
-    ], crashed=[0])
+        ("CRASH", "c0", None, None, None),
+    ])
     assert check_replica_convergence(_Run(trace)).passed
 
 
@@ -222,7 +226,7 @@ def test_p5_is_gated_by_quiescence():
         apply_event("c1", 2, "0:2", digest="bb"),
         apply_event("c2", 1, "0:1", digest="aa"),
     ]
-    verdict = check_replica_convergence(_Run(synthetic_trace(divergent, quiesced=False)))
+    verdict = check_replica_convergence(_Run(synthetic_trace(divergent + [STALL])))
     assert verdict.passed and verdict.note == "not checked: requires quiescence"
     assert not check_replica_convergence(_Run(synthetic_trace(divergent))).passed
 
@@ -255,7 +259,7 @@ def test_p6_passes_on_committed_bundle_with_contiguous_effects():
 def test_p6_passes_on_discarded_bundle_with_zero_effects():
     records = staged_bundle_records(commit=False)
     records.append(("CRASH", "c0", None, None, None))
-    assert check_bundle_atomicity(_Run(synthetic_trace(records, crashed=[0]))).passed
+    assert check_bundle_atomicity(_Run(synthetic_trace(records))).passed
 
 
 def test_p6_fails_on_effect_without_commit():

@@ -11,7 +11,7 @@ import pytest
 
 from builders import apply_event, learning_scenario, one_command_scenario, synthetic_trace
 from sdnsim import (Simulation, Trace, all_passed, cli, enumerate_crash_points,
-                    load_scenario, run_all_checks)
+                    load_scenario, run_all_checks, sweep_crash_points)
 from sdnsim.cli import main
 from sdnsim.scenario import scenario_to_obj
 
@@ -47,7 +47,7 @@ def test_run_writes_trace_and_metrics_files(tmp_path):
     assert main(["run", path, "--trace", str(trace_out),
                  "--metrics", str(metrics_out)]) == 0
     trace = Trace.read(str(trace_out))
-    assert trace.meta["quiesced"]
+    assert trace.quiesced
     metrics = json.loads(metrics_out.read_text())
     assert metrics["total"] == 18
 
@@ -328,8 +328,6 @@ MALFORMED_TRACES = {
     "controller-peer-not-numeric": (
         "PAPER_A", lambda objs: _record(objs, "DELIVER", "BundleOpen").update(peer="cX"),
         "peer 'cX' is not a controller"),
-    "crashed-not-a-list": (
-        "PAPER_A", lambda objs: objs[0]["meta"].update(crashed=0), "crashed a list"),
     "meta-not-an-object": (
         "PAPER_A", lambda objs: objs[0].update(meta="x"), "must carry run metadata"),
     "line-not-an-object": (
@@ -398,12 +396,6 @@ MALFORMED_TRACES = {
     "n_controllers-a-bool": (
         "PAPER_A", lambda objs: objs[0]["meta"].update(n_controllers=True),
         "n_controllers must be an integer"),
-    "quiesced-a-string": (
-        "PAPER_A", lambda objs: objs[0]["meta"].update(quiesced="no"),
-        "quiesced a bool"),
-    "crashed-not-integers": (
-        "PAPER_A", lambda objs: objs[0]["meta"].update(crashed=["x"]),
-        "crashed a list of integers"),
     "variant-a-number": (
         "PAPER_A", lambda objs: objs[0]["meta"].update(variant=3), "variant a string"),
     # controller ids outside range(n_controllers)
@@ -414,9 +406,6 @@ MALFORMED_TRACES = {
     "n_controllers-below-an-applier": (
         "PAPER_A", lambda objs: objs[0]["meta"].update(n_controllers=2),
         "actor c2 is not one of the trace's 2 controllers"),
-    "crashed-out-of-range": (
-        "PAPER_A", lambda objs: objs[0]["meta"].update(crashed=[7]),
-        "trace metadata: crashed c7 is not one of the trace's 3 controllers"),
     "apply-actor-out-of-range": (
         "PAPER_A", lambda objs: objs.extend([
             {"step": len(objs) + i, "t": 99, "kind": "APPLY", "actor": "c3",
@@ -449,6 +438,48 @@ def test_check_malformed_trace_exits_two(tmp_path, capsys, variant, damage, mess
         + b"\n" for o in objs))
     assert main(["check", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+# run facts that trace metadata once stated; the records alone state them now
+HEADER_CLAIMS = {
+    "quiesced-false": {"quiesced": False},
+    "crashed-0-1": {"crashed": [0, 1]},
+    "crashed-empty": {"crashed": []},
+    "crashed-not-a-list": {"crashed": 0},
+    "quiesced-a-string": {"quiesced": "no"},
+    "crashed-not-integers": {"crashed": ["x"]},
+    "crashed-out-of-range": {"crashed": [7]},
+}
+
+
+def leader_sweep_fork(name: str, occurrence: int) -> Trace:
+    """The trace of the fork that crashes c0 at crash point ``occurrence``
+    of the leader sweep of ``scenarios/<name>.json``."""
+    forks = []
+    sweep_crash_points(load_scenario(str(SCENARIO_DIR / f"{name}.json")), 0,
+                       lambda points, trace: forks.append((points, trace)))
+    return next(trace for points, trace in forks
+                if occurrence in (p.occurrence for p in points))
+
+
+@pytest.mark.parametrize("claims", HEADER_CLAIMS.values(), ids=HEADER_CLAIMS)
+def test_check_ignores_run_facts_in_the_metadata(tmp_path, capsys, claims):
+    """A stored trace's verdict comes from its records: a header claiming
+    another crash set or quiescence, well-formed or not, changes nothing."""
+    path = tmp_path / "run.trace"
+    for trace, code, result in (
+            (leader_sweep_fork("naive_suppressed", 5), 1, "RESULT fail P1=+ P2=-"),
+            (leader_sweep_fork("paper_a", 1), 0, "RESULT pass")):
+        lines = trace.to_lines()
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(path)]) == code
+        untouched = capsys.readouterr().out
+        assert result in untouched
+        head = json.loads(lines[0])
+        head["meta"].update(claims)
+        path.write_text("\n".join([json.dumps(head), *lines[1:]]) + "\n")
+        assert main(["check", str(path)]) == code
+        assert capsys.readouterr().out == untouched
 
 
 def test_check_shows_three_witnesses_then_how_many_more(tmp_path, capsys):
@@ -612,7 +643,7 @@ def test_parallel_sweep_and_compare_print_what_one_job_prints(monkeypatch, capsy
         for command in ("sweep", "compare"):
             code = main([command, path, "--jobs", "2"])
             assert (code, capsys.readouterr().out) == serial[command], command
-    assert len(opened) == 4  # sweep's and each of compare's three variants'
+    assert len(opened) == 2  # one per command: compare's three variants share one
 
 
 @pytest.mark.parametrize("extra, code, text", [
@@ -631,8 +662,8 @@ def test_argument_errors_and_help_return_their_exit_code(tmp_path, capsys, extra
 def test_compare_fails_when_the_ack_variants_verdicts_differ(tmp_path, capsys, monkeypatch):
     sweep = cli._sweep
 
-    def one_more_paper_b_row(scenario, target, jobs):
-        trace, rows = sweep(scenario, target, jobs)
+    def one_more_paper_b_row(scenario, target, jobs, map_):
+        trace, rows = sweep(scenario, target, jobs, map_)
         return trace, rows + rows[-1:] if scenario.variant == "PAPER_B" else rows
 
     monkeypatch.setattr(cli, "_sweep", one_more_paper_b_row)

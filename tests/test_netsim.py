@@ -56,7 +56,7 @@ def assert_fifo(trace):
     for src, dst in endpoints(trace):
         sends, resolutions = channel_history(trace, src, dst)
         assert len(resolutions) <= len(sends)
-        if trace.meta["quiesced"]:
+        if trace.quiesced:
             assert len(resolutions) == len(sends)
         dropped = False
         for s, r in zip(sends, resolutions):
@@ -84,7 +84,7 @@ def test_fault_runs_are_also_deterministic():
 def test_zero_workload_run_has_only_setup_traffic():
     sc = one_command_scenario(workload=())
     trace = run_trace(sc)
-    assert trace.meta["quiesced"]
+    assert trace.quiesced
     kinds = {r.kind for r in trace.records}
     assert kinds <= {"SEND", "DELIVER"}
     assert all(r.detail.get("phase") == "setup"
@@ -143,7 +143,7 @@ def test_majority_loss_stalls_but_stays_safe():
 
 def test_quiesce_limit_overflow_is_reported_not_raised():
     trace = run_trace(one_command_scenario(quiesce_limit=5))
-    assert not trace.meta["quiesced"]
+    assert not trace.quiesced
     last = trace.records[-1]
     assert last.kind == "STALL" and last.detail["reason"] == "quiesce_limit"
 
@@ -508,5 +508,5 @@ def test_a_forks_crash_shows_in_its_metadata_and_not_its_parents(path):
     sim = Simulation(load_scenario(str(path)))
     fork = sim.fork()
     fork.crash(0)
-    assert fork.trace.meta["crashed"] == [0]
-    assert sim.trace.meta["crashed"] == []
+    assert [r.actor for r in fork.trace.records if r.kind == "CRASH"] == ["c0"]
+    assert not [r for r in sim.trace.records if r.kind == "CRASH"]

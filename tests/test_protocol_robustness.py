@@ -43,7 +43,7 @@ def test_cascading_leader_crashes_with_five_replicas():
     sc = learning_scenario(n_controllers=5).with_extra_fault(
         FaultSpec(0, at_time=9)).with_extra_fault(FaultSpec(1, at_time=16))
     trace = Simulation(sc).run()
-    assert trace.meta["quiesced"]
+    assert trace.quiesced
     verdicts = run_all_checks(trace)
     assert all_passed(verdicts), [v for v in verdicts if not v.passed]
     commits = {}
@@ -108,7 +108,7 @@ def test_randomized_workloads_hold_all_properties():
                   sc.with_extra_fault(FaultSpec(0, at_time=rng.randint(6, t))))
         for scenario in faults:
             trace = Simulation(scenario).run()
-            assert trace.meta["quiesced"]
+            assert trace.quiesced
             verdicts = run_all_checks(trace)
             assert all_passed(verdicts), (case, [v for v in verdicts if not v.passed])
 

@@ -22,7 +22,7 @@ VARIANTS = ("NAIVE", "PAPER_A", "PAPER_B")
 RUN_ONLY = {"majority_loss"}
 
 CORPUS_TRACES = 1092
-CORPUS_SHA256 = "7429907208ee56576d8549db2732ff7d662208fdd7894cff8c6f5ea18df45e8b"
+CORPUS_SHA256 = "dee61ab90859359c1f7c13047e2658bda305591c53a18be283dcfd2172beab0a"
 
 
 def corpus_traces():
