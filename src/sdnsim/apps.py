@@ -30,7 +30,6 @@ from .ofmodel import (
     PortId,
     SwitchId,
 )
-from .scenario import Route
 from .trace import canonical_json
 
 AppState = Any  # JSON-serializable value; compared across replicas
@@ -123,7 +122,7 @@ class StaticRouter:
 
     name = "static-router"
 
-    def __init__(self, routes: tuple[Route, ...]):
+    def __init__(self, routes: tuple):  # of scenario.Route
         self.routes = tuple(routes)
 
     def initial_state(self) -> AppState:
@@ -139,7 +138,7 @@ class StaticRouter:
         return state, {}
 
 
-def make_app(name: str, routes: tuple[Route, ...],
+def make_app(name: str, routes: tuple,
              switch_ports: dict[SwitchId, list[PortId]]):
     if name == MacLearner.name:
         return MacLearner(switch_ports)

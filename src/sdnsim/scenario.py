@@ -1,25 +1,28 @@
 """Declarative run descriptions and their on-disk JSON form.
 
 A scenario pins everything a run depends on: topology, application,
-workload, protocol variant, fault schedule, and seed. The JSON form is the
-codec's encoding of ``Scenario``, and loading is strict -- unknown keys,
-missing keys, values of the wrong JSON type and invalid values are rejected
-with the offending path so config errors surface before any simulation
-starts.
+workload, protocol variant, fault schedule, and seed. Building a
+``Scenario`` in any way runs ``Scenario.validate``, which holds every rule,
+so no invalid one exists. Its JSON form is the codec's encoding, and
+loading is strict -- unknown keys, missing keys, values of the wrong JSON
+type and invalid values are rejected with the offending path.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Any, Optional, get_args
 
+from .apps import MacLearner, StaticRouter
 from .codec import DecodeError, decode, encode, read_text
-from .ofmodel import ACK_MARKER, CONTROLLER_PORT
+from .ofmodel import ACK_MARKER, CONTROLLER_PORT, ControlMessage
+from .replica import ReplMessage
 
 VARIANTS = ("NAIVE", "PAPER_A", "PAPER_B")
-APPS = ("mac-learner", "static-router")
+APPS = (MacLearner.name, StaticRouter.name)
 DIRECTIONS = ("SEND", "DELIVER", "ANY")
+MSG_TYPES = frozenset(t.__name__ for t in get_args(ControlMessage) + get_args(ReplMessage))
 
 
 class ScenarioError(Exception):
@@ -51,8 +54,8 @@ class WorkloadItem:
 
 @dataclass(frozen=True)
 class TracePointSpec:
-    """Crash trigger: the occurrence-th trace record where the target
-    controller sends/delivers a message (optionally of one kind)."""
+    """Crash trigger: the occurrence-th trace record where the target controller
+    sends/delivers a message (optionally of the class ``msg_type`` names)."""
 
     direction: str = "ANY"
     msg_type: Optional[str] = None
@@ -83,6 +86,8 @@ class AppConfig:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A run description; building one in any way runs every rule in ``validate``."""
+
     name: str
     variant: str
     n_controllers: int
@@ -96,6 +101,9 @@ class Scenario:
     quiesce_limit: int = 10000
     latency: int = 1
     suppress_slave_events: bool = False
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def with_variant(self, variant: str) -> "Scenario":
         return replace(self, variant=variant,
@@ -130,14 +138,14 @@ class Scenario:
         if self.seed < 0:
             raise ScenarioError("seed: must be non-negative")
 
-        seen_sw: set[int] = set()
+        by_id: dict[int, SwitchSpec] = {}
         for i, sw in enumerate(self.switches):
             path = f"switches[{i}]"
             if sw.id < 0:
                 raise ScenarioError(f"{path}.id: must be non-negative")
-            if sw.id in seen_sw:
+            if sw.id in by_id:
                 raise ScenarioError(f"{path}.id: duplicate switch id {sw.id}")
-            seen_sw.add(sw.id)
+            by_id[sw.id] = sw
             for p in sw.ports:
                 if p <= 0 or p == CONTROLLER_PORT:
                     raise ScenarioError(f"{path}.ports: invalid port {p}")
@@ -153,7 +161,6 @@ class Scenario:
                     raise ScenarioError(
                         f"{path}.flows[{j}]: same match and priority as flows[{k}]")
 
-        by_id = {sw.id: sw for sw in self.switches}
         for i, w in enumerate(self.workload):
             path = f"workload[{i}]"
             if w.t < 1:
@@ -181,8 +188,12 @@ class Scenario:
                         f"{path}.at_point.direction: must be one of {DIRECTIONS}")
                 if f.at_point.occurrence < 1:
                     raise ScenarioError(f"{path}.at_point.occurrence: must be >= 1")
+                msg_type = f.at_point.msg_type
+                if msg_type is not None and msg_type not in MSG_TYPES:
+                    raise ScenarioError(f"{path}.at_point.msg_type: unknown message "
+                                        f"type {msg_type!r}")
 
-        if self.app_config.routes and self.app != "static-router":
+        if self.app_config.routes and self.app != StaticRouter.name:
             raise ScenarioError(f"app_config.routes: app {self.app!r} takes no routes")
         for i, r in enumerate(self.app_config.routes):
             if r.port <= 0 or r.port == CONTROLLER_PORT:
@@ -193,17 +204,12 @@ class Scenario:
 # ----------------------------------------------------------------------
 # JSON form
 
-def _decode(tp: Any, obj: Any, path: str = "") -> Any:
+def scenario_from_obj(obj: Any) -> Scenario:
+    """The valid ``Scenario`` a parsed JSON document describes, else ``ScenarioError``."""
     try:
-        return decode(tp, obj, path)
+        return decode(Scenario, obj)
     except DecodeError as exc:
         raise ScenarioError(str(exc)) from None
-
-
-def scenario_from_obj(obj: Any) -> Scenario:
-    scenario = _decode(Scenario, obj)
-    scenario.validate()
-    return scenario
 
 
 def scenario_to_obj(sc: Scenario) -> dict:

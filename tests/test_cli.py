@@ -5,6 +5,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from builders import apply_event, learning_scenario, one_command_scenario, synth
 from sdnsim import (Simulation, Trace, all_passed, cli, enumerate_crash_points,
                     load_scenario, run_all_checks, sweep_crash_points)
 from sdnsim.cli import main
-from sdnsim.scenario import scenario_to_obj
+from sdnsim.scenario import ScenarioError, scenario_from_obj, scenario_to_obj
 
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -197,17 +198,16 @@ MALFORMED_SCENARIOS = {
     "at_point-occurrence-zero": (
         lambda obj: obj.update(faults=[{"target": 0, "at_point": {"occurrence": 0}}]),
         "faults[0].at_point.occurrence: must be >= 1"),
+    "at_point-msg_type-unknown": (
+        lambda obj: obj.update(
+            faults=[{"target": 0, "at_point": {"msg_type": "BundelCommit"}}]),
+        "faults[0].at_point.msg_type: unknown message type 'BundelCommit'"),
     "routes-on-mac-learner": (
         lambda obj: obj.update(app="mac-learner"),
         "app_config.routes: app 'mac-learner' takes no routes"),
     "route-port-zero": (
         lambda obj: _route(obj).update(port=0),
         "app_config.routes[0].port: routes must target physical ports"),
-    # checked where the simulation reads its trace-point faults
-    "at_point-msg_type-unknown": (
-        lambda obj: obj.update(
-            faults=[{"target": 0, "at_point": {"msg_type": "BundelCommit"}}]),
-        "faults[0].at_point.msg_type: unknown message type 'BundelCommit'"),
 }
 
 
@@ -220,6 +220,18 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys, damage, message):
     path.write_text(json.dumps(obj))
     assert main(["run", str(path)]) == 2
     assert message in capsys.readouterr().err
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_obj(obj)
+    assert message in str(exc.value)
+
+
+def test_an_invalid_scenario_cannot_be_built():
+    with pytest.raises(ScenarioError, match="latency: must be at least 1"):
+        replace(one_command_scenario(), latency=0)
+    with pytest.raises(ScenarioError, match="seed: must be non-negative"):
+        one_command_scenario().with_seed(-1)
+    with pytest.raises(ScenarioError, match="n_controllers: replicated variants"):
+        one_command_scenario("NAIVE", n_controllers=2).with_variant("PAPER_A")
 
 
 @pytest.mark.parametrize("data, message", [

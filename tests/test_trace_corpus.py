@@ -2,23 +2,22 @@
 fixed set of runs must not change byte for byte.
 
 The corpus is the fault-free run and every crash-sweep point of each
-shipped scenario under NAIVE, PAPER_A and PAPER_B, at every crash target
-(``suppress_slave_events`` is dropped outside NAIVE, where it is invalid);
-``majority_loss`` contributes its plain run only. The test hashes every
-trace's canonical lines and the repr of its verdicts into one sha256.
-A change that alters any trace or verdict must say so and re-pin the
-digest.
+shipped scenario under NAIVE, PAPER_A and PAPER_B (set by
+``Scenario.with_variant``, which drops ``suppress_slave_events`` outside
+NAIVE), at every crash target; ``majority_loss`` contributes its plain run
+only. The test hashes every trace's canonical lines and the repr of its
+verdicts into one sha256. A change that alters any trace or verdict must
+say so and re-pin the digest.
 """
 
 import hashlib
-from dataclasses import replace
 from pathlib import Path
 
 from builders import point_lines
 from sdnsim import Simulation, Trace, load_scenario, run_all_checks, sweep_crash_points
+from sdnsim.scenario import VARIANTS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-VARIANTS = ("NAIVE", "PAPER_A", "PAPER_B")
 RUN_ONLY = {"majority_loss"}
 
 CORPUS_TRACES = 1092
@@ -33,9 +32,7 @@ def corpus_traces():
     for path in sorted(SCENARIOS.glob("*.json")):
         base = load_scenario(str(path))
         for variant in VARIANTS:
-            scenario = replace(base, variant=variant,
-                               suppress_slave_events=(variant == "NAIVE"
-                                                      and base.suppress_slave_events))
+            scenario = base.with_variant(variant)
             if path.stem in RUN_ONLY:
                 trace = Simulation(scenario).run()
                 yield trace, trace.to_lines()
