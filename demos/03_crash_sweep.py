@@ -11,7 +11,7 @@ executed them; and once slaves stop registering for switch events (the
 protocol's other half), events are lost outright.
 """
 
-from sdnsim import (SwitchSpec, Scenario, WorkloadItem, all_passed,
+from sdnsim import (Simulation, SwitchSpec, Scenario, WorkloadItem, all_passed,
                     classify_anomalies, run_all_checks, sweep_crash_points)
 
 
@@ -41,17 +41,15 @@ for variant, suppress in [("PAPER_A", False), ("PAPER_B", False),
                           ("NAIVE", False), ("NAIVE", True)]:
     points = []
     by_anomaly = {}
-
-    def check(fork_points, trace):
-        # one fork, run from the fault-free prefix, stands for every point
-        # at its event boundary, since each of them crashes there
+    # the sweep hands back one crashed, unrun fork of the fault-free run per
+    # event boundary; run from there, it stands for every point at that
+    # boundary, since each of them crashes there
+    for fork_points, fork in sweep_crash_points(Simulation(scenario(variant, suppress)), 0):
         points.extend(fork_points)
-        verdicts = run_all_checks(trace)
+        verdicts = run_all_checks(fork.run())
         if not all_passed(verdicts):
             for label in classify_anomalies(verdicts):
                 by_anomaly.setdefault(label, []).extend(p.occurrence for p in fork_points)
-
-    sweep_crash_points(scenario(variant, suppress), 0, check)
 
     name = variant + (" (master-only events)" if suppress else "")
     print(f"{name}: {len(points)} crash points")

@@ -129,17 +129,15 @@ def cmd_run(args) -> int:
 
 
 def _sweep_share(scenario: Scenario, target: int, worker: int, workers: int):
-    """Check one worker's share of the sweep's forks as they finish, once
-    per fork. Returns the fault-free trace and one (point, verdicts) row per
+    """Run and check one worker's share of the sweep's forks, once per
+    fork. Returns the fault-free trace and one (point, verdicts) row per
     point, the rows of one fork sharing its verdicts."""
+    base = Simulation(scenario)
     rows = []
-
-    def check(points, trace):
-        verdicts = run_all_checks(trace)
+    for points, fork in sweep_crash_points(base, target, worker, workers):
+        verdicts = run_all_checks(fork.run())
         rows.extend((point, verdicts) for point in points)
-
-    base = sweep_crash_points(scenario, target, check, worker, workers)
-    return base, rows
+    return base.run(), rows
 
 
 def _sweep(scenario: Scenario, target: int, jobs: int, map_=map):
@@ -190,10 +188,11 @@ def cmd_compare(args) -> int:
     and across the full leader-crash sweep) and verdict-equivalent; the
     naive baseline's violations are reported but expected."""
     scenario = _load(args)
+    variants = {variant: scenario.with_variant(variant) for variant in VARIANTS}
     runs = {}  # variant -> (metrics, [fault-free verdicts, *sweep verdicts])
     with _mapper(args.jobs) as map_:
-        for variant in VARIANTS:
-            trace, rows = _sweep(scenario.with_variant(variant), 0, args.jobs, map_)
+        for variant, swept in variants.items():
+            trace, rows = _sweep(swept, 0, args.jobs, map_)
             runs[variant] = (compute_metrics(trace),
                              [run_all_checks(trace)] + [vs for _, vs in rows])
 

@@ -13,7 +13,7 @@ failure notices after the detector delay.
 A run can be stepped one dispatched event at a time and forked between
 events. The crash sweep steps one fault-free base run and, at each event
 boundary where the last event produced crash points, forks it once,
-crashes the target in the fork and runs only the suffix. Every point at
+crashes the target in the fork and yields it unrun. Every point at
 one boundary crashes there, so the fork stands for all of them: its trace
 equals, but for the scenario name in its metadata, the trace of each
 derived scenario that ``enumerate_crash_points`` replays from the start.
@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import heapq
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 from .apps import make_app
 from .ofmodel import Match, Output
@@ -301,25 +301,22 @@ def enumerate_crash_points(scenario: Scenario, target: int) -> list[SweepPoint]:
             for occurrence, rec in enumerate(points, 1)]
 
 
-def sweep_crash_points(scenario: Scenario, target: int,
-                       on_fork: Callable[[list[SweepPoint], Trace], None],
-                       worker: int = 0, workers: int = 1) -> Trace:
+def sweep_crash_points(base: Simulation, target: int, worker: int = 0,
+                       workers: int = 1) -> Iterator[tuple[list[SweepPoint], Simulation]]:
     """Crash the target at every point ``enumerate_crash_points`` derives,
     sharing the fault-free prefix instead of replaying it.
 
-    The fault-free base run is stepped one event at a time. Every target
-    send/deliver since the previous boundary (start-up's, at the first) is
-    a crash point, and each derived scenario's point fault crashes at that
-    boundary, so the boundary's points share one run: the base is forked
-    once there, and the fork crashes the target and is run to the end.
-    ``on_fork(points, trace)`` gets the boundary's points, in occurrence
-    order, with the finished trace, whose meta names the first point's
-    derived scenario; nothing keeps the trace after it returns. Counting
-    only boundaries with crash points, from 0, worker ``worker`` of
-    ``workers`` forks the boundaries whose index is ``worker`` modulo
-    ``workers``. Returns the fault-free trace."""
-    _check_sweep_base(scenario)
-    base = Simulation(scenario)
+    ``base`` is the caller's fault-free run. It must not have stepped, as
+    start-up's records count at the first boundary; the sweep steps it to
+    its end. A boundary's crash points are the target sends and deliveries
+    since the previous one, and all of them crash there. So at each such
+    boundary this worker owns, the sweep yields the points, in occurrence
+    order, with one fork that has crashed the target and has not run, its
+    meta naming the first point's derived scenario; later base steps leave
+    it unchanged. Worker ``worker`` of ``workers`` owns the boundaries with
+    points whose index, from 0, is ``worker`` modulo ``workers``. A base
+    with trace-point faults raises ``ScenarioError`` before the first yield."""
+    _check_sweep_base(base.sc)
     actor = f"c{target}"
     occurrence = seen = boundary = 0
     while base.step():
@@ -329,15 +326,14 @@ def sweep_crash_points(scenario: Scenario, target: int,
         if not hits:
             continue
         if boundary % workers == worker:
-            points = [_sweep_point(scenario, target, n, rec)
+            points = [_sweep_point(base.sc, target, n, rec)
                       for n, rec in enumerate(hits, occurrence + 1)]
             fork = base.fork()
             fork.trace.meta["scenario"] = points[0].scenario.name
             fork.crash(target)
-            on_fork(points, fork.run())
+            yield points, fork
         boundary += 1
         occurrence += len(hits)
-    return base.run()
 
 
 def _check_sweep_base(scenario: Scenario) -> None:

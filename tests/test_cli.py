@@ -467,10 +467,8 @@ HEADER_CLAIMS = {
 def leader_sweep_fork(name: str, occurrence: int) -> Trace:
     """The trace of the fork that crashes c0 at crash point ``occurrence``
     of the leader sweep of ``scenarios/<name>.json``."""
-    forks = []
-    sweep_crash_points(load_scenario(str(SCENARIO_DIR / f"{name}.json")), 0,
-                       lambda points, trace: forks.append((points, trace)))
-    return next(trace for points, trace in forks
+    base = Simulation(load_scenario(str(SCENARIO_DIR / f"{name}.json")))
+    return next(fork.run() for points, fork in sweep_crash_points(base, 0)
                 if occurrence in (p.occurrence for p in points))
 
 
@@ -571,10 +569,14 @@ def test_sweep_naive_variant_exits_one_with_anomaly_rows(tmp_path, capsys):
     assert out.strip().splitlines()[-1].startswith("RESULT fail")
 
 
-def test_sweep_rejects_point_faulted_scenario(tmp_path):
+def test_sweep_rejects_point_faulted_scenario(tmp_path, capsys):
     point = find_violating_point(learning_scenario("NAIVE"))
     path = write_scenario(tmp_path, point.scenario)
-    assert main(["sweep", path]) == 2
+    for command in ("sweep", "compare"):
+        assert main([command, path]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "", command
+        assert err == "error: sweep base scenario may not contain trace-point faults\n"
 
 
 def test_sweep_rejects_bad_crash_selector(tmp_path, capsys):
@@ -605,6 +607,16 @@ def test_jobs_below_one_exits_two_before_any_run(tmp_path, capsys, monkeypatch,
     assert f"argument --jobs: {BAD_JOBS[jobs]}" in capsys.readouterr().err
 
 
+def test_compare_rejects_a_bad_variant_before_any_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a sweep started")
+    monkeypatch.setattr(cli, "_sweep", no_sweep)
+    path = write_scenario(tmp_path, one_command_scenario("NAIVE", n_controllers=4))
+    assert main(["compare", path]) == 2
+    assert ("n_controllers: replicated variants need an odd count >= 3"
+            in capsys.readouterr().err)
+
+
 def test_one_fork_per_event_boundary(monkeypatch):
     scenario = load_scenario(str(SCENARIO_DIR / "paper_a.json"))
     forked_at = []  # events the base run had dispatched at each fork
@@ -617,11 +629,10 @@ def test_one_fork_per_event_boundary(monkeypatch):
     groups = []  # the occurrences each fork stands for
     sweep = cli.sweep_crash_points
 
-    def grouped(scenario, target, on_fork, *share):
-        def record(points, trace):
+    def grouped(*args):
+        for points, fork in sweep(*args):
             groups.append([p.occurrence for p in points])
-            on_fork(points, trace)
-        return sweep(scenario, target, record, *share)
+            yield points, fork
 
     monkeypatch.setattr(Simulation, "fork", counted_fork)
     monkeypatch.setattr(cli, "sweep_crash_points", grouped)

@@ -168,6 +168,15 @@ def test_enumeration_rejects_point_faulted_bases():
         enumerate_crash_points(sc, 0)
 
 
+def test_sweep_rejects_point_faulted_bases_before_the_first_fork():
+    sc = one_command_scenario().with_extra_fault(
+        FaultSpec(target=0, at_point=TracePointSpec("ANY", None, 1)))
+    base = Simulation(sc)
+    with pytest.raises(ScenarioError, match="may not contain trace-point faults"):
+        next(sweep_crash_points(base, 0))
+    assert base.processed == 0
+
+
 def test_derived_runs_replay_the_base_prefix():
     sc = one_command_scenario()
     base = run_trace(sc)
@@ -231,12 +240,43 @@ def test_point_fault_past_the_last_match_never_fires(spec):
 
 
 def forked_sweep(scenario, target):
-    """(point, trace lines) for every point of the forked sweep, and the
-    fault-free trace it returns."""
-    out = []
-    base = sweep_crash_points(scenario, target,
-                              lambda points, trace: out.extend(point_lines(points, trace)))
-    return out, base
+    """(point, trace lines) for every point of the forked sweep, each fork
+    run as it is yielded, and the fault-free trace of its base."""
+    base = Simulation(scenario)
+    out = [line for points, fork in sweep_crash_points(base, target)
+           for line in point_lines(points, fork.run())]
+    return out, base.run()
+
+
+@pytest.mark.parametrize("target", [0, 1, 2])
+def test_sweep_yields_forks_that_crashed_and_have_not_run(target):
+    base = Simulation(learning_scenario())
+    forks = 0
+    for _, fork in sweep_crash_points(base, target):
+        shared = len(base.trace.records)
+        assert fork.processed == base.processed
+        assert target in fork.crashed and target not in base.crashed
+        assert fork.trace.records[:shared] == base.trace.records
+        crash = fork.trace.records[shared]
+        assert (crash.kind, crash.actor) == ("CRASH", f"c{target}")
+        forks += 1
+    assert forks > 1
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_forks_held_until_the_base_ends_run_as_forks_run_at_once(path):
+    """A yielded fork does not change as the base steps on: forks run in
+    reverse order after the base has ended give the sweep's lines."""
+    scenario = load_scenario(str(path))
+    for target in range(scenario.n_controllers):
+        base = Simulation(scenario)
+        held = list(sweep_crash_points(base, target))
+        traces = [fork.run() for _, fork in reversed(held)][::-1]
+        deferred = [line for (points, _), trace in zip(held, traces)
+                    for line in point_lines(points, trace)]
+        at_once, fault_free = forked_sweep(scenario, target)
+        assert deferred == at_once, f"target {target}"
+        assert base.run().to_lines() == fault_free.to_lines()
 
 
 def assert_sweep_matches_replay(scenario, target):
@@ -327,17 +367,13 @@ def test_forks_stall_at_the_same_step_as_replays(limit):
 def test_parallel_shares_partition_the_points():
     sc = learning_scenario()
     whole, _ = forked_sweep(sc, 0)
-    boundaries = []
-    sweep_crash_points(sc, 0, lambda points, trace: boundaries.append(points))
+    boundaries = [points for points, _ in sweep_crash_points(Simulation(sc), 0)]
     shares = []
     for worker in range(3):
         mine = []
-
-        def take(points, trace):
+        for points, fork in sweep_crash_points(Simulation(sc), 0, worker, 3):
             mine.append(points)
-            shares.extend(point_lines(points, trace))
-
-        sweep_crash_points(sc, 0, take, worker, 3)
+            shares.extend(point_lines(points, fork.run()))
         assert mine == boundaries[worker::3]  # every third boundary, not point
     assert sorted(shares, key=lambda s: s[0].occurrence) == whole
 

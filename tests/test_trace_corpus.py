@@ -38,9 +38,10 @@ def corpus_traces():
                 yield trace, trace.to_lines()
                 continue
             for target in range(scenario.n_controllers):
-                forks = []
-                fault_free = sweep_crash_points(
-                    scenario, target, lambda points, trace: forks.append((points, trace)))
+                run = Simulation(scenario)
+                forks = [(points, fork.run())
+                         for points, fork in sweep_crash_points(run, target)]
+                fault_free = run.run()
                 if target == 0:
                     yield fault_free, fault_free.to_lines()
                 for points, trace in forks:
