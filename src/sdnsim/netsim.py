@@ -11,16 +11,20 @@ DROP), the switch end discards staged bundles, and surviving replicas get
 failure notices after the detector delay.
 
 A run can be stepped one dispatched event at a time and forked between
-events. The crash sweep steps one fault-free base run and, at each event
-boundary where the last event produced crash points, forks it once,
-crashes the target in the fork and yields it unrun. Every point at
-one boundary crashes there, so the fork stands for all of them: its trace
-equals, but for the scenario name in its metadata, the trace of each
-derived scenario that ``enumerate_crash_points`` replays from the start.
-Trace-point faults, the sweep and the enumeration pick crash points with
-one predicate, ``_is_crash_point``, and point faults and the sweep also
-crash at the same place: ``crash`` at the event boundary after the
-matching record, start-up's records counting as the first event's.
+events. Its trace's metadata is its scenario in the file form, so
+``Simulation(scenario_from_obj(trace.meta)).run()`` replays it byte for
+byte, unless a script called ``crash`` by hand: the CRASH record states
+that crash. The crash sweep steps one fault-free base run and, at each
+event boundary where the last event produced crash points, forks it
+once, crashes the target in the fork and yields it unrun. Every point at
+one boundary crashes there, so the fork stands for all of them: its
+records equal those of each derived scenario that
+``enumerate_crash_points`` replays from the start, and its metadata is
+the first point's. Trace-point faults, the sweep and the enumeration pick
+crash points with one predicate, ``_is_crash_point``, and point faults
+and the sweep also crash at the same place: ``crash`` at the event
+boundary after the matching record, start-up's records counting as the
+first event's.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable, Iterator
 from .apps import make_app
 from .ofmodel import Match, Output
 from .replica import Note, Replica, SendToReplica, SendToSwitch, shared_steps
-from .scenario import FaultSpec, Scenario, ScenarioError, TracePointSpec
+from .scenario import FaultSpec, Scenario, ScenarioError, TracePointSpec, scenario_to_obj
 from .switchsim import SwitchState
 from .trace import Trace, TraceRecord, msg_to_wire
 
@@ -82,17 +86,7 @@ class Simulation:
 
         workload_times = [w.t for w in scenario.workload]
         self._first_workload_t = min(workload_times) if workload_times else None
-        self.trace = Trace({
-            "scenario": scenario.name,
-            "variant": scenario.variant,
-            "n_controllers": scenario.n_controllers,
-            "switches": switch_ids,
-            "app": scenario.app,
-            "seed": scenario.seed,
-            "detector_delay": scenario.detector_delay,
-            "latency": scenario.latency,
-            "first_workload_t": self._first_workload_t,
-        })
+        self.trace = Trace(scenario_to_obj(scenario))
         for w in scenario.workload:
             self._schedule(w.t, Simulation._inject, w.switch, w.in_port, w.payload)
         for f in scenario.faults:
@@ -312,10 +306,14 @@ def sweep_crash_points(base: Simulation, target: int, worker: int = 0,
     since the previous one, and all of them crash there. So at each such
     boundary this worker owns, the sweep yields the points, in occurrence
     order, with one fork that has crashed the target and has not run, its
-    meta naming the first point's derived scenario; later base steps leave
-    it unchanged. Worker ``worker`` of ``workers`` owns the boundaries with
-    points whose index, from 0, is ``worker`` modulo ``workers``. A base
-    with trace-point faults raises ``ScenarioError`` before the first yield."""
+    meta the first point's derived scenario, so that run to its end it is
+    that point's replay; later base steps leave it unchanged. Worker
+    ``worker`` of ``workers`` owns the boundaries with points whose index,
+    from 0, is ``worker`` modulo ``workers``. At the first ``next()``, before
+    the base steps, a base that has stepped raises ``ValueError`` and one
+    with trace-point faults raises ``ScenarioError``."""
+    if base.processed:
+        raise ValueError(f"sweep base has already stepped {base.processed} event(s)")
     _check_sweep_base(base.sc)
     actor = f"c{target}"
     occurrence = seen = boundary = 0
@@ -329,7 +327,7 @@ def sweep_crash_points(base: Simulation, target: int, worker: int = 0,
             points = [_sweep_point(base.sc, target, n, rec)
                       for n, rec in enumerate(hits, occurrence + 1)]
             fork = base.fork()
-            fork.trace.meta["scenario"] = points[0].scenario.name
+            fork.trace.meta = scenario_to_obj(points[0].scenario)
             fork.crash(target)
             yield points, fork
         boundary += 1

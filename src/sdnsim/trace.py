@@ -3,9 +3,9 @@ checker's only input.
 
 Every record serializes to one canonical (key-sorted, compact, ASCII) JSON
 line, so byte equality of trace files is meaningful. The first line of a
-trace file holds metadata that says what was run (scenario, variant,
-controller count, switches, app, seed, timing); what happened, crashes
-and a stall included, is stated by the records alone.
+trace file holds metadata that says what was run (the simulator writes
+the run's scenario in its file form); what happened, crashes and a
+stall included, is stated by the records alone.
 
 A record is an immutable tuple, so forked traces share record objects.
 A record's line is built field by field in key order, with ``msg`` and

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from sdnsim import AppConfig, Route, Scenario, SwitchSpec, Trace, WorkloadItem
+from sdnsim import (AppConfig, Route, Scenario, SwitchSpec, Trace, WorkloadItem,
+                    scenario_to_obj)
 from sdnsim.trace import canonical_json
 
 
@@ -48,11 +49,10 @@ def learning_scenario(variant: str = "PAPER_A", **overrides) -> Scenario:
 
 def point_lines(points, trace: Trace) -> list[tuple]:
     """Expand one crash-sweep fork into (point, trace lines) per crash
-    point: the fork's lines, with a meta line naming that point's derived
-    scenario, as a replay of that scenario writes it."""
-    lines = trace.to_lines()
-    return [(p, [canonical_json({"meta": {**trace.meta, "scenario": p.scenario.name}}),
-                 *lines[1:]])
+    point: that point's derived scenario as the meta line, then the fork's
+    record lines, as a replay of that scenario writes them."""
+    records = trace.to_lines()[1:]
+    return [(p, [canonical_json({"meta": scenario_to_obj(p.scenario)}), *records])
             for p in points]
 
 

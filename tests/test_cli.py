@@ -257,6 +257,16 @@ def test_run_seed_override_is_recorded(tmp_path):
     assert Trace.read(str(trace_out)).meta["seed"] == 99
 
 
+def test_run_trace_file_replays_from_its_first_line(tmp_path):
+    path = write_scenario(tmp_path, one_command_scenario())
+    trace_out = tmp_path / "out.trace"
+    assert main(["run", path, "--trace", str(trace_out), "--seed", "7"]) == 0
+    meta = Trace.read(str(trace_out)).meta
+    assert meta == scenario_to_obj(one_command_scenario().with_seed(7))
+    replayed = Simulation(scenario_from_obj(meta)).run()
+    assert replayed.to_lines() == trace_out.read_text().splitlines()
+
+
 def test_check_accepts_a_passing_stored_trace(tmp_path, capsys):
     trace = Simulation(one_command_scenario()).run()
     path = tmp_path / "run.trace"
@@ -492,6 +502,38 @@ def test_check_ignores_run_facts_in_the_metadata(tmp_path, capsys, claims):
         assert capsys.readouterr().out == untouched
 
 
+def nine_key_meta(scenario) -> dict:
+    """The metadata the simulator wrote before its meta line became the
+    run's scenario."""
+    times = [w.t for w in scenario.workload]
+    return {"scenario": scenario.name, "variant": scenario.variant,
+            "n_controllers": scenario.n_controllers,
+            "switches": sorted(s.id for s in scenario.switches), "app": scenario.app,
+            "seed": scenario.seed, "detector_delay": scenario.detector_delay,
+            "latency": scenario.latency, "first_workload_t": min(times) if times else None}
+
+
+def test_check_reads_traces_with_the_older_nine_key_metadata(tmp_path, capsys):
+    """A trace file whose meta line has the older nine-key form gets the
+    same verdicts, exit code and output as the same records under its
+    scenario."""
+    path = tmp_path / "run.trace"
+    for trace, code in (
+            (leader_sweep_fork("naive_suppressed", 5), 1),
+            (leader_sweep_fork("paper_a", 1), 0),
+            (Simulation(load_scenario(str(SCENARIO_DIR / "majority_loss.json"))).run(), 0)):
+        lines = trace.to_lines()
+        older = [json.dumps({"meta": nine_key_meta(scenario_from_obj(trace.meta))}),
+                 *lines[1:]]
+        assert repr(run_all_checks(Trace.from_lines(older))) == repr(run_all_checks(trace))
+        outs = []
+        for text in (lines, older):
+            path.write_text("\n".join(text) + "\n")
+            assert main(["check", str(path)]) == code
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
 def test_check_shows_three_witnesses_then_how_many_more(tmp_path, capsys):
     trace = synthetic_trace([apply_event("c0", i, "0:1") for i in range(1, 6)])
     path = tmp_path / "run.trace"
@@ -541,6 +583,16 @@ def test_python_m_sdnsim_checks_a_trace_file(tmp_path):
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
     assert "non-consecutive step 3" in proc.stderr
+
+
+@pytest.mark.parametrize("module", ["sdnsim", "sdnsim.cli"])
+def test_python_m_runs_a_shipped_scenario(module):
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run([sys.executable, "-m", module, "run",
+                           str(SCENARIO_DIR / "one_command.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("RESULT pass ")
 
 
 def test_check_missing_file_exits_two(tmp_path, capsys):

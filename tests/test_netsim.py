@@ -16,13 +16,14 @@ from sdnsim import (
     resolve_crash_target,
     run_all_checks,
     scenario_from_obj,
+    scenario_to_obj,
     sweep_crash_points,
 )
 from sdnsim import netsim, replica
 from sdnsim.apps import ROUTE_PRIORITY, StepMemo, state_digest
 from sdnsim.netsim import _is_crash_point
 from sdnsim.ofmodel import CONTROLLER_PORT
-from sdnsim.scenario import InitialFlow, SwitchSpec, WorkloadItem
+from sdnsim.scenario import VARIANTS, InitialFlow, SwitchSpec, WorkloadItem
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -177,6 +178,16 @@ def test_sweep_rejects_point_faulted_bases_before_the_first_fork():
     assert base.processed == 0
 
 
+def test_sweep_rejects_a_stepped_base_before_stepping_it():
+    base = Simulation(learning_scenario())
+    assert base.step()
+    records = list(base.trace.records)
+    with pytest.raises(ValueError, match="already stepped 1 event"):
+        next(sweep_crash_points(base, 0))
+    assert base.processed == 1
+    assert base.trace.records == records
+
+
 def test_derived_runs_replay_the_base_prefix():
     sc = one_command_scenario()
     base = run_trace(sc)
@@ -236,7 +247,12 @@ def test_point_fault_past_the_last_match_never_fires(spec):
     past = replace(spec, occurrence=len(matching_records(base, "c0", spec)) + 1)
     trace = run_trace(sc.with_extra_fault(FaultSpec(target=0, at_point=past)))
     assert not any(r.kind == "CRASH" for r in trace.records)
-    assert trace.to_lines() == base.to_lines()
+    lines, base_lines = trace.to_lines(), base.to_lines()
+    assert lines[1:] == base_lines[1:]
+    # the meta lines state the two scenarios, which differ only in the fault
+    meta, base_meta = (json.loads(line)["meta"] for line in (lines[0], base_lines[0]))
+    assert meta != base_meta
+    assert {**meta, "faults": base_meta["faults"]} == base_meta
 
 
 def forked_sweep(scenario, target):
@@ -294,6 +310,26 @@ def test_forked_sweep_matches_replay_on_every_shipped_scenario(path):
     scenario = load_scenario(str(path))
     for target in range(scenario.n_controllers):
         assert_sweep_matches_replay(scenario, target)
+
+
+def replay(trace):
+    """The lines of a new run of the scenario that ``trace``'s metadata states."""
+    return Simulation(scenario_from_obj(trace.meta)).run().to_lines()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_every_run_and_fork_replays_from_its_first_line(path, variant):
+    """A fault-free run's trace and every sweep fork's, meta line
+    included, are what a run of their metadata's scenario writes."""
+    scenario = load_scenario(str(path)).with_variant(variant)
+    for target in range(scenario.n_controllers):
+        base = Simulation(scenario)
+        for points, fork in sweep_crash_points(base, target):
+            assert fork.trace.meta == scenario_to_obj(points[0].scenario)
+            assert replay(fork.run()) == fork.trace.to_lines(), f"point {points[0].occurrence}"
+        assert base.run().meta == scenario_to_obj(scenario)
+        assert replay(base.trace) == base.trace.to_lines()
 
 
 def paper_a_with_initial_flow():
@@ -546,3 +582,6 @@ def test_a_forks_crash_shows_in_its_metadata_and_not_its_parents(path):
     fork.crash(0)
     assert [r.actor for r in fork.trace.records if r.kind == "CRASH"] == ["c0"]
     assert not [r for r in sim.trace.records if r.kind == "CRASH"]
+    # a crash called by hand is stated by its CRASH record alone: the
+    # metadata stays the scenario that was built
+    assert fork.trace.meta == sim.trace.meta == scenario_to_obj(sim.sc)

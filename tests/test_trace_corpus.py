@@ -15,27 +15,30 @@ from pathlib import Path
 
 from builders import point_lines
 from sdnsim import Simulation, Trace, load_scenario, run_all_checks, sweep_crash_points
-from sdnsim.scenario import VARIANTS
+from sdnsim.scenario import VARIANTS, scenario_from_obj, scenario_to_obj
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RUN_ONLY = {"majority_loss"}
 
 CORPUS_TRACES = 1092
-CORPUS_SHA256 = "dee61ab90859359c1f7c13047e2658bda305591c53a18be283dcfd2172beab0a"
+# last re-pinned when each meta line became the scenario the trace's run
+# replays; every record line and verdict stayed the same
+CORPUS_SHA256 = "2e0b61594321608cbf0b7f088347cbe0923f697f7728ef0075aaf54632e3d9b3"
 
 
 def corpus_traces():
-    """Yield (trace, lines) for every corpus trace in a fixed order: the
-    trace the simulator returned and the corpus trace's lines. A sweep fork
-    is one corpus trace per crash point it stands for, each with a meta
-    line naming that point's derived scenario."""
+    """Yield (scenario, trace, lines) for every corpus trace in a fixed
+    order: the scenario its meta line states, the trace the simulator
+    returned and the corpus trace's lines. A sweep fork is one corpus trace
+    per crash point it stands for, each with that point's derived scenario
+    as its meta line."""
     for path in sorted(SCENARIOS.glob("*.json")):
         base = load_scenario(str(path))
         for variant in VARIANTS:
             scenario = base.with_variant(variant)
             if path.stem in RUN_ONLY:
                 trace = Simulation(scenario).run()
-                yield trace, trace.to_lines()
+                yield scenario, trace, trace.to_lines()
                 continue
             for target in range(scenario.n_controllers):
                 run = Simulation(scenario)
@@ -43,16 +46,16 @@ def corpus_traces():
                          for points, fork in sweep_crash_points(run, target)]
                 fault_free = run.run()
                 if target == 0:
-                    yield fault_free, fault_free.to_lines()
+                    yield scenario, fault_free, fault_free.to_lines()
                 for points, trace in forks:
-                    for _, lines in point_lines(points, trace):
-                        yield trace, lines
+                    for point, lines in point_lines(points, trace):
+                        yield point.scenario, trace, lines
 
 
 def test_corpus_traces_and_verdicts_are_unchanged():
     digest = hashlib.sha256()
     count = 0
-    for trace, lines in corpus_traces():
+    for _, trace, lines in corpus_traces():
         for line in lines:
             digest.update(line.encode("utf-8") + b"\n")
         digest.update(repr(run_all_checks(trace)).encode("utf-8") + b"\n")
@@ -63,10 +66,11 @@ def test_corpus_traces_and_verdicts_are_unchanged():
 
 def test_corpus_traces_read_back_unchanged():
     count = 0
-    for trace, lines in corpus_traces():
+    for scenario, trace, lines in corpus_traces():
         back = Trace.from_lines(lines)
-        # a fork's meta names its first point; the lines name their own
-        assert back.meta == {**trace.meta, "scenario": back.meta["scenario"]}
+        # a fork's meta is its first point's scenario; the lines state their own
+        assert back.meta == scenario_to_obj(scenario)
+        assert scenario_from_obj(back.meta) == scenario
         assert back.records == trace.records
         assert back.to_lines() == lines
         assert repr(run_all_checks(back)) == repr(run_all_checks(trace))
