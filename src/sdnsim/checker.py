@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .ofmodel import is_ack_payload
+from .ofmodel import MAX_CONTROLLERS, is_ack_payload
 from .trace import Trace, TraceRecord
 
 PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P6")
@@ -81,6 +81,9 @@ class _Run:
                              "and variant a string")
         if self.n < 1:
             raise CheckError(f"trace metadata: n_controllers must be at least 1, got {self.n}")
+        if self.n > MAX_CONTROLLERS:
+            raise CheckError(f"trace metadata: n_controllers must be at most "
+                             f"{MAX_CONTROLLERS}, got {self.n}")
         self.quiesced = trace.quiesced
         self.crashed: set[int] = set()  # the controllers CRASH records name
         self.last_step = trace.records[-1].step if trace.records else 0

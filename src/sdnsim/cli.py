@@ -14,6 +14,7 @@ import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from itertools import islice
 
 from . import codec
 from .checker import (CheckError, Verdict, all_passed, classify_anomalies,
@@ -129,12 +130,14 @@ def cmd_run(args) -> int:
 
 
 def _sweep_share(scenario: Scenario, target: int, worker: int, workers: int):
-    """Run and check one worker's share of the sweep's forks, once per
-    fork. Returns the fault-free trace and one (point, verdicts) row per
-    point, the rows of one fork sharing its verdicts."""
+    """Run and check one worker's share of the sweep: the forks of every
+    ``workers``-th boundary with crash points, from the ``worker``-th
+    (counting from 0), one check each. Returns the fault-free trace and one
+    (point, verdicts) row per point, the rows of one fork sharing its
+    verdicts."""
     base = Simulation(scenario)
     rows = []
-    for points, fork in sweep_crash_points(base, target, worker, workers):
+    for points, fork in islice(sweep_crash_points(base, target), worker, None, workers):
         verdicts = run_all_checks(fork.run())
         rows.extend((point, verdicts) for point in points)
     return base.run(), rows
@@ -143,9 +146,9 @@ def _sweep_share(scenario: Scenario, target: int, worker: int, workers: int):
 def _sweep(scenario: Scenario, target: int, jobs: int, map_=map):
     """The fault-free trace and the (point, verdicts) rows of every crash
     point, in occurrence order. All points at one event boundary share one
-    fork and one check. ``map_`` runs ``jobs`` workers, each of which
-    repeats the fault-free run and forks only its own share of the
-    boundaries."""
+    fork and one check. ``map_`` runs ``jobs`` workers (``_sweep_share``),
+    each of which repeats the fault-free run and the sweep's forking, and
+    runs and checks only its own share of the forks."""
     shares = list(map_(_sweep_share, [scenario] * jobs, [target] * jobs,
                        range(jobs), [jobs] * jobs))
     rows = sorted((row for _, share in shares for row in share),

@@ -16,7 +16,8 @@ events. Its trace's metadata is its scenario in the file form, so
 byte, unless a script called ``crash`` by hand: the CRASH record states
 that crash. The crash sweep steps one fault-free base run and, at each
 event boundary where the last event produced crash points, forks it
-once, crashes the target in the fork and yields it unrun. Every point at
+once, crashes the target in the fork and yields it unrun, leaving which
+boundaries to run, and where, to its caller. Every point at
 one boundary crashes there, so the fork stands for all of them: its
 records equal those of each derived scenario that
 ``enumerate_crash_points`` replays from the start, and its metadata is
@@ -295,43 +296,40 @@ def enumerate_crash_points(scenario: Scenario, target: int) -> list[SweepPoint]:
             for occurrence, rec in enumerate(points, 1)]
 
 
-def sweep_crash_points(base: Simulation, target: int, worker: int = 0,
-                       workers: int = 1) -> Iterator[tuple[list[SweepPoint], Simulation]]:
+def sweep_crash_points(base: Simulation,
+                       target: int) -> Iterator[tuple[list[SweepPoint], Simulation]]:
     """Crash the target at every point ``enumerate_crash_points`` derives,
     sharing the fault-free prefix instead of replaying it.
 
     ``base`` is the caller's fault-free run. It must not have stepped, as
     start-up's records count at the first boundary; the sweep steps it to
     its end. A boundary's crash points are the target sends and deliveries
-    since the previous one, and all of them crash there. So at each such
-    boundary this worker owns, the sweep yields the points, in occurrence
-    order, with one fork that has crashed the target and has not run, its
-    meta the first point's derived scenario, so that run to its end it is
-    that point's replay; later base steps leave it unchanged. Worker
-    ``worker`` of ``workers`` owns the boundaries with points whose index,
-    from 0, is ``worker`` modulo ``workers``. At the first ``next()``, before
-    the base steps, a base that has stepped raises ``ValueError`` and one
-    with trace-point faults raises ``ScenarioError``."""
+    since the previous one, and all of them crash there. So at every such
+    boundary, in order, the sweep yields the points, in occurrence order,
+    with one fork that has crashed the target and has not run, its meta
+    the first point's derived scenario, so that run to its end it is that
+    point's replay; later base steps leave it unchanged. A caller that
+    wants a share of the boundaries slices this generator. At the first
+    ``next()``, before the base steps, a base that has stepped raises
+    ``ValueError`` and one with trace-point faults raises ``ScenarioError``."""
     if base.processed:
         raise ValueError(f"sweep base has already stepped {base.processed} event(s)")
     _check_sweep_base(base.sc)
     actor = f"c{target}"
-    occurrence = seen = boundary = 0
+    occurrence = seen = 0
     while base.step():
         records = base.trace.records
         hits = [rec for rec in records[seen:] if _is_crash_point(rec, actor, _ANY_POINT)]
         seen = len(records)
         if not hits:
             continue
-        if boundary % workers == worker:
-            points = [_sweep_point(base.sc, target, n, rec)
-                      for n, rec in enumerate(hits, occurrence + 1)]
-            fork = base.fork()
-            fork.trace.meta = scenario_to_obj(points[0].scenario)
-            fork.crash(target)
-            yield points, fork
-        boundary += 1
+        points = [_sweep_point(base.sc, target, n, rec)
+                  for n, rec in enumerate(hits, occurrence + 1)]
         occurrence += len(hits)
+        fork = base.fork()
+        fork.trace.meta = scenario_to_obj(points[0].scenario)
+        fork.crash(target)
+        yield points, fork
 
 
 def _check_sweep_base(scenario: Scenario) -> None:

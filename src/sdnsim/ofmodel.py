@@ -13,6 +13,8 @@ from enum import Enum
 from typing import Optional, Union
 
 ControllerId = int
+# The most controllers a scenario may run or a trace may claim.
+MAX_CONTROLLERS = 255
 SwitchId = int
 PortId = int
 

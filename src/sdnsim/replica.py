@@ -150,7 +150,6 @@ class Replica:
         self.view = 0
         self.log: list[LogEntry] = []
         self.commit_index = 0
-        self.applied_index = 0
         self.event_buffer: dict[EventId, tuple[bytes, PortId]] = {}
         self.ack_table: dict[SwitchId, set[int]] = {s: set() for s in switch_ids}
         self.steps = steps
@@ -328,7 +327,7 @@ class Replica:
         """Send every committed, applied command batch for this switch that
         no replica has seen acknowledged. Runs once, right after the fence."""
         effects: list[Effect] = []
-        for i in range(1, self.applied_index + 1):
+        for i in range(1, self.commit_index + 1):
             cmds = self.commands_by_index.get(i, {}).get(sw)
             if cmds and i not in self.ack_table[sw]:
                 effects.extend(self._dispatch(i, sw))
@@ -362,18 +361,15 @@ class Replica:
         return effects
 
     def _advance_commit(self, new_commit: int) -> list[Effect]:
-        if new_commit <= self.commit_index:
-            return []
-        self.commit_index = new_commit
+        """Commit and apply the entries up to ``new_commit``, one at a time."""
         effects: list[Effect] = []
-        while self.applied_index < self.commit_index:
-            effects.extend(self._apply_entry(self.log[self.applied_index]))
+        for entry in self.log[self.commit_index:new_commit]:
+            effects.extend(self._apply_entry(entry))
         return effects
 
     def _apply_entry(self, entry: LogEntry) -> list[Effect]:
-        assert entry.index == self.applied_index + 1
-        assert entry.index <= self.commit_index
-        self.applied_index = entry.index
+        assert entry.index == self.commit_index + 1
+        self.commit_index = entry.index
         if isinstance(entry, ViewEntry):
             return [Note("APPLY", (("index", str(entry.index)),
                                    ("entry", "VIEW"),

@@ -16,7 +16,7 @@ from typing import Any, Optional, get_args
 
 from .apps import MacLearner, StaticRouter
 from .codec import DecodeError, decode, encode, read_text
-from .ofmodel import ACK_MARKER, CONTROLLER_PORT, ControlMessage
+from .ofmodel import ACK_MARKER, CONTROLLER_PORT, MAX_CONTROLLERS, ControlMessage
 from .replica import ReplMessage
 
 VARIANTS = ("NAIVE", "PAPER_A", "PAPER_B")
@@ -120,6 +120,8 @@ class Scenario:
             raise ScenarioError(f"variant: unknown variant {self.variant!r}")
         if self.n_controllers < 1:
             raise ScenarioError("n_controllers: must be at least 1")
+        if self.n_controllers > MAX_CONTROLLERS:
+            raise ScenarioError(f"n_controllers: must be at most {MAX_CONTROLLERS}")
         if self.variant != "NAIVE":
             if self.n_controllers < 3 or self.n_controllers % 2 == 0:
                 raise ScenarioError(

@@ -14,6 +14,7 @@ from builders import apply_event, learning_scenario, one_command_scenario, synth
 from sdnsim import (Simulation, Trace, all_passed, cli, enumerate_crash_points,
                     load_scenario, run_all_checks, sweep_crash_points)
 from sdnsim.cli import main
+from sdnsim.ofmodel import MAX_CONTROLLERS
 from sdnsim.scenario import ScenarioError, scenario_from_obj, scenario_to_obj
 
 
@@ -139,6 +140,10 @@ MALFORMED_SCENARIOS = {
     "n_controllers-zero": (
         lambda obj: obj.update(variant="NAIVE", n_controllers=0),
         "n_controllers: must be at least 1"),
+    **{f"n_controllers-{n}": (
+        lambda obj, n=n: obj.update(variant="NAIVE", n_controllers=n),
+        f"n_controllers: must be at most {MAX_CONTROLLERS}")
+       for n in (MAX_CONTROLLERS + 1, 2 ** 70)},
     "n_controllers-even": (
         lambda obj: obj.update(n_controllers=4),
         "n_controllers: replicated variants need an odd count >= 3"),
@@ -425,6 +430,11 @@ MALFORMED_TRACES = {
         "PAPER_A", lambda objs, n=n: objs[0]["meta"].update(n_controllers=n),
         f"n_controllers must be at least 1, got {n}")
        for n in (0, -1)},
+    # checked before any work that grows with the claimed count
+    **{f"n_controllers-{n}": (
+        "PAPER_A", lambda objs, n=n: objs[0]["meta"].update(n_controllers=n),
+        f"n_controllers must be at most {MAX_CONTROLLERS}, got {n}")
+       for n in (MAX_CONTROLLERS + 1, 2 ** 70)},
     "n_controllers-below-an-applier": (
         "PAPER_A", lambda objs: objs[0]["meta"].update(n_controllers=2),
         "actor c2 is not one of the trace's 2 controllers"),
@@ -698,6 +708,31 @@ def test_one_fork_per_event_boundary(monkeypatch):
     for point, verdicts in rows:
         replayed = run_all_checks(Simulation(point.scenario).run())
         assert verdicts == replayed, f"point {point.occurrence}"
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_sweep_shares_split_the_boundaries_and_merge_to_one_jobs_rows(path, monkeypatch):
+    scenario = load_scenario(str(path))
+    checked = []  # the trace of each fork a share runs and checks
+
+    def counted_check(trace):
+        checked.append(trace)
+        return run_all_checks(trace)
+
+    monkeypatch.setattr(cli, "run_all_checks", counted_check)
+    for target in range(scenario.n_controllers):
+        boundaries = [[p.occurrence for p in points]
+                      for points, _ in sweep_crash_points(Simulation(scenario), target)]
+        fault_free, rows = cli._sweep(scenario, target, 1, map)
+        for jobs in range(1, 5):
+            trace, merged = cli._sweep(scenario, target, jobs, map)
+            assert (trace.to_lines(), merged) == (fault_free.to_lines(), rows), jobs
+            for worker in range(jobs):
+                checked.clear()
+                _, share = cli._sweep_share(scenario, target, worker, jobs)
+                mine = boundaries[worker::jobs]  # every jobs-th boundary, not point
+                assert len(checked) == len(mine), (jobs, worker)
+                assert [p.occurrence for p, _ in share] == [n for b in mine for n in b]
 
 
 def test_parallel_sweep_and_compare_print_what_one_job_prints(monkeypatch, capsys):

@@ -53,7 +53,7 @@ def leader_sweep_anomalies(name: str, **timing) -> Counter:
 def resend_without_checking_acks(self, sw):
     """``_flush_owed`` resending every applied batch for ``sw``, acked or not."""
     effects = []
-    for i in range(1, self.applied_index + 1):
+    for i in range(1, self.commit_index + 1):
         if self.commands_by_index.get(i, {}).get(sw):
             effects.extend(self._dispatch(i, sw))
     return effects

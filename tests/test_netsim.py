@@ -400,20 +400,6 @@ def test_forks_stall_at_the_same_step_as_replays(limit):
         assert '"kind":"STALL"' in lines[-1], f"point {p.occurrence}"
 
 
-def test_parallel_shares_partition_the_points():
-    sc = learning_scenario()
-    whole, _ = forked_sweep(sc, 0)
-    boundaries = [points for points, _ in sweep_crash_points(Simulation(sc), 0)]
-    shares = []
-    for worker in range(3):
-        mine = []
-        for points, fork in sweep_crash_points(Simulation(sc), 0, worker, 3):
-            mine.append(points)
-            shares.extend(point_lines(points, fork.run()))
-        assert mine == boundaries[worker::3]  # every third boundary, not point
-    assert sorted(shares, key=lambda s: s[0].occurrence) == whole
-
-
 def stepped(scenario, n):
     sim = Simulation(scenario)
     for _ in range(n):

@@ -111,7 +111,8 @@ def test_majority_arithmetic_commits_on_first_ack():
     assert r.commit_index == 0
     effects = r.on_replica_message(1, AppendAck(0, 4))
     assert r.commit_index == 4  # leader plus one follower is 2 of 3
-    assert r.applied_index == 4
+    applied = [dict(e.detail)["index"] for e in effects if isinstance(e, Note)]
+    assert applied == ["1", "2", "3", "4"]
     advances = [e.msg for e in sends_to_replicas(effects)
                 if isinstance(e.msg, CommitAdvance)]
     assert advances and all(m.commit_index == 4 for m in advances)
@@ -125,9 +126,9 @@ def test_stale_view_messages_are_ignored():
     assert r.log == []
 
     def ignored(r, src, msg):
-        before = (list(r.log), r.commit_index, r.applied_index, dict(r.acked_through))
+        before = (list(r.log), r.commit_index, dict(r.acked_through))
         return (r.on_replica_message(src, msg) == []
-                and (r.log, r.commit_index, r.applied_index, r.acked_through) == before)
+                and (r.log, r.commit_index, r.acked_through) == before)
 
     # a stalled replica ignores every replica message
     stalled = make_replica(rid=1)
@@ -159,7 +160,7 @@ def test_follower_applies_on_commit_advance_without_sending():
     entry = EventEntry(1, EventId(0, 1), b"\x02\xaa", 1)
     r.on_replica_message(0, Append(0, (entry,), 0))
     effects = r.on_replica_message(0, CommitAdvance(0, 1))
-    assert r.applied_index == 1
+    assert r.commit_index == 1
     assert sends_to_switch(effects) == []
     notes = [e for e in effects if isinstance(e, Note)]
     assert len(notes) == 1 and notes[0].kind == "APPLY"
@@ -221,7 +222,8 @@ def test_apply_without_commands_completes_vacuously():
     r.on_switch_message(0, event_pkt(1, payload=b"\x03\xaa"))  # no route match
     effects = r.on_replica_message(1, AppendAck(0, 1))
     assert sends_to_switch(effects) == []
-    assert r.applied_index == 1
+    assert r.commit_index == 1
+    assert [e.kind for e in effects if isinstance(e, Note)] == ["APPLY"]
 
 
 def test_leader_withholds_dispatch_until_fenced():
@@ -230,7 +232,7 @@ def test_leader_withholds_dispatch_until_fenced():
     r.on_switch_message(0, event_pkt(1))
     effects = r.on_replica_message(1, AppendAck(0, 1))
     assert sends_to_switch(effects) == []  # applied but unfenced
-    assert r.applied_index == 1
+    assert r.commit_index == 1
     effects = r.on_switch_message(0, RoleReply(Role.MASTER, 0))
     msgs = [e.msg for e in sends_to_switch(effects)]
     assert isinstance(msgs[0], BundleOpen) and isinstance(msgs[-1], BundleCommit)
