@@ -8,10 +8,13 @@ of a trace, which a single ordered pass over the records builds and which
 keeps no record; ``run_all_checks`` builds it once per trace. A
 malformed trace raises CheckError instead of yielding a verdict.
 Liveness-flavored obligations (P2, and P4's "commands eventually
-execute" half) are only asserted when the CRASH and STALL records show
-the run quiesced with at most floor(n/2) crashes; the safety halves are
-asserted unconditionally. Of the metadata, only the controller count and
-variant are read. Failed verdicts carry witnesses that cite real steps.
+execute" half) are only asserted when the CRASH records show at most
+floor(n/2) crashes. Within that bound, a run that hit its quiesce limit,
+as its ``sim`` STALL record shows, fails P2 with one ``no-progress``
+witness; one that quiesced owes P2 and P4's completeness in full. The
+safety halves are asserted unconditionally. Of the metadata, only the
+controller count and variant are read. Failed verdicts carry witnesses
+that cite real steps.
 
 The checker also owns what is made of verdicts: ``combined`` folds many
 runs' verdicts into one per property, and ``summary_line`` writes the
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .ofmodel import MAX_CONTROLLERS, is_ack_payload
+from .ofmodel import MAX_CONTROLLERS, decode_ack
 from .trace import Trace, TraceRecord
 
 PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P6")
@@ -34,6 +37,7 @@ PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P6")
 ANOMALY_LABELS = {
     "order-divergence": "ORDER_DIVERGENCE",
     "lost-event": "LOST_EVENT",
+    "no-progress": "NO_PROGRESS",
     "repeated-event": "REPEATED_EVENT",
     "repeated-command": "REPEATED_COMMAND",
     "spurious-effect": "REPEATED_COMMAND",
@@ -72,7 +76,9 @@ def _verdict(prop: str, witnesses: list[Witness], note: str = "") -> Verdict:
 
 class _Run:
     """The one parsed view of a trace that every property reads, built in
-    a single ordered pass over the records. Malformed input is a CheckError."""
+    a single ordered pass over the records, which also finds the ``sim``
+    STALL record: ``stall_step`` is its step, or None for a run that
+    quiesced. Malformed input is a CheckError."""
 
     def __init__(self, trace: Trace):
         self.n: int = trace.meta.get("n_controllers")
@@ -84,7 +90,7 @@ class _Run:
         if self.n > MAX_CONTROLLERS:
             raise CheckError(f"trace metadata: n_controllers must be at most "
                              f"{MAX_CONTROLLERS}, got {self.n}")
-        self.quiesced = trace.quiesced
+        self.stall_step: Optional[int] = None
         self.crashed: set[int] = set()  # the controllers CRASH records name
         self.last_step = trace.records[-1].step if trace.records else 0
         # replica -> (index, digest, step) of its last APPLY, and its EVENT ones
@@ -121,6 +127,8 @@ class _Run:
                 self.crashed.add(dead)
                 for key in [k for k in open_bundles if k[1] == dead]:
                     del open_bundles[key]
+            elif kind == "STALL" and rec.actor == "sim":
+                self.stall_step = rec.step
             elif kind == "EXEC":
                 sw = _endpoint_id(rec, "actor", "s")
                 detail = rec.detail
@@ -135,8 +143,8 @@ class _Run:
                 if index is not None:
                     self.executions[(sw, index)].append(rec.step)
         self.survivors = [c for c in range(self.n) if c not in self.crashed]
-        # whether the run owes liveness: it quiesced with at most floor(n/2) crashes
-        self.live = self.quiesced and len(self.crashed) <= self.n // 2
+        # whether the run owes liveness: at most floor(n/2) crashes
+        self.live = len(self.crashed) <= self.n // 2
 
     def _add_apply(self, rec: TraceRecord) -> None:
         rid = self._controller(_endpoint_id(rec, "actor", "c"), rec, "actor")
@@ -180,7 +188,7 @@ def workload_event(rec: TraceRecord) -> Optional[str]:
     except ValueError as exc:
         raise CheckError(f"malformed PacketIn at step {rec.step}: "
                          f"msg.payload is not hex") from exc
-    return None if is_ack_payload(payload) else _msg_field(rec, "event", str)
+    return _msg_field(rec, "event", str) if decode_ack(payload) is None else None
 
 
 def _endpoint_id(rec: TraceRecord, field: str, prefix: str) -> int:
@@ -245,10 +253,15 @@ def check_total_order(run: _Run) -> Verdict:
 
 
 def check_at_least_once(run: _Run) -> Verdict:
-    """P2: every switch-emitted event is applied by every surviving replica."""
+    """P2: a run within the fault bound quiesces, and every switch-emitted
+    event is applied by every surviving replica."""
     if not run.live:
         return _verdict("P2", [], note="not checked: requires quiescence and at "
                                         "most floor(n/2) crashes")
+    if run.stall_step is not None:
+        return _verdict("P2", [Witness((run.stall_step,), (
+            f"no-progress: run hit its quiesce limit with {len(run.crashed)} of "
+            f"{run.n} controllers crashed"))])
     witnesses: list[Witness] = []
     for rid in run.survivors:
         applied = {a["event"] for a in run.events.get(rid, [])}
@@ -288,7 +301,7 @@ def check_exactly_once_commands(run: _Run) -> Verdict:
                 f"{len(steps)} times on s{sw}"))
 
     note = ""
-    if run.live:
+    if run.live and run.stall_step is None:
         committed = run.committed_commands()
         for (index, sw), count in sorted(committed.items()):
             if count and (sw, index) not in executions:
@@ -311,7 +324,7 @@ def check_exactly_once_commands(run: _Run) -> Verdict:
 
 def check_replica_convergence(run: _Run) -> Verdict:
     """P5: surviving replicas end at the same applied index and app state."""
-    if not run.quiesced:
+    if run.stall_step is not None:
         return _verdict("P5", [], note="not checked: requires quiescence")
     finals = {rid: run.last_apply.get(rid, (0, "-", 0)) for rid in run.survivors}
     witnesses: list[Witness] = []

@@ -2,7 +2,7 @@
 protocol variants, and check stored traces.
 
 Exit codes: 0 all properties pass, 1 property violation, 2 usage or
-configuration error. The last line of every command's output is the
+configuration error, 141 (128 + SIGPIPE) stdout closed by its reader. The last line of every command's output is the
 machine-parseable verdict summary that ``checker.summary_line`` writes.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -30,6 +31,7 @@ from .trace import Trace, TraceFormatError
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
 
 def main(argv=None) -> int:
@@ -38,7 +40,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after -h
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point fd 1 at devnull, so the interpreter's flush at exit does not
+        # hit the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ScenarioError, TraceFormatError, CheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

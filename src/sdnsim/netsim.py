@@ -11,10 +11,11 @@ DROP), the switch end discards staged bundles, and surviving replicas get
 failure notices after the detector delay.
 
 A run can be stepped one dispatched event at a time and forked between
-events. Its trace's metadata is its scenario in the file form, so
-``Simulation(scenario_from_obj(trace.meta)).run()`` replays it byte for
-byte, unless a script called ``crash`` by hand: the CRASH record states
-that crash. The crash sweep steps one fault-free base run and, at each
+events. It ends when the heap is empty: the quiesce limit logs one STALL
+record and empties it. Its trace's metadata is its scenario in the file
+form, so ``Simulation(scenario_from_obj(trace.meta)).run()`` replays it
+byte for byte, unless a script called ``crash`` by hand: the CRASH record
+states that crash. The crash sweep steps one fault-free base run and, at each
 event boundary where the last event produced crash points, forks it
 once, crashes the target in the fork and yields it unrun, leaving which
 boundaries to run, and where, to its caller. Every point at
@@ -23,9 +24,9 @@ records equal those of each derived scenario that
 ``enumerate_crash_points`` replays from the start, and its metadata is
 the first point's. Trace-point faults, the sweep and the enumeration pick
 crash points with one predicate, ``_is_crash_point``, and point faults
-and the sweep also crash at the same place: ``crash`` at the event
-boundary after the matching record, start-up's records counting as the
-first event's.
+and the sweep read the records of one step from the same boundary and
+crash at the same place: ``crash`` at the event boundary after the
+matching record, start-up's records counting as the first event's.
 """
 
 from __future__ import annotations
@@ -54,12 +55,11 @@ class Simulation:
         self._heap: list = []
         self._seq = 0
         self.processed = 0  # events dispatched so far
-        self.quiesced = True
         self.crashed: set[int] = set()
         self._point_faults = tuple(f for f in scenario.faults if f.at_point is not None)
         # matches each point fault still needs; it fires when its count hits 0
         self._matches_left = [f.at_point.occurrence for f in self._point_faults]
-        self._scanned = 0  # records already scanned for point-fault matches
+        self._step_start = 0  # where the last dispatched event's records begin
         # the last message _send encoded and its wire dict, which a fan-out's
         # later sends of the same message share
         self._last_wire: tuple = (None, None)
@@ -106,30 +106,30 @@ class Simulation:
         return self.trace
 
     def step(self) -> bool:
-        """Dispatch the next event, then count the records appended since
-        the previous boundary (start-up's, at the first) toward the point
-        faults and crash each target whose count reaches 0, in match order.
-        Returns False, dispatching nothing, once the heap is empty or the
-        quiesce limit is hit (which records one STALL)."""
-        if not self._heap or not self.quiesced:
+        """Dispatch the next event, note in ``_step_start`` where its records
+        begin (at 0 for the first, which owns start-up's), and count them
+        toward the point faults, crashing each target whose count reaches 0
+        in match order. Returns False, dispatching nothing, once the heap is
+        empty; the quiesce limit records one STALL and empties it."""
+        if not self._heap:
             return False
         if self.processed >= self.sc.quiesce_limit:
-            self.quiesced = False
             self.trace.append(self.now, "STALL", "sim", detail={"reason": "quiesce_limit"})
+            self._heap.clear()
             return False
+        if self.processed:  # past the last step's point-fault CRASH and DROPs too
+            self._step_start = len(self.trace.records)
         t, _, handler, args = heapq.heappop(self._heap)
         self.now = t
         handler(self, *args)
         self.processed += 1
         if self._point_faults:
-            records = self.trace.records
-            for rec in records[self._scanned:]:
+            for rec in self.trace.records[self._step_start:]:
                 for i, fault in enumerate(self._point_faults):
                     if _is_crash_point(rec, f"c{fault.target}", fault.at_point):
                         self._matches_left[i] -= 1
                         if self._matches_left[i] == 0:
                             self.crash(fault.target)
-            self._scanned = len(records)  # past the crashes' CRASH and DROP records too
         return True
 
     def fork(self) -> "Simulation":
@@ -253,7 +253,6 @@ class Simulation:
         self._seq += 1
 
 
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One enumerated crash point: where in the fault-free run it sits and
@@ -304,23 +303,23 @@ def sweep_crash_points(base: Simulation,
     ``base`` is the caller's fault-free run. It must not have stepped, as
     start-up's records count at the first boundary; the sweep steps it to
     its end. A boundary's crash points are the target sends and deliveries
-    since the previous one, and all of them crash there. So at every such
-    boundary, in order, the sweep yields the points, in occurrence order,
-    with one fork that has crashed the target and has not run, its meta
-    the first point's derived scenario, so that run to its end it is that
-    point's replay; later base steps leave it unchanged. A caller that
-    wants a share of the boundaries slices this generator. At the first
-    ``next()``, before the base steps, a base that has stepped raises
-    ``ValueError`` and one with trace-point faults raises ``ScenarioError``."""
+    in the records of the step just taken, from its ``_step_start``, and
+    all of them crash there. So at every such boundary, in order, the
+    sweep yields the points, in occurrence order, with one fork that has
+    crashed the target and has not run, its meta the first point's derived
+    scenario, so that run to its end it is that point's replay; later base
+    steps leave it unchanged. A caller that wants a share of the
+    boundaries slices this generator. At the first ``next()``, before the
+    base steps, a base that has stepped raises ``ValueError`` and one with
+    trace-point faults raises ``ScenarioError``."""
     if base.processed:
         raise ValueError(f"sweep base has already stepped {base.processed} event(s)")
     _check_sweep_base(base.sc)
     actor = f"c{target}"
-    occurrence = seen = 0
+    occurrence = 0
     while base.step():
-        records = base.trace.records
-        hits = [rec for rec in records[seen:] if _is_crash_point(rec, actor, _ANY_POINT)]
-        seen = len(records)
+        hits = [rec for rec in base.trace.records[base._step_start:]
+                if _is_crash_point(rec, actor, _ANY_POINT)]
         if not hits:
             continue
         points = [_sweep_point(base.sc, target, n, rec)

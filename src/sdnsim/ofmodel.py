@@ -191,7 +191,3 @@ def decode_ack(payload: bytes) -> Optional[AckPayload]:
         return None
     index, switch = _ACK_BODY.unpack(body)
     return AckPayload(log_index=index, target_switch=switch)
-
-
-def is_ack_payload(payload: bytes) -> bool:
-    return decode_ack(payload) is not None

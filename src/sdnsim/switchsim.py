@@ -54,7 +54,7 @@ from .ofmodel import (
     RoleRequest,
     SetAsyncConfig,
     SwitchId,
-    is_ack_payload,
+    decode_ack,
 )
 
 Outbound = list[tuple[ControllerId, ControlMessage]]
@@ -223,7 +223,7 @@ class SwitchState:
 
     def inject_data_packet(self, in_port: PortId, payload: bytes) -> Outbound:
         """Data-plane packet arrival: forward on a table hit, report a miss."""
-        assert not is_ack_payload(payload), "workload payload collides with ack marker"
+        assert decode_ack(payload) is None, "workload payload collides with ack marker"
         entry = self._lookup(in_port, payload)
         if entry is None:
             pkt = self._fresh_packet_in(PacketInReason.NO_MATCH, in_port, payload)
@@ -262,7 +262,7 @@ class SwitchState:
         Every copy carries the same EventId. Ack-marked payloads bypass the
         async-config gate when the clone-to-all switch option is set.
         """
-        clone = self.clone_acks_to_all and is_ack_payload(pkt.payload)
+        clone = self.clone_acks_to_all and decode_ack(pkt.payload) is not None
         out: Outbound = []
         for c in sorted(self.conns):
             if clone or self.conns[c].packet_in_enabled:

@@ -4,7 +4,7 @@ import pytest
 
 from builders import (STALL, apply_event, bundle_commit_exec, one_command_scenario,
                       packet_in_send, synthetic_trace)
-from sdnsim import Simulation, checker, compute_metrics
+from sdnsim import Simulation, Trace, checker, compute_metrics
 from sdnsim.checker import (
     PROPERTIES,
     CheckError,
@@ -86,13 +86,34 @@ def test_p2_fails_when_delivery_was_suppressed():
 
 
 def test_p2_is_gated_by_quiescence_and_fault_bound():
+    # within the fault bound, a stall is itself the failure, at the STALL step
     trace = synthetic_trace([packet_in_send("s0", "c0", "0:1"), STALL])
     verdict = check_at_least_once(_Run(trace))
-    assert verdict.passed and "not checked" in verdict.note
-    trace = synthetic_trace([packet_in_send("s0", "c2", "0:1"),
-                             ("CRASH", "c0", None, None, None),
-                             ("CRASH", "c1", None, None, None)])
-    assert check_at_least_once(_Run(trace)).passed
+    assert_valid_witnesses(verdict, trace)
+    assert [w.steps for w in verdict.witnesses] == [(2,)]
+    assert verdict.witnesses[0].description.startswith("no-progress: ")
+    assert classify_anomalies([verdict]) == ["NO_PROGRESS"]
+    majority_lost = [packet_in_send("s0", "c2", "0:1"),
+                     ("CRASH", "c0", None, None, None),
+                     ("CRASH", "c1", None, None, None)]
+    for records in (majority_lost, majority_lost + [STALL]):
+        verdict = check_at_least_once(_Run(synthetic_trace(records)))
+        assert verdict.passed and "not checked" in verdict.note
+
+
+def test_run_reads_the_stall_in_its_own_pass(monkeypatch):
+    trace = Simulation(one_command_scenario(quiesce_limit=5)).run()
+    stall = trace.records[-1]
+    assert (stall.kind, stall.actor) == ("STALL", "sim")
+
+    def rescan(self):
+        raise AssertionError("_Run re-scanned the trace for its STALL record")
+    monkeypatch.setattr(Trace, "quiesced", property(rescan))
+    assert _Run(trace).stall_step == stall.step
+    verdicts = run_all_checks(trace)
+    assert [v.passed for v in verdicts] == [True, False, True, True, True, True]
+    assert [w.steps for w in verdicts[1].witnesses] == [(stall.step,)]
+    assert classify_anomalies(verdicts) == ["NO_PROGRESS"]
 
 
 def test_p2_ignores_ack_packet_ins():

@@ -605,6 +605,17 @@ def test_python_m_runs_a_shipped_scenario(module):
     assert proc.stdout.splitlines()[-1].startswith("RESULT pass ")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_a_closed_stdout_exits_as_sigpipe_would(command):
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.Popen([sys.executable, "-m", "sdnsim", command,
+                             str(SCENARIO_DIR / "paper_a.json")],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the interpreter has started, let alone written
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_check_missing_file_exits_two(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.trace")]) == 2
     assert "error: " in capsys.readouterr().err

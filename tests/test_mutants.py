@@ -16,6 +16,10 @@ on ``paper_a`` and ``paper_b`` once a uniform link latency exceeds the
 detector delay, so that the survivors act on a crash while messages sent
 before it are still in flight; no per-link latency is needed. The
 staged-bundle discard stays vacuous: it needs controller restarts.
+
+One more mutant breaks progress rather than a mechanism: a leader that
+never stops re-replicating livelocks, and P2 kills it by its quiesce-limit
+stall alone, on a fault-free run.
 """
 
 from collections import Counter
@@ -24,10 +28,10 @@ from pathlib import Path
 
 import pytest
 
-from sdnsim import cli, load_scenario
-from sdnsim.checker import all_passed, classify_anomalies
+from sdnsim import Simulation, cli, load_scenario
+from sdnsim.checker import all_passed, classify_anomalies, run_all_checks
 from sdnsim.ofmodel import RoleReply, RoleRequest, SetAsyncConfig
-from sdnsim.replica import Replica, SendToSwitch
+from sdnsim.replica import Append, AppendAck, Replica, SendToSwitch
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = ("paper_a", "paper_b", "one_command")
@@ -85,6 +89,18 @@ def ignore_role_reply_once_fenced(on_switch_message):
         if isinstance(msg, RoleReply) and self.fence_done[sw]:
             return []
         return on_switch_message(self, sw, msg)
+    return mutant
+
+
+def rebroadcast_on_every_ack(on_replica_message):
+    """A leader that answers every ``AppendAck`` by broadcasting its last
+    entry again, which each follower acks again: a livelock."""
+    def mutant(self, src, msg):
+        effects = on_replica_message(self, src, msg)
+        if isinstance(msg, AppendAck) and self.is_leader and self.log:
+            effects.extend(self._broadcast(Append(self.view, (self.log[-1],),
+                                                  self.commit_index)))
+        return effects
     return mutant
 
 
@@ -150,3 +166,11 @@ def test_majority_of_one_diverges_in_order(monkeypatch, unmutated_slow_link, nam
     anomalies = leader_sweep_anomalies(name, **SLOW_LINK)
     assert anomalies["ORDER_DIVERGENCE"] >= 1
     assert not unmutated_slow_link[name]
+
+
+def test_a_livelocked_leader_makes_no_progress(monkeypatch):
+    scenario = load_scenario(str(SCENARIO_DIR / "one_command.json"))
+    assert all_passed(run_all_checks(Simulation(scenario).run()))
+    monkeypatch.setattr(Replica, "on_replica_message",
+                        rebroadcast_on_every_ack(Replica.on_replica_message))
+    assert classify_anomalies(run_all_checks(Simulation(scenario).run())) == ["NO_PROGRESS"]

@@ -546,7 +546,7 @@ def test_step_memo_stays_within_its_bound():
     sizes = []
     while sim.step():
         sizes.append(len(steps))
-    assert sim.quiesced
+    assert sim.trace.quiesced
     assert max(sizes) == steps.size
 
 
