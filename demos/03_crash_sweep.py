@@ -42,8 +42,10 @@ for variant, suppress in [("PAPER_A", False), ("PAPER_B", False),
     points = []
     by_anomaly = {}
     # the sweep hands back one crashed, unrun fork of the fault-free run per
-    # event boundary; run from there, it stands for every point at that
-    # boundary, since each of them crashes there
+    # group of event boundaries; run from there, it stands for every point
+    # of the group: each point at its first boundary crashes there, and a
+    # later boundary joins only after a lone same-tick delivery to the
+    # target, which the crash commutes with
     for fork_points, fork in sweep_crash_points(Simulation(scenario(variant, suppress)), 0):
         points.extend(fork_points)
         verdicts = run_all_checks(fork.run())

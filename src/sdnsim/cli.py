@@ -142,10 +142,9 @@ def cmd_run(args) -> int:
 
 def _sweep_share(scenario: Scenario, target: int, worker: int, workers: int):
     """Run and check one worker's share of the sweep: the forks of every
-    ``workers``-th boundary with crash points, from the ``worker``-th
-    (counting from 0), one check each. Returns the fault-free trace and one
-    (point, verdicts) row per point, the rows of one fork sharing its
-    verdicts."""
+    ``workers``-th group of crash points, from the ``worker``-th (counting
+    from 0), one check each. Returns the fault-free trace and one (point,
+    verdicts) row per point, the rows of one fork sharing its verdicts."""
     base = Simulation(scenario)
     rows = []
     for points, fork in islice(sweep_crash_points(base, target), worker, None, workers):
@@ -156,8 +155,8 @@ def _sweep_share(scenario: Scenario, target: int, worker: int, workers: int):
 
 def _sweep(scenario: Scenario, target: int, jobs: int, map_=map):
     """The fault-free trace and the (point, verdicts) rows of every crash
-    point, in occurrence order. All points at one event boundary share one
-    fork and one check. ``map_`` runs ``jobs`` workers (``_sweep_share``),
+    point, in occurrence order. All points of one group share one fork
+    and one check. ``map_`` runs ``jobs`` workers (``_sweep_share``),
     each of which repeats the fault-free run and the sweep's forking, and
     runs and checks only its own share of the forks."""
     shares = list(map_(_sweep_share, [scenario] * jobs, [target] * jobs,

@@ -15,14 +15,19 @@ events. It ends when the heap is empty: the quiesce limit logs one STALL
 record and empties it. Its trace's metadata is its scenario in the file
 form, so ``Simulation(scenario_from_obj(trace.meta)).run()`` replays it
 byte for byte, unless a script called ``crash`` by hand: the CRASH record
-states that crash. The crash sweep steps one fault-free base run and, at each
-event boundary where the last event produced crash points, forks it
-once, crashes the target in the fork and yields it unrun, leaving which
-boundaries to run, and where, to its caller. Every point at
-one boundary crashes there, so the fork stands for all of them: its
-records equal those of each derived scenario that
+states that crash. The crash sweep steps one fault-free base run and
+groups the event boundaries where the last event produced crash points:
+a boundary whose event was a lone delivery to the target, at the same
+tick and right after the group's last boundary, joins that group, as the
+crash commutes with it (``_commutes_with_crash``). For each group the
+sweep forks the base once, at the group's first boundary, crashes the
+target in the fork and yields it unrun, leaving which groups to run, and
+where, to its caller. The fork stands for every point of its group: its
+records equal those of each first-boundary point's derived scenario that
 ``enumerate_crash_points`` replays from the start, and its metadata is
-the first point's. Trace-point faults, the sweep and the enumeration pick
+the first point's. A merged point's replay differs only in its merged
+deliveries, which it logs as DELIVERs before the CRASH and the fork as
+DROPs after it. Trace-point faults, the sweep and the enumeration pick
 crash points with one predicate, ``_is_crash_point``, and point faults
 and the sweep read the records of one step from the same boundary and
 crash at the same place: ``crash`` at the event boundary after the
@@ -304,31 +309,48 @@ def sweep_crash_points(base: Simulation,
     start-up's records count at the first boundary; the sweep steps it to
     its end. A boundary's crash points are the target sends and deliveries
     in the records of the step just taken, from its ``_step_start``, and
-    all of them crash there. So at every such boundary, in order, the
-    sweep yields the points, in occurrence order, with one fork that has
-    crashed the target and has not run, its meta the first point's derived
-    scenario, so that run to its end it is that point's replay; later base
-    steps leave it unchanged. A caller that wants a share of the
-    boundaries slices this generator. At the first ``next()``, before the
-    base steps, a base that has stepped raises ``ValueError`` and one with
-    trace-point faults raises ``ScenarioError``."""
+    all of them crash there. At the first boundary of a group the sweep
+    forks the base and crashes the target in the fork; each following step
+    that ``_commutes_with_crash`` adds its one point to the group and forks
+    nothing. At the next step that does not, or when the base ends, the
+    sweep yields the group's points, in occurrence order, with its fork,
+    which has not run and whose meta is the first point's derived scenario.
+    Run to its end, the fork is that point's replay. A merged point's
+    replay differs from it only in the k deliveries merged up to that
+    point: DELIVERs before the CRASH in the replay, ``reason: crash`` DROPs
+    after it in the fork. Later base steps leave a fork unchanged. A
+    caller that wants a share of the groups slices this generator. At the
+    first ``next()``, before the base steps, a base that has stepped raises
+    ``ValueError`` and one with trace-point faults raises
+    ``ScenarioError``."""
     if base.processed:
         raise ValueError(f"sweep base has already stepped {base.processed} event(s)")
     _check_sweep_base(base.sc)
     actor = f"c{target}"
     occurrence = 0
+    held: list[SweepPoint] = []  # the points of the group whose fork is held
+    fork = last = None  # its fork, and the events the base had run at its last boundary
     while base.step():
-        hits = [rec for rec in base.trace.records[base._step_start:]
-                if _is_crash_point(rec, actor, _ANY_POINT)]
-        if not hits:
-            continue
+        records = base.trace.records[base._step_start:]
+        hits = [rec for rec in records if _is_crash_point(rec, actor, _ANY_POINT)]
         points = [_sweep_point(base.sc, target, n, rec)
                   for n, rec in enumerate(hits, occurrence + 1)]
         occurrence += len(hits)
-        fork = base.fork()
-        fork.trace.meta = scenario_to_obj(points[0].scenario)
-        fork.crash(target)
-        yield points, fork
+        if held and _commutes_with_crash(records, actor, base.processed - last,
+                                         base.now - fork.now):
+            held += points
+            last = base.processed
+            continue
+        if held:
+            yield held, fork
+            held = []
+        if points:
+            fork = base.fork()
+            fork.trace.meta = scenario_to_obj(points[0].scenario)
+            fork.crash(target)
+            held, last = points, base.processed
+    if held:
+        yield held, fork
 
 
 def _check_sweep_base(scenario: Scenario) -> None:
@@ -346,6 +368,27 @@ def _is_crash_point(rec: TraceRecord, actor: str, spec: TracePointSpec) -> bool:
     return (rec.kind in ("SEND", "DELIVER") and rec.actor == actor
             and spec.direction in ("ANY", rec.kind)
             and spec.msg_type in (None, (rec.msg or {}).get("type")))
+
+
+def _commutes_with_crash(records: list[TraceRecord], actor: str,
+                         steps: int, ticks: int) -> bool:
+    """Whether crashing ``actor`` at an event boundary commutes with the
+    step that logged ``records`` ``steps`` events and ``ticks`` ticks after
+    it: that step is the next event, at the same tick, and its only record
+    is a DELIVER to ``actor``.
+
+    Such a step ran only the target's handler, which sent nothing. Every
+    ``_schedule`` in a handler comes with a SEND record, or in ``crash``
+    with a CRASH record, so it scheduled nothing either. The target's
+    state change dies with the target, and the checker reads no
+    controller-side DELIVER. At the same tick, the crash logs its CRASH
+    and schedules the failure notices for the same times before the step
+    as after it. So both orders leave the same heap, ``seq`` included, and
+    the same state, and their records differ only in the delivery: a
+    ``reason: crash`` DROP after the CRASH when the crash comes first, a
+    DELIVER before it when it comes second."""
+    return (steps == 1 and ticks == 0 and len(records) == 1
+            and records[0].kind == "DELIVER" and records[0].actor == actor)
 
 
 def _sweep_point(scenario: Scenario, target: int, occurrence: int,

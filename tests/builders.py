@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from sdnsim import (AppConfig, Route, Scenario, SwitchSpec, Trace, WorkloadItem,
-                    scenario_to_obj)
-from sdnsim.trace import canonical_json
+from sdnsim import (AppConfig, Route, Scenario, Simulation, SwitchSpec, Trace, WorkloadItem,
+                    run_all_checks, scenario_to_obj, sweep_crash_points)
 
 
 def one_command_scenario(variant: str = "PAPER_A", **overrides) -> Scenario:
@@ -47,13 +46,71 @@ def learning_scenario(variant: str = "PAPER_A", **overrides) -> Scenario:
     return Scenario(**kw)
 
 
+def sweep_crash(point, trace: Trace) -> int:
+    """The index in a sweep fork's ``trace`` of the CRASH the sweep placed
+    for ``point``: the first of its target's, as a timed crash of a target
+    that is already down logs nothing."""
+    actor = f"c{point.scenario.faults[-1].target}"
+    return next(i for i, rec in enumerate(trace.records)
+                if rec.kind == "CRASH" and rec.actor == actor)
+
+
+def merged_deliveries(point, trace: Trace) -> int:
+    """How many deliveries the sweep merged into ``point``'s group up to
+    ``point``'s own, given the trace of the group's fork: 0 for a point of
+    the group's first boundary. The base logged each merged step's one
+    record right after that boundary's records, so the fork's CRASH takes
+    the step of the first."""
+    return max(0, point.step - sweep_crash(point, trace))
+
+
 def point_lines(points, trace: Trace) -> list[tuple]:
-    """Expand one crash-sweep fork into (point, trace lines) per crash
-    point: that point's derived scenario as the meta line, then the fork's
-    record lines, as a replay of that scenario writes them."""
-    records = trace.to_lines()[1:]
-    return [(p, [canonical_json({"meta": scenario_to_obj(p.scenario)}), *records])
-            for p in points]
+    """Expand one crash-sweep group's fork into (point, trace lines) per
+    crash point, as a replay of that point's derived scenario writes them:
+    its scenario as the meta line, then the fork's records with the k
+    deliveries merged up to the point swapped back. The fork logs each of
+    them as a ``reason: crash`` DROP after the CRASH and the switches'
+    connection drops; the replay, as a DELIVER just before the CRASH."""
+    records = trace.records
+    crash = sweep_crash(points[0], trace)
+    dropped = crash + 1  # past the CRASH and the switches' connection drops
+    while (dropped < len(records)
+           and records[dropped].detail.get("reason") == "connection_drop"):
+        dropped += 1
+    out = []
+    for p in points:
+        k = merged_deliveries(p, trace)
+        delivered = [rec._replace(kind="DELIVER",
+                                  detail={key: v for key, v in rec.detail.items()
+                                          if key != "reason"})
+                     for rec in records[dropped:dropped + k]]
+        replay = Trace(scenario_to_obj(p.scenario))
+        for rec in [*records[:crash], *delivered, *records[crash:dropped],
+                    *records[dropped + k:]]:
+            replay.append(rec.t, rec.kind, rec.actor, rec.peer, rec.msg, rec.detail)
+        out.append((p, replay.to_lines()))
+    return out
+
+
+def unsound_merges(scenario: Scenario, target: int) -> tuple[int, list[int]]:
+    """Sweep ``scenario`` crashing ``target`` and replay each point merged
+    into its group after the fork's boundary. Returns how many points were
+    merged, and the occurrences of those whose replay checks to another
+    verdict repr than the group's fork or whose lines are not the fork's
+    with the merged deliveries swapped back (``point_lines``)."""
+    merged, unsound = 0, []
+    for points, fork in sweep_crash_points(Simulation(scenario), target):
+        trace = fork.run()
+        points = [p for p in points if merged_deliveries(p, trace)]
+        if not points:
+            continue
+        merged += len(points)
+        verdicts = repr(run_all_checks(trace))
+        for point, lines in point_lines(points, trace):
+            replay = Simulation(point.scenario).run()
+            if replay.to_lines() != lines or repr(run_all_checks(replay)) != verdicts:
+                unsound.append(point.occurrence)
+    return merged, unsound
 
 
 BASE_META = {

@@ -690,7 +690,7 @@ def test_compare_rejects_a_bad_variant_before_any_sweep(tmp_path, capsys, monkey
             in capsys.readouterr().err)
 
 
-def test_one_fork_per_event_boundary(monkeypatch):
+def test_one_fork_per_group(monkeypatch):
     scenario = load_scenario(str(SCENARIO_DIR / "paper_a.json"))
     forked_at = []  # events the base run had dispatched at each fork
     fork = Simulation.fork
@@ -710,8 +710,10 @@ def test_one_fork_per_event_boundary(monkeypatch):
     monkeypatch.setattr(Simulation, "fork", counted_fork)
     monkeypatch.setattr(cli, "sweep_crash_points", grouped)
     _, rows = cli._sweep(scenario, 0, 1)
-    assert len(forked_at) == len(groups) == 21
-    assert len(set(forked_at)) == 21  # each at its own boundary
+    # 49 points at 21 boundaries; the sweep merges 7 of them, each a lone
+    # same-tick delivery to c0, into the group before
+    assert len(forked_at) == len(groups) == 14
+    assert len(set(forked_at)) == 14  # each at its own boundary
     assert all(groups)
     assert [n for g in groups for n in g] == list(range(1, 50))  # consecutive, in order
     assert [p.occurrence for p, _ in rows] == list(range(1, 50))
@@ -732,8 +734,8 @@ def test_sweep_shares_split_the_boundaries_and_merge_to_one_jobs_rows(path, monk
 
     monkeypatch.setattr(cli, "run_all_checks", counted_check)
     for target in range(scenario.n_controllers):
-        boundaries = [[p.occurrence for p in points]
-                      for points, _ in sweep_crash_points(Simulation(scenario), target)]
+        groups = [[p.occurrence for p in points]
+                  for points, _ in sweep_crash_points(Simulation(scenario), target)]
         fault_free, rows = cli._sweep(scenario, target, 1, map)
         for jobs in range(1, 5):
             trace, merged = cli._sweep(scenario, target, jobs, map)
@@ -741,9 +743,9 @@ def test_sweep_shares_split_the_boundaries_and_merge_to_one_jobs_rows(path, monk
             for worker in range(jobs):
                 checked.clear()
                 _, share = cli._sweep_share(scenario, target, worker, jobs)
-                mine = boundaries[worker::jobs]  # every jobs-th boundary, not point
+                mine = groups[worker::jobs]  # every jobs-th group, not point
                 assert len(checked) == len(mine), (jobs, worker)
-                assert [p.occurrence for p, _ in share] == [n for b in mine for n in b]
+                assert [p.occurrence for p, _ in share] == [n for g in mine for n in g]
 
 
 def test_parallel_sweep_and_compare_print_what_one_job_prints(monkeypatch, capsys):

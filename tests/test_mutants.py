@@ -1,9 +1,9 @@
-"""Mutation tests: each disables one of the paper's mechanisms and asserts
-that a property verdict, not a structural test, kills the mutant.
+"""Mutation tests: each protocol mutant disables one of the paper's
+mechanisms, and a property verdict, not a structural test, must kill it.
 
 Mutation analysis after DeMillo, Lipton & Sayward (1978) and Just et al.
 (FSE'14), who show mutants to be valid stand-ins for real faults. Each
-mutant is applied with ``monkeypatch`` on ``Replica``, so ``src/`` carries
+mutant is applied with ``monkeypatch``, so ``src/`` carries
 no flag for it, and each test also runs its sweeps unmutated and requires
 every point to pass there, so it fails once its monkeypatch is removed.
 
@@ -20,6 +20,12 @@ staged-bundle discard stays vacuous: it needs controller restarts.
 One more mutant breaks progress rather than a mechanism: a leader that
 never stops re-replicating livelocks, and P2 kills it by its quiesce-limit
 stall alone, on a fault-free run.
+
+The last mutant is in the harness, not the protocol: a crash sweep that
+also merges a delivery to the target at a later tick into the previous
+group. Comparing each merged point's replay with its group's fork kills
+it on ``paper_a`` once a link takes two ticks; the unmutated sweep passes
+the same comparison.
 """
 
 from collections import Counter
@@ -28,7 +34,8 @@ from pathlib import Path
 
 import pytest
 
-from sdnsim import Simulation, cli, load_scenario
+from builders import unsound_merges
+from sdnsim import Simulation, cli, load_scenario, netsim
 from sdnsim.checker import all_passed, classify_anomalies, run_all_checks
 from sdnsim.ofmodel import RoleReply, RoleRequest, SetAsyncConfig
 from sdnsim.replica import Append, AppendAck, Replica, SendToSwitch
@@ -174,3 +181,15 @@ def test_a_livelocked_leader_makes_no_progress(monkeypatch):
     monkeypatch.setattr(Replica, "on_replica_message",
                         rebroadcast_on_every_ack(Replica.on_replica_message))
     assert classify_anomalies(run_all_checks(Simulation(scenario).run())) == ["NO_PROGRESS"]
+
+
+def test_merging_a_delivery_at_a_later_tick_is_caught(monkeypatch):
+    scenario = replace(load_scenario(str(SCENARIO_DIR / "paper_a.json")), latency=2)
+    merged, unsound = unsound_merges(scenario, 0)
+    assert merged and not unsound
+    commutes = netsim._commutes_with_crash
+    monkeypatch.setattr(netsim, "_commutes_with_crash",
+                        lambda records, actor, steps, ticks:
+                        commutes(records, actor, steps, 0))
+    merged_at_any_tick, unsound = unsound_merges(scenario, 0)
+    assert merged_at_any_tick > merged and unsound

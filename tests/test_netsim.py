@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from builders import learning_scenario, one_command_scenario, point_lines
+from builders import learning_scenario, one_command_scenario, point_lines, unsound_merges
 from sdnsim import (
     FaultSpec,
     ScenarioError,
@@ -266,17 +266,37 @@ def forked_sweep(scenario, target):
 
 @pytest.mark.parametrize("target", [0, 1, 2])
 def test_sweep_yields_forks_that_crashed_and_have_not_run(target):
+    """A yielded fork has crashed at its group's first boundary and may lag
+    the base: each base step since then is one merged delivery to the
+    target, at the fork's tick, except the step that ended the group."""
     base = Simulation(learning_scenario())
-    forks = 0
-    for _, fork in sweep_crash_points(base, target):
-        shared = len(base.trace.records)
-        assert fork.processed == base.processed
+    steps = [None]  # steps[n]: the records of the base's n-th event
+    step = base.step
+
+    def logged_step():
+        went = step()
+        if went:
+            steps.append(base.trace.records[base._step_start:])
+        return went
+
+    base.step = logged_step
+    forks = lagging = 0
+    for points, fork in sweep_crash_points(base, target):
+        shared = next(i for i, r in enumerate(fork.trace.records) if r.kind == "CRASH")
+        assert fork.processed <= base.processed
         assert target in fork.crashed and target not in base.crashed
-        assert fork.trace.records[:shared] == base.trace.records
+        assert fork.trace.records[:shared] == base.trace.records[:shared]
         crash = fork.trace.records[shared]
         assert (crash.kind, crash.actor) == ("CRASH", f"c{target}")
+        merged = [p for p in points if p.step > shared]
+        lag = base.processed - fork.processed
+        assert lag - len(merged) in (0, 1)
+        for p, records in zip(merged, steps[fork.processed + 1:]):
+            assert [(r.step, r.t, r.kind, r.actor) for r in records] == [
+                (p.step, fork.now, "DELIVER", f"c{target}")]
         forks += 1
-    assert forks > 1
+        lagging += bool(merged)
+    assert forks > 1 and lagging
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
@@ -310,6 +330,38 @@ def test_forked_sweep_matches_replay_on_every_shipped_scenario(path):
     scenario = load_scenario(str(path))
     for target in range(scenario.n_controllers):
         assert_sweep_matches_replay(scenario, target)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_merged_points_replay_as_their_group_with_the_deliveries_swapped(path, variant):
+    """Every point the sweep merges into a group after its fork's boundary
+    replays to the group's verdicts, and to the fork's records with the
+    merged deliveries moved before the CRASH. ``paper_a`` also runs with
+    links slower than one tick, where a merge across ticks is unsound."""
+    scenario = load_scenario(str(path)).with_variant(variant)
+    timings = [scenario] + ([replace(scenario, latency=2)] if path.stem == "paper_a" else [])
+    for sc in timings:
+        for target in range(sc.n_controllers):
+            merged, unsound = unsound_merges(sc, target)
+            assert unsound == [], f"latency {sc.latency}, target {target}"
+            if target == 0:
+                assert merged, f"latency {sc.latency}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_a_step_schedules_only_with_a_send_or_crash_record(path, variant):
+    """The premise of the sweep's merge rule: a step whose one record is a
+    DELIVER scheduled nothing, so crashing before it leaves the same heap,
+    ``seq`` included, as crashing after it."""
+    sim = Simulation(load_scenario(str(path)).with_variant(variant))
+    seq = sim._seq
+    while sim.step():
+        kinds = {r.kind for r in sim.trace.records[sim._step_start:]}
+        if sim._seq != seq:
+            assert kinds & {"SEND", "CRASH"}, f"event {sim.processed}"
+        seq = sim._seq
 
 
 def replay(trace):

@@ -13,7 +13,7 @@ say so and re-pin the digest.
 import hashlib
 from pathlib import Path
 
-from builders import point_lines
+from builders import merged_deliveries, point_lines
 from sdnsim import Simulation, Trace, load_scenario, run_all_checks, sweep_crash_points
 from sdnsim.scenario import VARIANTS, scenario_from_obj, scenario_to_obj
 
@@ -30,8 +30,10 @@ def corpus_traces():
     """Yield (scenario, trace, lines) for every corpus trace in a fixed
     order: the scenario its meta line states, the trace the simulator
     returned and the corpus trace's lines. A sweep fork is one corpus trace
-    per crash point it stands for, each with that point's derived scenario
-    as its meta line."""
+    per crash point its group stands for, each with that point's derived
+    scenario as its meta line. A point the sweep merged into its group
+    after the fork's boundary has the trace of its own replay, whose lines
+    differ from the fork's by the merged deliveries."""
     for path in sorted(SCENARIOS.glob("*.json")):
         base = load_scenario(str(path))
         for variant in VARIANTS:
@@ -49,7 +51,9 @@ def corpus_traces():
                     yield scenario, fault_free, fault_free.to_lines()
                 for points, trace in forks:
                     for point, lines in point_lines(points, trace):
-                        yield point.scenario, trace, lines
+                        own = (Simulation(point.scenario).run()
+                               if merged_deliveries(point, trace) else trace)
+                        yield point.scenario, own, lines
 
 
 def test_corpus_traces_and_verdicts_are_unchanged():
