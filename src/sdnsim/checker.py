@@ -5,16 +5,17 @@ exactly-once commands, P5 replica convergence, P6 bundle atomicity.
 
 Each property is a read-only function of ``_Run``, the one parsed view
 of a trace, which a single ordered pass over the records builds and which
-keeps no record; ``run_all_checks`` builds it once per trace. A
-malformed trace raises CheckError instead of yielding a verdict.
-Liveness-flavored obligations (P2, and P4's "commands eventually
-execute" half) are only asserted when the CRASH records show at most
-floor(n/2) crashes. Within that bound, a run that hit its quiesce limit,
-as its ``sim`` STALL record shows, fails P2 with one ``no-progress``
-witness; one that quiesced owes P2 and P4's completeness in full. The
-safety halves are asserted unconditionally. Of the metadata, only the
-controller count and variant are read. Failed verdicts carry witnesses
-that cite real steps.
+keeps no record; ``run_all_checks`` builds it once per trace. The checker
+trusts its input: a trace the simulator wrote, or one that
+``Trace.from_lines``, the one gate for trace files, accepted. So the pass
+is a fold with no error paths. Liveness-flavored obligations (P2, and
+P4's "commands eventually execute" half) are only asserted when the
+CRASH records show at most floor(n/2) crashes. Within that bound, a run
+that hit its quiesce limit, as its ``sim`` STALL record shows, fails P2
+with one ``no-progress`` witness; one that quiesced owes P2 and P4's
+completeness in full. The safety halves are asserted unconditionally. Of
+the metadata, only the controller count is read. Failed verdicts carry
+witnesses that cite real steps.
 
 The checker also owns what is made of verdicts: ``combined`` folds many
 runs' verdicts into one per property, and ``summary_line`` writes the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .ofmodel import MAX_CONTROLLERS, decode_ack
+from .ofmodel import decode_ack
 from .trace import Trace, TraceRecord
 
 PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P6")
@@ -45,10 +46,6 @@ ANOMALY_LABELS = {
     "partial-bundle": "MISSING_COMMAND",
     "state-divergence": "STATE_DIVERGENCE",
 }
-
-
-class CheckError(Exception):
-    """Malformed trace: the checker refuses to issue a verdict."""
 
 
 @dataclass(frozen=True)
@@ -78,18 +75,10 @@ class _Run:
     """The one parsed view of a trace that every property reads, built in
     a single ordered pass over the records, which also finds the ``sim``
     STALL record: ``stall_step`` is its step, or None for a run that
-    quiesced. Malformed input is a CheckError."""
+    quiesced."""
 
     def __init__(self, trace: Trace):
-        self.n: int = trace.meta.get("n_controllers")
-        if not (type(self.n) is int and type(trace.meta.get("variant")) is str):
-            raise CheckError("trace metadata: n_controllers must be an integer "
-                             "and variant a string")
-        if self.n < 1:
-            raise CheckError(f"trace metadata: n_controllers must be at least 1, got {self.n}")
-        if self.n > MAX_CONTROLLERS:
-            raise CheckError(f"trace metadata: n_controllers must be at most "
-                             f"{MAX_CONTROLLERS}, got {self.n}")
+        self.n: int = trace.meta["n_controllers"]
         self.stall_step: Optional[int] = None
         self.crashed: set[int] = set()  # the controllers CRASH records name
         self.last_step = trace.records[-1].step if trace.records else 0
@@ -105,67 +94,49 @@ class _Run:
 
         open_bundles: dict[tuple[int, int, int], list[str]] = {}  # (sw, conn, id)
         for rec in trace.records:
-            kind = rec.kind
+            kind, msg, detail = rec.kind, rec.msg, rec.detail
             if kind == "APPLY":
-                self._add_apply(rec)
+                rid, index = int(rec.actor[1:]), int(detail["index"])
+                self.last_apply[rid] = (index, detail.get("digest", ""), rec.step)
+                if detail["entry"] == "EVENT":
+                    commands = detail.get("commands")
+                    self.events[rid].append({
+                        "step": rec.step, "index": index, "event": detail.get("event", ""),
+                        "commands": {int(sw): int(count) for sw, count in (
+                            pair.split("=") for pair in commands.split(","))}
+                        if commands else {}})
             elif kind == "SEND":
                 event = workload_event(rec)
                 if event is not None:
                     self.emitted.setdefault(event, rec.step)
-            elif kind == "DELIVER" and rec.msg and rec.msg.get("type") in (
-                    "BundleOpen", "BundleAdd"):
-                key = (_endpoint_id(rec, "actor", "s"),
-                       self._controller(_endpoint_id(rec, "peer", "c"), rec, "peer"),
-                       _msg_field(rec, "bundle_id", int))
-                if rec.msg["type"] == "BundleOpen":
+            elif kind == "DELIVER" and msg and msg["type"] in ("BundleOpen", "BundleAdd"):
+                key = (int(rec.actor[1:]), int(rec.peer[1:]), msg["bundle_id"])
+                if msg["type"] == "BundleOpen":
                     # a re-open of a live id is rejected by the switch
                     open_bundles.setdefault(key, [])
                 elif key in open_bundles:
-                    open_bundles[key].append(_msg_field(rec, "inner.type", str))
+                    open_bundles[key].append(msg["inner"]["type"])
             elif kind == "CRASH":
-                dead = self._controller(_endpoint_id(rec, "actor", "c"), rec, "actor")
+                dead = int(rec.actor[1:])
                 self.crashed.add(dead)
                 for key in [k for k in open_bundles if k[1] == dead]:
                     del open_bundles[key]
             elif kind == "STALL" and rec.actor == "sim":
                 self.stall_step = rec.step
             elif kind == "EXEC":
-                sw = _endpoint_id(rec, "actor", "s")
-                detail = rec.detail
+                sw = int(rec.actor[1:])
                 exec_kind, index, staged = detail.get("exec"), None, None
                 if exec_kind == "BUNDLE_COMMIT":
-                    index = _detail_int(rec, "bundle")
-                    sender = self._controller(_detail_int(rec, "from"), rec, "detail.from")
-                    staged = open_bundles.pop((sw, sender, index), None)
+                    index = int(detail["bundle"])
+                    staged = open_bundles.pop((sw, int(detail["from"]), index), None)
                 elif detail.get("cmd_ord") == "0":
-                    index = _detail_int(rec, "cmd_index")
+                    index = int(detail["cmd_index"])
                 self.execs[sw].append((rec.step, exec_kind, detail.get("bundle"), staged))
                 if index is not None:
                     self.executions[(sw, index)].append(rec.step)
         self.survivors = [c for c in range(self.n) if c not in self.crashed]
         # whether the run owes liveness: at most floor(n/2) crashes
         self.live = len(self.crashed) <= self.n // 2
-
-    def _add_apply(self, rec: TraceRecord) -> None:
-        rid = self._controller(_endpoint_id(rec, "actor", "c"), rec, "actor")
-        detail = rec.detail
-        try:
-            index, kind = int(detail["index"]), detail["entry"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckError(f"malformed APPLY record at step {rec.step}") from exc
-        self.last_apply[rid] = (index, detail.get("digest", ""), rec.step)
-        if kind == "EVENT":
-            self.events[rid].append({
-                "step": rec.step, "index": index, "event": detail.get("event", ""),
-                "commands": _parse_commands(detail.get("commands", ""), rec.step)})
-
-    def _controller(self, rid: int, rec: TraceRecord, field: str) -> int:
-        """``rid``, which ``field`` of ``rec`` names, if the trace has that controller."""
-        if not 0 <= rid < self.n:
-            raise CheckError(f"malformed {rec.kind} record at step {rec.step}: "
-                             f"{field} c{rid} is not one of the trace's "
-                             f"{self.n} controllers")
-        return rid
 
     def committed_commands(self) -> dict[tuple[int, int], int]:
         """(log index, switch) -> command count, unioned over survivors."""
@@ -180,58 +151,12 @@ class _Run:
 def workload_event(rec: TraceRecord) -> Optional[str]:
     """The event id if ``rec`` is a switch's PacketIn SEND carrying a
     workload event rather than a commit acknowledgement, else None."""
-    if not (rec.kind == "SEND" and rec.actor.startswith("s") and rec.msg
-            and rec.msg.get("type") == "PacketIn"):
-        return None
-    try:
-        payload = bytes.fromhex(_msg_field(rec, "payload", str))
-    except ValueError as exc:
-        raise CheckError(f"malformed PacketIn at step {rec.step}: "
-                         f"msg.payload is not hex") from exc
-    return _msg_field(rec, "event", str) if decode_ack(payload) is None else None
-
-
-def _endpoint_id(rec: TraceRecord, field: str, prefix: str) -> int:
-    """The id in ``rec.actor`` or ``rec.peer``, a ``c<id>`` controller or an
-    ``s<id>`` switch as ``prefix`` says."""
-    name = getattr(rec, field)
-    if not (name and name.startswith(prefix) and name[1:].isdigit()):
-        raise CheckError(f"malformed {rec.kind} record at step {rec.step}: "
-                         f"{field} {name!r} is not a "
-                         f"{'controller' if prefix == 'c' else 'switch'}")
-    return int(name[1:])
-
-
-def _msg_field(rec: TraceRecord, path: str, want: type):
-    """``rec.msg`` at the dotted ``path``, which must hold a ``want``."""
-    value = rec.msg
-    for key in path.split("."):
-        value = value.get(key) if isinstance(value, dict) else None
-    if not isinstance(value, want):
-        raise CheckError(f"malformed {rec.msg.get('type')} at step {rec.step}: "
-                         f"msg.{path} missing or of the wrong type")
-    return value
-
-
-def _parse_commands(text: str, step: int) -> dict[int, int]:
-    if not text:
-        return {}
-    out = {}
-    try:
-        for part in text.split(","):
-            sw, count = part.split("=")
-            out[int(sw)] = int(count)
-    except (AttributeError, ValueError) as exc:
-        raise CheckError(f"malformed commands detail at step {step}") from exc
-    return out
-
-
-def _detail_int(rec: TraceRecord, key: str) -> int:
-    try:
-        return int(rec.detail[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckError(f"malformed {rec.kind} record at step {rec.step}: "
-                         f"detail.{key} missing or not an integer") from exc
+    msg = rec.msg
+    if (rec.kind == "SEND" and rec.actor.startswith("s") and msg
+            and msg["type"] == "PacketIn"
+            and decode_ack(bytes.fromhex(msg["payload"])) is None):
+        return msg["event"]
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,8 @@ from contextlib import contextmanager
 from itertools import islice
 
 from . import codec
-from .checker import (CheckError, Verdict, all_passed, classify_anomalies,
-                      combined, run_all_checks, summary_line)
+from .checker import (Verdict, all_passed, classify_anomalies, combined,
+                      run_all_checks, summary_line)
 from .metrics import MetricsReport, compute_metrics
 from .netsim import Simulation, resolve_crash_target, sweep_crash_points
 # The replay oracle; not called here, but the benchmark's span wrappers
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except (ScenarioError, TraceFormatError, CheckError, OSError) as exc:
+    except (ScenarioError, TraceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,16 +15,20 @@ values of the wrong JSON type, naming the JSON path, and coerces nothing
 ``int``, ``str``, ``bool``, ``bytes`` as hex, ``Optional[X]``,
 ``tuple[X, ...]`` and nested dataclasses.
 
-``read_text`` reads the files the codec's JSON comes in.
+``read_text`` and ``parse_json`` read the files the codec's JSON comes
+in, and each error names the line of the file at fault.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import operator
+import re
 import typing
 from enum import Enum
+from json.scanner import NUMBER_RE
 from typing import Any, Callable, Optional
 
 from .ofmodel import EventId
@@ -164,3 +168,33 @@ def read_text(path: str, error: type[Exception]) -> str:
         line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"line {line}: not valid UTF-8") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def parse_json(text: str, error: type[Exception], lineno: int = 1) -> Any:
+    """``json.loads(text)``, for text that starts on line ``lineno`` of its
+    file. Invalid JSON, or an integer literal past the interpreter's limit
+    on digits, raises ``error`` naming the line of the file."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"line {lineno + exc.lineno - 1}: {exc.msg}") from None
+    except ValueError as exc:
+        raise error(f"line {lineno + _unparsed_int_line(text) - 1}: {exc}") from None
+
+
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _unparsed_int_line(text: str) -> int:
+    """The line of the first integer literal in ``text`` that ``int``
+    cannot parse. The decoder read every token before it, and a JSON
+    string never spans lines, so with each line's strings dropped, the
+    decoder's own number pattern finds the literals."""
+    for lineno, line in enumerate(text.split("\n"), 1):
+        for digits, frac, exp in NUMBER_RE.findall(_JSON_STRING.sub("", line)):
+            if not (frac or exp):
+                try:
+                    int(digits)
+                except ValueError:
+                    return lineno
+    raise AssertionError("no integer literal past the digit limit")

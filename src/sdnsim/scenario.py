@@ -10,12 +10,11 @@ type and invalid values are rejected with the offending path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Any, Optional, get_args
 
 from .apps import MacLearner, StaticRouter
-from .codec import DecodeError, decode, encode, read_text
+from .codec import DecodeError, decode, encode, parse_json, read_text
 from .ofmodel import ACK_MARKER, CONTROLLER_PORT, MAX_CONTROLLERS, ControlMessage
 from .replica import ReplMessage
 
@@ -220,9 +219,7 @@ def scenario_to_obj(sc: Scenario) -> dict:
 
 def load_scenario(path: str) -> Scenario:
     try:
-        obj = json.loads(read_text(path, ScenarioError))
+        text = read_text(path, ScenarioError)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"line {exc.lineno}: {exc.msg}") from exc
-    return scenario_from_obj(obj)
+    return scenario_from_obj(parse_json(text, ScenarioError))

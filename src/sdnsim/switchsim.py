@@ -223,7 +223,6 @@ class SwitchState:
 
     def inject_data_packet(self, in_port: PortId, payload: bytes) -> Outbound:
         """Data-plane packet arrival: forward on a table hit, report a miss."""
-        assert decode_ack(payload) is None, "workload payload collides with ack marker"
         entry = self._lookup(in_port, payload)
         if entry is None:
             pkt = self._fresh_packet_in(PacketInReason.NO_MATCH, in_port, payload)

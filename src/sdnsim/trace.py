@@ -11,12 +11,14 @@ A record is an immutable tuple, so forked traces share record objects.
 A record's line is built field by field in key order, with ``msg`` and
 ``detail`` written by one prebuilt C encoder. Lines are read by the C
 scanner, and files are split only on ``"\\n"``. A line the scanner cannot
-read whole as one object is parsed again by ``json.loads``, so every
-error names its file line and the decoder's own message. Record fields
-are checked strictly: ``step`` and ``t`` are integers (not bools),
-``actor`` is a string, ``peer`` a string or absent, ``msg`` an object
-with a string ``type``, ``detail`` an object of strings, and steps count
-up from 1.
+read whole as one object is parsed again by ``codec.parse_json``, so
+every error names its file line and the decoder's own message.
+
+``Trace.from_lines`` is the one gate for trace input. ``_Rules`` holds
+every rule of a trace file past its JSON syntax (README, "Trace files",
+lists them), and a broken rule is a ``TraceFormatError`` that names the
+file line and the field. The checker trusts a trace the gate accepted as
+it trusts one the simulator wrote.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterator, NamedTuple, Optional
 
-from .codec import encode, read_text
+from .codec import encode, parse_json, read_text
+from .ofmodel import MAX_CONTROLLERS
 
 RECORD_KINDS = ("SEND", "DELIVER", "DROP", "CRASH", "DETECT", "APPLY", "EXEC", "STALL")
 
@@ -90,41 +93,30 @@ class Trace:
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Trace":
-        """Parse a trace file's lines. Blank lines are skipped but counted,
-        so every error names its line in the file."""
-        numbered = ((lineno, ln) for lineno, ln in enumerate(lines, 1) if ln.strip())
+        """Parse a trace file's lines under ``_Rules``. Blank lines are
+        skipped but counted, so every error names its line in the file."""
+        numbered = ((lineno, ln) for lineno, ln in enumerate(lines, 1)
+                    if ln and not ln.isspace())
         first = next(numbered, None)
         if first is None:
             raise TraceFormatError("empty trace")
         head = _json_object(*first)
         if not isinstance(head.get("meta"), dict):
-            raise TraceFormatError("first trace line must carry run metadata")
+            raise TraceFormatError(f"line {first[0]}: first trace line must carry run metadata")
         trace = cls(head["meta"])
+        rules = _Rules(first[0], trace.meta)
         records = trace.records
         for lineno, ln in numbered:
             obj = _json_object(lineno, ln)
             try:
-                step, t, kind, actor = obj["step"], obj["t"], obj["kind"], obj["actor"]
+                rec = TraceRecord(obj["step"], obj["t"], obj["kind"], obj["actor"],
+                                  obj.get("peer"), obj.get("msg"), obj.get("detail", {}))
             except KeyError as exc:
                 raise TraceFormatError(f"line {lineno}: record missing field {exc}") from exc
-            peer, msg, detail = obj.get("peer"), obj.get("msg"), obj.get("detail", {})
-            if not (type(actor) is str and type(detail) is dict
-                    and (peer is None or type(peer) is str)
-                    and (msg is None or type(msg) is dict)):
-                raise TraceFormatError(f"line {lineno}: actor and peer must be "
-                                       f"strings, msg and detail objects")
-            if msg is not None and type(msg.get("type")) is not str:
-                raise TraceFormatError(f"line {lineno}: msg.type must be a string")
-            for value in detail.values():
-                if type(value) is not str:
-                    raise TraceFormatError(f"line {lineno}: detail values must be strings")
-            if kind not in RECORD_KINDS:
-                raise TraceFormatError(f"line {lineno}: unknown record kind {kind!r}")
-            if type(step) is not int or type(t) is not int:
-                raise TraceFormatError(f"line {lineno}: step and t must be integers")
-            if step != len(records) + 1:
-                raise TraceFormatError(f"line {lineno}: non-consecutive step {step}")
-            records.append(TraceRecord(step, t, kind, actor, peer, msg, detail))
+            error = rules.error(rec, len(records) + 1)
+            if error is not None:
+                raise TraceFormatError(f"line {lineno}: {error}")
+            records.append(rec)
         return trace
 
 
@@ -132,12 +124,115 @@ class TraceFormatError(Exception):
     pass
 
 
+class _Rules:
+    """Every rule of a trace file past its JSON syntax, for one trace: the
+    metadata's, checked when this is built, and each record's (``error``),
+    which are the record envelope's and those of every field the checker
+    reads. A switch name is parsed once, when first accepted."""
+
+    def __init__(self, lineno: int, meta: dict):
+        n = meta.get("n_controllers")
+        if not (type(n) is int and 1 <= n <= MAX_CONTROLLERS):
+            raise TraceFormatError(f"line {lineno}: meta.n_controllers must be an integer "
+                                   f"in 1..{MAX_CONTROLLERS}, got {n!r}")
+        if type(meta.get("variant")) is not str:
+            raise TraceFormatError(f"line {lineno}: meta.variant must be a string")
+        self.n = n
+        # endpoint name -> "c" (a controller) or "s" (a switch)
+        self.roles = {f"c{i}": "c" for i in range(n)}
+
+    def error(self, rec: TraceRecord, step: int) -> Optional[str]:
+        """What is wrong with ``rec``, the trace's ``step``-th record, or None."""
+        rec_step, t, kind, actor, peer, msg, detail = rec
+        if not (type(actor) is str and type(detail) is dict
+                and (peer is None or type(peer) is str)
+                and (msg is None or type(msg) is dict)):
+            return "actor and peer must be strings, msg and detail objects"
+        if msg is not None and type(msg.get("type")) is not str:
+            return "msg.type must be a string"
+        for value in detail.values():
+            if type(value) is not str:
+                return "detail values must be strings"
+        if kind not in RECORD_KINDS:
+            return f"unknown record kind {kind!r}"
+        if type(rec_step) is not int or type(t) is not int:
+            return "step and t must be integers"
+        if rec_step != step:
+            return f"non-consecutive step {rec_step}"
+
+        if kind == "SEND":
+            if msg is None or msg["type"] != "PacketIn" or not actor.startswith("s"):
+                return None
+            try:
+                bytes.fromhex(msg.get("payload"))
+            except (TypeError, ValueError):
+                return "msg.payload missing or not hex"
+            return None if type(msg.get("event")) is str else "msg.event missing or not a string"
+        if kind == "DELIVER":
+            if msg is None or msg["type"] not in ("BundleOpen", "BundleAdd"):
+                return None
+            if type(msg.get("bundle_id")) is not int:
+                return "msg.bundle_id missing or not an integer"
+            inner = msg.get("inner")
+            if msg["type"] == "BundleAdd" and not (type(inner) is dict
+                                                   and type(inner.get("type")) is str):
+                return "msg.inner.type missing or not a string"
+            return self._endpoint_error("actor", actor, "s") or self._endpoint_error(
+                "peer", peer, "c")
+        if kind == "APPLY":
+            if "entry" not in detail:
+                return "detail.entry missing"
+            if detail["entry"] == "EVENT" and detail.get("commands"):
+                for pair in detail["commands"].split(","):
+                    switch, _, count = pair.partition("=")
+                    if not (_is_int(switch) and _is_int(count)):
+                        return "detail.commands must be switch=count pairs joined by commas"
+            return self._endpoint_error("actor", actor, "c") or _int_error(detail, "index")
+        if kind == "EXEC":
+            if detail.get("exec") == "BUNDLE_COMMIT":
+                sender = detail.get("from")
+                if self.roles.get(f"c{sender}") != "c":
+                    return (f"detail.from {sender!r} is not one of the trace's "
+                            f"{self.n} controllers")
+                return self._endpoint_error("actor", actor, "s") or _int_error(detail, "bundle")
+            return self._endpoint_error("actor", actor, "s") or (
+                _int_error(detail, "cmd_index") if detail.get("cmd_ord") == "0" else None)
+        if kind == "CRASH":
+            return self._endpoint_error("actor", actor, "c")
+        return None
+
+    def _endpoint_error(self, field: str, name: Optional[str], role: str) -> Optional[str]:
+        """Why ``name``, the record's ``field``, is not a controller of the
+        trace (``role`` "c") or a switch (``role`` "s"), or None if it is."""
+        if self.roles.get(name) == role:
+            return None
+        if role == "s" and name is not None and name.startswith("s") and _is_int(name[1:]):
+            self.roles[name] = "s"
+            return None
+        what = "a switch" if role == "s" else f"one of the trace's {self.n} controllers"
+        return f"{field} {name!r} is not {what}"
+
+
+def _is_int(text: Any) -> bool:
+    """Whether ``text`` is ASCII digits that ``int`` parses: not past the
+    interpreter's limit on digits, where it has one."""
+    try:
+        int(text)
+    except (TypeError, ValueError):
+        return False
+    return text.isascii() and text.isdigit()
+
+
+def _int_error(detail: dict[str, str], key: str) -> Optional[str]:
+    return None if _is_int(detail.get(key)) else f"detail.{key} missing or not an integer"
+
+
 _SCAN = json.JSONDecoder().scan_once
 
 
 def _json_object(lineno: int, line: str) -> dict:
     """The object on one line: read by the C scanner when the line is
-    exactly one object, else by ``json.loads``, whose error names the
+    exactly one object, else by ``parse_json``, whose error names the
     fault."""
     try:
         obj, end = _SCAN(line, 0)
@@ -145,10 +240,7 @@ def _json_object(lineno: int, line: str) -> dict:
         end = -1
     if end == len(line) and type(obj) is dict:
         return obj
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"line {lineno}: {exc.msg}") from None
+    obj = parse_json(line, TraceFormatError, lineno)
     if not isinstance(obj, dict):
         raise TraceFormatError(f"line {lineno}: expected a JSON object")
     return obj

@@ -7,7 +7,6 @@ from builders import (STALL, apply_event, bundle_commit_exec, one_command_scenar
 from sdnsim import Simulation, Trace, checker, compute_metrics
 from sdnsim.checker import (
     PROPERTIES,
-    CheckError,
     Verdict,
     _Run,
     check_at_least_once,
@@ -348,19 +347,6 @@ def test_p6_witness_shapes(records, expected):
 
 # ----------------------------------------------------------------------
 # framing
-
-def test_malformed_apply_record_is_a_checker_error():
-    trace = synthetic_trace([("APPLY", "c0", None, None, {"entry": "EVENT"})])
-    with pytest.raises(CheckError):
-        check_total_order(_Run(trace))
-
-
-def test_missing_metadata_is_a_checker_error():
-    trace = synthetic_trace([])
-    del trace.meta["n_controllers"]
-    with pytest.raises(CheckError):
-        check_total_order(_Run(trace))
-
 
 def test_run_all_checks_parses_each_trace_once(monkeypatch):
     parsed = []

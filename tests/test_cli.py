@@ -21,6 +21,11 @@ from sdnsim.scenario import ScenarioError, scenario_from_obj, scenario_to_obj
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
+# An integer literal of 5000 digits: past the int-string limit of an
+# interpreter that has one, and otherwise a controller count out of range.
+LONG_LITERAL = "9" * 5000
+LONG_LITERAL_PARSES = not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
+
 
 def write_scenario(tmp_path, scenario, name="scenario.json"):
     path = tmp_path / name
@@ -68,6 +73,19 @@ def test_run_malformed_json_exits_two(tmp_path, capsys):
     path.write_text('{"name": "x",')
     assert main(["run", str(path)]) == 2
     assert "line" in capsys.readouterr().err
+
+
+def test_run_integer_literal_too_long_exits_two(tmp_path, capsys):
+    # the same digits in a string before it are not a literal
+    obj = scenario_to_obj(one_command_scenario(name=LONG_LITERAL))
+    lines = json.dumps(obj, indent=2).split("\n")
+    line = lines.index('  "n_controllers": 3,') + 1
+    lines[line - 1] = f'  "n_controllers": {LONG_LITERAL},'
+    path = tmp_path / "bad.json"
+    path.write_text("\n".join(lines))
+    assert main(["run", str(path)]) == 2
+    assert (f"n_controllers: must be at most {MAX_CONTROLLERS}" if LONG_LITERAL_PARSES
+            else f"line {line}: Exceeds the limit") in capsys.readouterr().err
 
 
 def test_run_unknown_key_exits_two(tmp_path, capsys):
@@ -326,37 +344,48 @@ def _event_apply(objs):
 # id -> (variant, damage to the parsed trace lines, expected error text)
 MALFORMED_TRACES = {
     "PAPER_A-BUNDLE_COMMIT-bundle": (
-        "PAPER_A", _drop_exec_field("BUNDLE_COMMIT", "bundle"), "detail.bundle missing"),
+        "PAPER_A", _drop_exec_field("BUNDLE_COMMIT", "bundle"),
+        "line 44: detail.bundle missing or not an integer"),
     "NAIVE-FLOWMOD-cmd_index": (
-        "NAIVE", _drop_exec_field("FLOWMOD", "cmd_index"), "detail.cmd_index missing"),
+        "NAIVE", _drop_exec_field("FLOWMOD", "cmd_index"),
+        "line 37: detail.cmd_index missing or not an integer"),
     "payload-missing": (
         "PAPER_A", lambda objs: _packet_in(objs)["msg"].pop("payload"),
-        "msg.payload missing"),
+        "line 18: msg.payload missing or not hex"),
     "payload-not-hex": (
         "PAPER_A", lambda objs: _packet_in(objs)["msg"].update(payload="zz"),
-        "msg.payload is not hex"),
+        "line 18: msg.payload missing or not hex"),
     "event-missing": (
         "PAPER_A", lambda objs: _packet_in(objs)["msg"].pop("event"),
-        "msg.event missing"),
+        "line 18: msg.event missing or not a string"),
     "bundle-id-missing": (
         "PAPER_A",
         lambda objs: _record(objs, "DELIVER", "BundleOpen")["msg"].pop("bundle_id"),
-        "msg.bundle_id missing"),
+        "line 39: msg.bundle_id missing or not an integer"),
+    "bundle-id-a-bool": (
+        "PAPER_A",
+        lambda objs: _record(objs, "DELIVER", "BundleOpen")["msg"].update(bundle_id=True),
+        "line 39: msg.bundle_id missing or not an integer"),
     "inner-type-missing": (
         "PAPER_A",
         lambda objs: _record(objs, "DELIVER", "BundleAdd")["msg"]["inner"].pop("type"),
-        "msg.inner.type missing"),
+        "line 41: msg.inner.type missing or not a string"),
     "switch-id-not-numeric": (
         "PAPER_A", lambda objs: _record(objs, "EXEC").update(actor="sX"),
-        "actor 'sX' is not a switch"),
+        "line 44: actor 'sX' is not a switch"),
     "controller-actor-not-numeric": (
         "PAPER_A", lambda objs: _record(objs, "APPLY", actor="c").update(actor="cX"),
-        "actor 'cX' is not a controller"),
+        "line 31: actor 'cX' is not one of the trace's 3 controllers"),
+    # "²".isdigit() holds, but int("²") fails
+    "controller-actor-superscript": (
+        "PAPER_A", lambda objs: _record(objs, "APPLY", actor="c").update(actor="c²"),
+        "line 31: actor 'c²' is not one of the trace's 3 controllers"),
     "controller-peer-not-numeric": (
         "PAPER_A", lambda objs: _record(objs, "DELIVER", "BundleOpen").update(peer="cX"),
-        "peer 'cX' is not a controller"),
+        "line 39: peer 'cX' is not one of the trace's 3 controllers"),
     "meta-not-an-object": (
-        "PAPER_A", lambda objs: objs[0].update(meta="x"), "must carry run metadata"),
+        "PAPER_A", lambda objs: objs[0].update(meta="x"),
+        "line 1: first trace line must carry run metadata"),
     "line-not-an-object": (
         "PAPER_A", lambda objs: objs.__setitem__(1, [1]),
         "line 2: expected a JSON object"),
@@ -385,10 +414,10 @@ MALFORMED_TRACES = {
         "msg.type must be a string"),
     "commands-without-count": (
         "PAPER_A", lambda objs: _event_apply(objs)["detail"].update(commands="0"),
-        "malformed commands detail at step"),
+        "line 31: detail.commands must be switch=count pairs joined by commas"),
     "commands-count-not-a-number": (
         "PAPER_A", lambda objs: _event_apply(objs)["detail"].update(commands="0=x"),
-        "malformed commands detail at step"),
+        "line 31: detail.commands must be switch=count pairs joined by commas"),
     # a string stands for a raw, unparsed line and bytes for its raw bytes
     "line-2-not-utf8": (
         "PAPER_A", lambda objs: objs.__setitem__(1, b"\xff"), "line 2: not valid UTF-8"),
@@ -422,38 +451,40 @@ MALFORMED_TRACES = {
         "step and t must be integers"),
     "n_controllers-a-bool": (
         "PAPER_A", lambda objs: objs[0]["meta"].update(n_controllers=True),
-        "n_controllers must be an integer"),
+        f"line 1: meta.n_controllers must be an integer in 1..{MAX_CONTROLLERS}, got True"),
     "variant-a-number": (
-        "PAPER_A", lambda objs: objs[0]["meta"].update(variant=3), "variant a string"),
-    # controller ids outside range(n_controllers)
-    **{f"n_controllers-{n}": (
-        "PAPER_A", lambda objs, n=n: objs[0]["meta"].update(n_controllers=n),
-        f"n_controllers must be at least 1, got {n}")
-       for n in (0, -1)},
+        "PAPER_A", lambda objs: objs[0]["meta"].update(variant=3),
+        "line 1: meta.variant must be a string"),
     # checked before any work that grows with the claimed count
     **{f"n_controllers-{n}": (
         "PAPER_A", lambda objs, n=n: objs[0]["meta"].update(n_controllers=n),
-        f"n_controllers must be at most {MAX_CONTROLLERS}, got {n}")
-       for n in (MAX_CONTROLLERS + 1, 2 ** 70)},
+        f"line 1: meta.n_controllers must be an integer in 1..{MAX_CONTROLLERS}, got {n}")
+       for n in (0, -1, MAX_CONTROLLERS + 1, 2 ** 70)},
+    "integer-literal-too-long": (
+        "PAPER_A",
+        lambda objs: objs.__setitem__(0, json.dumps(objs[0]).replace(
+            '"n_controllers": 3', f'"n_controllers": {LONG_LITERAL}')),
+        f"line 1: meta.n_controllers must be an integer in 1..{MAX_CONTROLLERS}, got 999"
+        if LONG_LITERAL_PARSES else "line 1: Exceeds the limit"),
     "n_controllers-below-an-applier": (
         "PAPER_A", lambda objs: objs[0]["meta"].update(n_controllers=2),
-        "actor c2 is not one of the trace's 2 controllers"),
+        "line 54: actor 'c2' is not one of the trace's 2 controllers"),
     "apply-actor-out-of-range": (
         "PAPER_A", lambda objs: objs.extend([
             {"step": len(objs) + i, "t": 99, "kind": "APPLY", "actor": "c3",
              "detail": {"index": str(i + 1), "entry": "EVENT", "event": event}}
             for i, event in enumerate(["0:2", "0:1", "0:1"])]),
-        "APPLY record at step 59: actor c3 is not one of the trace's 3 controllers"),
+        "line 60: actor 'c3' is not one of the trace's 3 controllers"),
     "crash-actor-out-of-range": (
         "PAPER_A",
         lambda objs: objs.append({"step": len(objs), "t": 99, "kind": "CRASH", "actor": "c3"}),
-        "CRASH record at step 59: actor c3 is not one of the trace's 3 controllers"),
+        "line 60: actor 'c3' is not one of the trace's 3 controllers"),
     "bundle-peer-out-of-range": (
         "PAPER_A", lambda objs: _record(objs, "DELIVER", "BundleOpen").update(peer="c3"),
-        "peer c3 is not one of the trace's 3 controllers"),
+        "line 39: peer 'c3' is not one of the trace's 3 controllers"),
     "exec-from-out-of-range": (
         "PAPER_A", lambda objs: _record(objs, "EXEC")["detail"].update({"from": "3"}),
-        "detail.from c3 is not one of the trace's 3 controllers"),
+        "line 44: detail.from '3' is not one of the trace's 3 controllers"),
 }
 
 

@@ -1,13 +1,9 @@
 """End-to-end protocol properties asserted on live simulation state, plus
 harder fault schedules than the acceptance sweep."""
 
-import json
-
 from builders import learning_scenario, one_command_scenario
 from sdnsim import FaultSpec, Simulation, all_passed, run_all_checks
-from sdnsim.cli import main
 from sdnsim.replica import EventEntry
-from sdnsim.scenario import scenario_to_obj
 
 
 def test_crash_free_run_leaves_identical_logs():
@@ -67,16 +63,6 @@ def test_naive_single_controller_commits_immediately():
     flows = [r for r in trace.records
              if r.kind == "EXEC" and r.detail.get("exec") == "FLOWMOD"]
     assert len(flows) == 1
-
-
-def test_sweep_with_parallel_jobs_matches_sequential(tmp_path, capsys):
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario_to_obj(one_command_scenario())))
-    assert main(["sweep", str(path), "--jobs", "1"]) == 0
-    seq_out = capsys.readouterr().out
-    assert main(["sweep", str(path), "--jobs", "4"]) == 0
-    par_out = capsys.readouterr().out
-    assert seq_out == par_out
 
 
 def test_randomized_workloads_hold_all_properties():

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from builders import learning_scenario
-from sdnsim import FaultSpec, Simulation, Trace, TraceRecord
+from builders import learning_scenario, one_command_scenario, synthetic_trace
+from sdnsim import (FaultSpec, Simulation, Trace, TraceRecord, compute_metrics,
+                    run_all_checks)
 from sdnsim.trace import TraceFormatError, canonical_json
 
 
@@ -43,9 +44,63 @@ def test_padded_lines_are_still_accepted(trace, loads_calls):
 
 def test_partly_scanned_line_reports_the_decoder_error():
     # the scanner reads the object and stops; the fallback names the fault
-    lines = Trace({"variant": "PAPER_A"}).to_lines() + ['{"step": 1} x']
+    lines = Trace({"variant": "PAPER_A", "n_controllers": 3}).to_lines() + ['{"step": 1} x']
     with pytest.raises(TraceFormatError, match="^line 2: Extra data$"):
         Trace.from_lines(lines)
+
+
+def test_malformed_apply_record_is_a_format_error():
+    lines = synthetic_trace([("APPLY", "c0", None, None, {"entry": "EVENT"})]).to_lines()
+    with pytest.raises(TraceFormatError,
+                       match="^line 2: detail.index missing or not an integer$"):
+        Trace.from_lines(lines)
+
+
+def test_missing_metadata_is_a_format_error():
+    trace = synthetic_trace([])
+    del trace.meta["n_controllers"]
+    # the metadata is checked before any record is read
+    with pytest.raises(TraceFormatError,
+                       match="^line 1: meta.n_controllers must be an integer in 1..255, "
+                             "got None$"):
+        Trace.from_lines(trace.to_lines() + ["not a record"])
+
+
+MISSING = object()
+
+
+def test_the_checker_reads_every_trace_the_gate_accepts():
+    """Each field of one record of every shape (kind, actor type, message
+    type, detail keys) in a simulator trace, damaged in turn: the gate
+    rejects the trace, or the checker and the metrics read it."""
+    lines = Simulation(one_command_scenario()).run().to_lines()
+    shapes, accepted = set(), 0
+    for i in range(1, len(lines)):
+        obj = json.loads(lines[i])
+        detail = obj.get("detail", {})
+        shape = (obj["kind"], obj["actor"][0], obj.get("msg", {}).get("type"),
+                 tuple(sorted(detail)), detail.get("exec"), detail.get("entry"))
+        if shape in shapes:
+            continue
+        shapes.add(shape)
+        for where in [obj] + [obj[k] for k in ("msg", "detail") if k in obj]:
+            for key in list(where):
+                old = where[key]
+                for value in (MISSING, "", "c²", "s9", "9" * 5000, True, None):
+                    if value is MISSING:
+                        del where[key]
+                    else:
+                        where[key] = value
+                    damaged = json.dumps(obj)
+                    where[key] = old
+                    try:
+                        back = Trace.from_lines(lines[:i] + [damaged] + lines[i + 1:])
+                    except TraceFormatError:
+                        continue
+                    run_all_checks(back)
+                    compute_metrics(back)
+                    accepted += 1
+    assert len(shapes) > 20 and accepted > 500
 
 
 def test_records_are_immutable(trace):

@@ -13,6 +13,8 @@ say so and re-pin the digest.
 import hashlib
 from pathlib import Path
 
+import pytest
+
 from builders import merged_deliveries, point_lines
 from sdnsim import Simulation, Trace, load_scenario, run_all_checks, sweep_crash_points
 from sdnsim.scenario import VARIANTS, scenario_from_obj, scenario_to_obj
@@ -56,27 +58,33 @@ def corpus_traces():
                         yield point.scenario, own, lines
 
 
-def test_corpus_traces_and_verdicts_are_unchanged():
+@pytest.fixture(scope="module")
+def corpus():
+    """Every corpus trace as (scenario, trace, lines, repr of its verdicts),
+    built and checked once for both tests."""
+    return [(scenario, trace, lines, repr(run_all_checks(trace)))
+            for scenario, trace, lines in corpus_traces()]
+
+
+def test_corpus_traces_and_verdicts_are_unchanged(corpus):
     digest = hashlib.sha256()
-    count = 0
-    for _, trace, lines in corpus_traces():
+    for _, _, lines, verdicts in corpus:
         for line in lines:
             digest.update(line.encode("utf-8") + b"\n")
-        digest.update(repr(run_all_checks(trace)).encode("utf-8") + b"\n")
-        count += 1
-    assert count == CORPUS_TRACES
+        digest.update(verdicts.encode("utf-8") + b"\n")
+    assert len(corpus) == CORPUS_TRACES
     assert digest.hexdigest() == CORPUS_SHA256
 
 
-def test_corpus_traces_read_back_unchanged():
-    count = 0
-    for scenario, trace, lines in corpus_traces():
+def test_corpus_traces_read_back_unchanged(corpus):
+    """The trace gate accepts every corpus trace, and what it reads back
+    is what the simulator wrote."""
+    for scenario, trace, lines, verdicts in corpus:
         back = Trace.from_lines(lines)
         # a fork's meta is its first point's scenario; the lines state their own
         assert back.meta == scenario_to_obj(scenario)
         assert scenario_from_obj(back.meta) == scenario
         assert back.records == trace.records
         assert back.to_lines() == lines
-        assert repr(run_all_checks(back)) == repr(run_all_checks(trace))
-        count += 1
-    assert count == CORPUS_TRACES
+        assert repr(run_all_checks(back)) == verdicts
+    assert len(corpus) == CORPUS_TRACES
