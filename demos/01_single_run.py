@@ -10,7 +10,7 @@ all three controllers.
 """
 
 from sdnsim import (AppConfig, Route, Scenario, Simulation, SwitchSpec, WorkloadItem,
-                    compute_metrics, run_all_checks, summary_line)
+                    check_trace, summary_line)
 
 scenario = Scenario(
     name="first-run",
@@ -24,8 +24,9 @@ scenario = Scenario(
 )
 
 trace = Simulation(scenario).run()
+verdicts, report, quiesced = check_trace(trace)
 
-print(f"{len(trace.records)} trace records; quiesced={trace.quiesced}\n")
+print(f"{len(trace.records)} trace records; quiesced={quiesced}\n")
 
 # the protocol, step by step (setup omitted)
 for rec in trace.records:
@@ -42,7 +43,7 @@ for rec in trace.records:
     print(f"t={rec.t:<3} {rec.kind:<8} {rec.actor:<3}{peer}{msg}{extra}")
 
 print()
-for line in compute_metrics(trace).lines():
+for line in report.lines():
     print(line)
 print()
-print(summary_line(run_all_checks(trace)))
+print(summary_line(verdicts))

@@ -5,8 +5,11 @@ exactly-once commands, P5 replica convergence, P6 bundle atomicity.
 
 Each property is a read-only function of ``_Run``, the one parsed view
 of a trace, which a single ordered pass over the records builds and which
-keeps no record; ``run_all_checks`` builds it once per trace. The checker
-trusts its input: a trace the simulator wrote, or one that
+keeps no record. The pass also counts the control messages delivered
+after setup and finds the ``sim`` STALL record, so ``check_trace`` reads
+the verdicts, the message metrics and the quiesce flag off one view; no
+code outside trace I/O and the simulator walks a trace's records. The
+checker trusts its input: a trace the simulator wrote, or one that
 ``Trace.from_lines``, the one gate for trace files, accepted. So the pass
 is a fold with no error paths. Liveness-flavored obligations (P2, and
 P4's "commands eventually execute" half) are only asserted when the
@@ -24,13 +27,13 @@ runs' verdicts into one per property, and ``summary_line`` writes the
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from .ofmodel import decode_ack
-from .trace import Trace, TraceRecord
+from .trace import Trace
 
 PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P6")
 
@@ -71,15 +74,39 @@ def _verdict(prop: str, witnesses: list[Witness], note: str = "") -> Verdict:
 # ----------------------------------------------------------------------
 # trace digestion
 
+@dataclass(frozen=True)
+class MetricsReport:
+    """Control-message deliveries, setup-phase traffic (sent before the
+    first workload injection) excluded, so the totals measure the
+    per-event protocol cost: event fan-out, replication, command delivery
+    and acknowledgement fan-out."""
+    variant: str
+    per_kind: dict[str, int]
+    total: int
+    n_events: int
+    per_event: float
+
+    def lines(self) -> list[str]:
+        out = [f"control-message deliveries ({self.variant}, setup excluded):"]
+        for kind, count in sorted(self.per_kind.items()):
+            out.append(f"  {kind:<16} {count}")
+        out.append(f"  {'total':<16} {self.total}")
+        out.append(f"  events={self.n_events} per-event={self.per_event:.1f}")
+        return out
+
+
 class _Run:
-    """The one parsed view of a trace that every property reads, built in
-    a single ordered pass over the records, which also finds the ``sim``
-    STALL record: ``stall_step`` is its step, or None for a run that
-    quiesced."""
+    """The one parsed view of a trace that every property and the message
+    metrics read, built in a single ordered pass over the records, which
+    also finds the ``sim`` STALL record: ``stall_step`` is its step, or
+    None for a run that quiesced."""
 
     def __init__(self, trace: Trace):
         self.n: int = trace.meta["n_controllers"]
+        self.variant: str = trace.meta.get("variant", "?")
         self.stall_step: Optional[int] = None
+        # message type ("?" for a record without one) -> DELIVERs past setup
+        self.delivered: Counter[str] = Counter()
         self.crashed: set[int] = set()  # the controllers CRASH records name
         self.last_step = trace.records[-1].step if trace.records else 0
         # replica -> (index, digest, step) of its last APPLY, and its EVENT ones
@@ -93,6 +120,7 @@ class _Run:
         self.execs: dict[int, list[tuple]] = defaultdict(list)
 
         open_bundles: dict[tuple[int, int, int], list[str]] = {}  # (sw, conn, id)
+        delivered = self.delivered
         for rec in trace.records:
             kind, msg, detail = rec.kind, rec.msg, rec.detail
             if kind == "APPLY":
@@ -106,16 +134,21 @@ class _Run:
                             pair.split("=") for pair in commands.split(","))}
                         if commands else {}})
             elif kind == "SEND":
-                event = workload_event(rec)
-                if event is not None:
-                    self.emitted.setdefault(event, rec.step)
-            elif kind == "DELIVER" and msg and msg["type"] in ("BundleOpen", "BundleAdd"):
-                key = (int(rec.actor[1:]), int(rec.peer[1:]), msg["bundle_id"])
-                if msg["type"] == "BundleOpen":
-                    # a re-open of a live id is rejected by the switch
-                    open_bundles.setdefault(key, [])
-                elif key in open_bundles:
-                    open_bundles[key].append(msg["inner"]["type"])
+                # a switch's PacketIn carries a workload event or an ack
+                if (msg and msg["type"] == "PacketIn" and rec.actor.startswith("s")
+                        and decode_ack(bytes.fromhex(msg["payload"])) is None):
+                    self.emitted.setdefault(msg["event"], rec.step)
+            elif kind == "DELIVER":
+                msg_type = msg["type"] if msg else "?"
+                if detail.get("phase") != "setup":
+                    delivered[msg_type] += 1
+                if msg_type in ("BundleOpen", "BundleAdd"):
+                    key = (int(rec.actor[1:]), int(rec.peer[1:]), msg["bundle_id"])
+                    if msg_type == "BundleOpen":
+                        # a re-open of a live id is rejected by the switch
+                        open_bundles.setdefault(key, [])
+                    elif key in open_bundles:
+                        open_bundles[key].append(msg["inner"]["type"])
             elif kind == "CRASH":
                 dead = int(rec.actor[1:])
                 self.crashed.add(dead)
@@ -147,16 +180,11 @@ class _Run:
                     out[(a["index"], sw)] = count
         return out
 
-
-def workload_event(rec: TraceRecord) -> Optional[str]:
-    """The event id if ``rec`` is a switch's PacketIn SEND carrying a
-    workload event rather than a commit acknowledgement, else None."""
-    msg = rec.msg
-    if (rec.kind == "SEND" and rec.actor.startswith("s") and msg
-            and msg["type"] == "PacketIn"
-            and decode_ack(bytes.fromhex(msg["payload"])) is None):
-        return msg["event"]
-    return None
+    def metrics(self) -> MetricsReport:
+        total = sum(self.delivered.values())
+        n_events = len(self.emitted)
+        return MetricsReport(self.variant, dict(self.delivered), total, n_events,
+                             total / n_events if n_events else 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -301,8 +329,7 @@ def check_bundle_atomicity(run: _Run) -> Verdict:
 
 # ----------------------------------------------------------------------
 
-def run_all_checks(trace: Trace) -> list[Verdict]:
-    run = _Run(trace)
+def _verdicts(run: _Run) -> list[Verdict]:
     return [
         check_total_order(run),
         check_at_least_once(run),
@@ -311,6 +338,21 @@ def run_all_checks(trace: Trace) -> list[Verdict]:
         check_replica_convergence(run),
         check_bundle_atomicity(run),
     ]
+
+
+def check_trace(trace: Trace) -> tuple[list[Verdict], MetricsReport, bool]:
+    """The verdicts, the message metrics and whether the run quiesced,
+    all read from one pass over ``trace``."""
+    run = _Run(trace)
+    return _verdicts(run), run.metrics(), run.stall_step is None
+
+
+def run_all_checks(trace: Trace) -> list[Verdict]:
+    return _verdicts(_Run(trace))
+
+
+def compute_metrics(trace: Trace) -> MetricsReport:
+    return _Run(trace).metrics()
 
 
 def classify_anomalies(verdicts: list[Verdict]) -> list[str]:

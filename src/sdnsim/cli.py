@@ -18,12 +18,12 @@ from contextlib import contextmanager
 from itertools import islice
 
 from . import codec
-from .checker import (Verdict, all_passed, classify_anomalies, combined,
-                      run_all_checks, summary_line)
-from .metrics import MetricsReport, compute_metrics
+from .checker import (MetricsReport, Verdict, all_passed, check_trace, classify_anomalies,
+                      combined, run_all_checks, summary_line)
 from .netsim import Simulation, resolve_crash_target, sweep_crash_points
-# The replay oracle; not called here, but the benchmark's span wrappers
-# look it up under this name.
+# The replay oracle and the metrics on their own; not called here, but the
+# benchmark's span wrappers look them up under these names.
+from .checker import compute_metrics  # noqa: F401
 from .netsim import enumerate_crash_points  # noqa: F401
 from .scenario import VARIANTS, Scenario, ScenarioError, load_scenario
 from .trace import Trace, TraceFormatError
@@ -32,6 +32,7 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
+MAX_JOBS = 64  # the most worker processes one --jobs value asks for
 
 
 def main(argv=None) -> int:
@@ -89,13 +90,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _jobs(text: str) -> int:
-    """A ``--jobs`` value: a count of worker processes, at least 1."""
+    """A ``--jobs`` value: a count of worker processes, 1 to ``MAX_JOBS``."""
     try:
         jobs = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    if jobs > MAX_JOBS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_JOBS}, got {jobs}")
     return jobs
 
 
@@ -129,14 +132,13 @@ def cmd_run(args) -> int:
     trace = Simulation(scenario).run()
     if args.trace:
         trace.write(args.trace)
-    report = compute_metrics(trace)
+    verdicts, report, quiesced = check_trace(trace)
     if args.metrics:
         with open(args.metrics, "w", encoding="utf-8") as fh:
             json.dump(codec.encode(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    verdicts = run_all_checks(trace)
     print(f"scenario {scenario.name} [{scenario.variant}]: "
-          f"{len(trace.records)} trace records, quiesced={trace.quiesced}")
+          f"{len(trace.records)} trace records, quiesced={quiesced}")
     return _report(report, verdicts)
 
 
@@ -201,13 +203,18 @@ def cmd_compare(args) -> int:
     and across the full leader-crash sweep) and verdict-equivalent; the
     naive baseline's violations are reported but expected."""
     scenario = _load(args)
-    variants = {variant: scenario.with_variant(variant) for variant in VARIANTS}
+    variants = {}
+    for variant in VARIANTS:
+        try:
+            variants[variant] = scenario.with_variant(variant)
+        except ScenarioError as exc:
+            raise ScenarioError(f"compare: as {variant}: {exc}") from None
     runs = {}  # variant -> (metrics, [fault-free verdicts, *sweep verdicts])
     with _mapper(args.jobs) as map_:
         for variant, swept in variants.items():
             trace, rows = _sweep(swept, 0, args.jobs, map_)
-            runs[variant] = (compute_metrics(trace),
-                             [run_all_checks(trace)] + [vs for _, vs in rows])
+            verdicts, report, _ = check_trace(trace)
+            runs[variant] = (report, [verdicts] + [vs for _, vs in rows])
 
     print(f"workload {scenario.name}: {len(scenario.workload)} events, "
           f"{scenario.n_controllers} controllers")
@@ -233,10 +240,9 @@ def cmd_compare(args) -> int:
 
 def cmd_check(args) -> int:
     trace = Trace.read(args.trace)
-    verdicts = run_all_checks(trace)
-    report = compute_metrics(trace)
+    verdicts, report, quiesced = check_trace(trace)
     print(f"trace {args.trace}: {len(trace.records)} records, "
-          f"variant={trace.meta.get('variant')}, quiesced={trace.quiesced}")
+          f"variant={trace.meta.get('variant')}, quiesced={quiesced}")
     return _report(report, verdicts)
 
 

@@ -66,12 +66,6 @@ class Trace:
         self.records.append(rec)
         return rec
 
-    @property
-    def quiesced(self) -> bool:
-        """False exactly when the simulator logged a STALL: the run hit its
-        quiesce limit before the event queue drained."""
-        return not any(rec.actor == "sim" for rec in self.records if rec.kind == "STALL")
-
     def fork(self) -> "Trace":
         """A copy that can be appended to independently; records are shared."""
         new = Trace(self.meta)

@@ -129,6 +129,20 @@ BASE_META = {
 STALL = ("STALL", "sim", None, None, {"reason": "quiesce_limit"})
 
 
+class CountedRecords(list):
+    """A trace's record list that counts the walks over it."""
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def stalled(trace: Trace) -> bool:
+    """Whether the run hit its quiesce limit: it logged a ``sim`` STALL."""
+    return any(rec.kind == "STALL" and rec.actor == "sim" for rec in trace.records)
+
+
 def synthetic_trace(records: list[tuple], **meta_overrides) -> Trace:
     """Hand-built trace for checker fixtures.
 

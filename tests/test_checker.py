@@ -2,9 +2,9 @@ import time
 
 import pytest
 
-from builders import (STALL, apply_event, bundle_commit_exec, one_command_scenario,
-                      packet_in_send, synthetic_trace)
-from sdnsim import Simulation, Trace, checker, compute_metrics
+from builders import (STALL, CountedRecords, apply_event, bundle_commit_exec,
+                      one_command_scenario, packet_in_send, synthetic_trace)
+from sdnsim import Simulation, checker, compute_metrics
 from sdnsim.checker import (
     PROPERTIES,
     Verdict,
@@ -15,6 +15,7 @@ from sdnsim.checker import (
     check_exactly_once_commands,
     check_replica_convergence,
     check_total_order,
+    check_trace,
     classify_anomalies,
     combined,
     run_all_checks,
@@ -100,16 +101,15 @@ def test_p2_is_gated_by_quiescence_and_fault_bound():
         assert verdict.passed and "not checked" in verdict.note
 
 
-def test_run_reads_the_stall_in_its_own_pass(monkeypatch):
+def test_run_reads_the_stall_in_its_own_pass():
     trace = Simulation(one_command_scenario(quiesce_limit=5)).run()
     stall = trace.records[-1]
     assert (stall.kind, stall.actor) == ("STALL", "sim")
-
-    def rescan(self):
-        raise AssertionError("_Run re-scanned the trace for its STALL record")
-    monkeypatch.setattr(Trace, "quiesced", property(rescan))
+    trace.records = CountedRecords(trace.records)
+    verdicts, _, quiesced = check_trace(trace)
+    assert (trace.records.walks, quiesced) == (1, False)
     assert _Run(trace).stall_step == stall.step
-    verdicts = run_all_checks(trace)
+    assert verdicts == run_all_checks(trace)
     assert [v.passed for v in verdicts] == [True, False, True, True, True, True]
     assert [w.steps for w in verdicts[1].witnesses] == [(stall.step,)]
     assert classify_anomalies(verdicts) == ["NO_PROGRESS"]

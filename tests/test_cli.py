@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from builders import apply_event, learning_scenario, one_command_scenario, synthetic_trace
+from builders import (CountedRecords, apply_event, learning_scenario, one_command_scenario,
+                      packet_in_send, stalled, synthetic_trace)
 from sdnsim import (Simulation, Trace, all_passed, cli, enumerate_crash_points,
                     load_scenario, run_all_checks, sweep_crash_points)
 from sdnsim.cli import main
@@ -53,8 +54,7 @@ def test_run_writes_trace_and_metrics_files(tmp_path):
     metrics_out = tmp_path / "metrics.json"
     assert main(["run", path, "--trace", str(trace_out),
                  "--metrics", str(metrics_out)]) == 0
-    trace = Trace.read(str(trace_out))
-    assert trace.quiesced
+    assert not stalled(Trace.read(str(trace_out)))
     metrics = json.loads(metrics_out.read_text())
     assert metrics["total"] == 18
 
@@ -296,6 +296,52 @@ def test_check_accepts_a_passing_stored_trace(tmp_path, capsys):
     trace.write(str(path))
     assert main(["check", str(path)]) == 0
     assert "RESULT pass" in capsys.readouterr().out
+
+
+def test_run_and_check_walk_the_records_once(tmp_path, capsys, monkeypatch):
+    """The header's quiesce flag, the metrics and the verdicts are read in
+    one pass over the records."""
+    traces = []
+    run = Simulation.run
+
+    def counted_run(sim):
+        trace = run(sim)
+        trace.records = CountedRecords(trace.records)
+        traces.append(trace)
+        return trace
+
+    monkeypatch.setattr(Simulation, "run", counted_run)
+    assert main(["run", write_scenario(tmp_path, one_command_scenario())]) == 0
+    (trace,) = traces
+    assert trace.records.walks == 1
+    run_out = capsys.readouterr().out.splitlines()
+
+    trace.records = CountedRecords(trace.records)
+    monkeypatch.setattr(Trace, "read", lambda path: trace)
+    assert main(["check", "run.trace"]) == 0
+    assert trace.records.walks == 1
+    check_out = capsys.readouterr().out.splitlines()
+    assert check_out[0].endswith(", quiesced=True")
+    assert check_out[1:] == run_out[1:]
+
+
+def test_check_metrics_skip_setup_and_count_a_msg_less_delivery_as_unknown(tmp_path, capsys):
+    path = tmp_path / "hand.trace"
+    synthetic_trace([
+        ("DELIVER", "c1", "c0", {"type": "Append"}, {"phase": "setup"}),
+        packet_in_send("s0", "c0", "0:1"),
+        ("DELIVER", "c0", "s0", None, None),
+        ("DELIVER", "c0", "s0", {"type": "PacketIn"}, None),
+    ]).write(str(path))
+    assert main(["check", str(path)]) == 1  # no replica applied the event
+    assert capsys.readouterr().out.splitlines()[:6] == [
+        f"trace {path}: 4 records, variant=PAPER_A, quiesced=True",
+        "control-message deliveries (PAPER_A, setup excluded):",
+        "  ?                1",
+        "  PacketIn         1",
+        "  total            2",
+        "  events=1 per-event=2.0",
+    ]
 
 
 def test_check_flags_a_violating_stored_trace(tmp_path, capsys):
@@ -697,18 +743,38 @@ BAD_JOBS = {
     "x": "invalid int value: 'x'",
     "2.5": "invalid int value: '2.5'",
 }
+# Run only through the tests below, which stub out the sweep: a real run
+# would ask for that many worker processes.
+JOBS_ABOVE_THE_BOUND = {
+    str(cli.MAX_JOBS + 1): f"must be at most {cli.MAX_JOBS}, got {cli.MAX_JOBS + 1}",
+    "9" * 30: f"must be at most {cli.MAX_JOBS}, got {'9' * 30}",
+}
+
+
+def assert_jobs_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, jobs,
+                                        error):
+    def no_sweep(*args):
+        raise AssertionError("a sweep started")
+    monkeypatch.setattr(cli, "_sweep", no_sweep)
+    path = write_scenario(tmp_path, one_command_scenario())
+    assert main([command, path, "--jobs", jobs]) == 2
+    assert f"argument --jobs: {error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
 @pytest.mark.parametrize("jobs", BAD_JOBS)
 def test_jobs_below_one_exits_two_before_any_run(tmp_path, capsys, monkeypatch,
                                                  command, jobs):
-    def no_sweep(*args):
-        raise AssertionError("a sweep started")
-    monkeypatch.setattr(cli, "_sweep", no_sweep)
-    path = write_scenario(tmp_path, one_command_scenario())
-    assert main([command, path, "--jobs", jobs]) == 2
-    assert f"argument --jobs: {BAD_JOBS[jobs]}" in capsys.readouterr().err
+    assert_jobs_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, jobs,
+                                        BAD_JOBS[jobs])
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize("jobs", JOBS_ABOVE_THE_BOUND)
+def test_jobs_above_the_bound_exits_two_before_any_run(tmp_path, capsys, monkeypatch,
+                                                       command, jobs):
+    assert_jobs_rejected_before_any_run(tmp_path, capsys, monkeypatch, command, jobs,
+                                        JOBS_ABOVE_THE_BOUND[jobs])
 
 
 def test_compare_rejects_a_bad_variant_before_any_sweep(tmp_path, capsys, monkeypatch):
@@ -717,8 +783,8 @@ def test_compare_rejects_a_bad_variant_before_any_sweep(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "_sweep", no_sweep)
     path = write_scenario(tmp_path, one_command_scenario("NAIVE", n_controllers=4))
     assert main(["compare", path]) == 2
-    assert ("n_controllers: replicated variants need an odd count >= 3"
-            in capsys.readouterr().err)
+    assert ("error: compare: as PAPER_A: n_controllers: replicated variants need an "
+            "odd count >= 3") in capsys.readouterr().err
 
 
 def test_one_fork_per_group(monkeypatch):

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from builders import learning_scenario, one_command_scenario, point_lines, unsound_merges
+from builders import (learning_scenario, one_command_scenario, point_lines, stalled,
+                      unsound_merges)
 from sdnsim import (
     FaultSpec,
     ScenarioError,
@@ -57,7 +58,7 @@ def assert_fifo(trace):
     for src, dst in endpoints(trace):
         sends, resolutions = channel_history(trace, src, dst)
         assert len(resolutions) <= len(sends)
-        if trace.quiesced:
+        if not stalled(trace):
             assert len(resolutions) == len(sends)
         dropped = False
         for s, r in zip(sends, resolutions):
@@ -85,7 +86,7 @@ def test_fault_runs_are_also_deterministic():
 def test_zero_workload_run_has_only_setup_traffic():
     sc = one_command_scenario(workload=())
     trace = run_trace(sc)
-    assert trace.quiesced
+    assert not stalled(trace)
     kinds = {r.kind for r in trace.records}
     assert kinds <= {"SEND", "DELIVER"}
     assert all(r.detail.get("phase") == "setup"
@@ -144,7 +145,7 @@ def test_majority_loss_stalls_but_stays_safe():
 
 def test_quiesce_limit_overflow_is_reported_not_raised():
     trace = run_trace(one_command_scenario(quiesce_limit=5))
-    assert not trace.quiesced
+    assert stalled(trace)
     last = trace.records[-1]
     assert last.kind == "STALL" and last.detail["reason"] == "quiesce_limit"
 
@@ -598,7 +599,7 @@ def test_step_memo_stays_within_its_bound():
     sizes = []
     while sim.step():
         sizes.append(len(steps))
-    assert sim.trace.quiesced
+    assert not stalled(sim.trace)
     assert max(sizes) == steps.size
 
 
