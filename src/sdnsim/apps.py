@@ -37,6 +37,7 @@ Commands = dict[SwitchId, list[ControlMessage]]
 
 LEARNED_PRIORITY = 10
 ROUTE_PRIORITY = 20
+STEP_MEMO_SIZE = 64  # the most steps one StepMemo keeps
 
 
 def state_digest(state: AppState) -> str:
@@ -57,10 +58,10 @@ class StepMemo:
     start from ``initial_state``, whose digest is ``initial_digest``.
     """
 
-    def __init__(self, app, digest: Callable[[AppState], str], size: int = 64):
+    def __init__(self, app, digest: Callable[[AppState], str]):
         self.app = app
         self.digest = digest
-        self.size = size
+        self.size = STEP_MEMO_SIZE
         self.initial_state = app.initial_state()
         self.initial_digest = digest(self.initial_state)
         # (id(parent), sw, in_port, payload) -> (parent, result)

@@ -4,21 +4,24 @@ P1 total event order, P2 no lost events, P3 no repeated events, P4
 exactly-once commands, P5 replica convergence, P6 bundle atomicity.
 
 Each property is a read-only function of ``_Run``, the one parsed view
-of a trace, which a single ordered pass over the records builds and which
-keeps no record. The pass also counts the control messages delivered
-after setup and finds the ``sim`` STALL record, so ``check_trace`` reads
-the verdicts, the message metrics and the quiesce flag off one view; no
-code outside trace I/O and the simulator walks a trace's records. The
-checker trusts its input: a trace the simulator wrote, or one that
-``Trace.from_lines``, the one gate for trace files, accepted. So the pass
-is a fold with no error paths. Liveness-flavored obligations (P2, and
-P4's "commands eventually execute" half) are only asserted when the
-CRASH records show at most floor(n/2) crashes. Within that bound, a run
-that hit its quiesce limit, as its ``sim`` STALL record shows, fails P2
-with one ``no-progress`` witness; one that quiesced owes P2 and P4's
-completeness in full. The safety halves are asserted unconditionally. Of
-the metadata, only the controller count is read. Failed verdicts carry
-witnesses that cite real steps.
+of a trace, which a single ordered pass over the records builds. It keeps
+no record and builds no dict per record: an applied event is one tuple,
+and a command summary is parsed only where P4 reads it. The pass also
+counts the control messages delivered after setup and finds the ``sim``
+STALL record, so ``check_trace`` reads the verdicts, the message metrics
+and the quiesce flag off one view; no code outside trace I/O and the
+simulator walks a trace's records. The checker trusts its input: a trace
+the simulator wrote, or one that ``Trace.from_lines``, the one gate for
+trace files, accepted, so the pass is a fold with no error paths.
+
+Liveness-flavored obligations (P2, and P4's "commands eventually
+execute" half) are only asserted when the CRASH records show at most
+floor(n/2) crashes. Within that bound, a run that hit its quiesce limit,
+as its ``sim`` STALL record shows, fails P2 with one ``no-progress``
+witness; one that quiesced owes P2 and P4's completeness in full. The
+safety halves are asserted unconditionally. Of the metadata, only the
+controller count is read. Failed verdicts carry witnesses that cite real
+steps.
 
 The checker also owns what is made of verdicts: ``combined`` folds many
 runs' verdicts into one per property, and ``summary_line`` writes the
@@ -99,7 +102,9 @@ class _Run:
     """The one parsed view of a trace that every property and the message
     metrics read, built in a single ordered pass over the records, which
     also finds the ``sim`` STALL record: ``stall_step`` is its step, or
-    None for a run that quiesced."""
+    None for a run that quiesced. Each EVENT APPLY is kept as one
+    ``(step, index, event, commands)`` tuple, ``commands`` being the
+    record's summary string, which only ``committed_commands`` parses."""
 
     def __init__(self, trace: Trace):
         self.n: int = trace.meta["n_controllers"]
@@ -108,10 +113,10 @@ class _Run:
         # message type ("?" for a record without one) -> DELIVERs past setup
         self.delivered: Counter[str] = Counter()
         self.crashed: set[int] = set()  # the controllers CRASH records name
-        self.last_step = trace.records[-1].step if trace.records else 0
+        self.last_step = len(trace.records)  # steps run 1, 2, ... without gaps
         # replica -> (index, digest, step) of its last APPLY, and its EVENT ones
         self.last_apply: dict[int, tuple[int, str, int]] = {}
-        self.events: dict[int, list[dict]] = defaultdict(list)
+        self.events: dict[int, list[tuple[int, int, str, str]]] = defaultdict(list)
         self.emitted: dict[str, int] = {}  # workload event -> first SEND step, in order
         # (switch, log index) -> steps executing that entry's command batch
         self.executions: dict[tuple[int, int], list[int]] = defaultdict(list)
@@ -127,12 +132,8 @@ class _Run:
                 rid, index = int(rec.actor[1:]), int(detail["index"])
                 self.last_apply[rid] = (index, detail.get("digest", ""), rec.step)
                 if detail["entry"] == "EVENT":
-                    commands = detail.get("commands")
-                    self.events[rid].append({
-                        "step": rec.step, "index": index, "event": detail.get("event", ""),
-                        "commands": {int(sw): int(count) for sw, count in (
-                            pair.split("=") for pair in commands.split(","))}
-                        if commands else {}})
+                    self.events[rid].append((rec.step, index, detail.get("event", ""),
+                                             detail.get("commands", "")))
             elif kind == "SEND":
                 # a switch's PacketIn carries a workload event or an ack
                 if (msg and msg["type"] == "PacketIn" and rec.actor.startswith("s")
@@ -172,12 +173,14 @@ class _Run:
         self.live = len(self.crashed) <= self.n // 2
 
     def committed_commands(self) -> dict[tuple[int, int], int]:
-        """(log index, switch) -> command count, unioned over survivors."""
+        """(log index, switch) -> command count, unioned over survivors'
+        ``switch=count,...`` summaries."""
         out: dict[tuple[int, int], int] = {}
         for rid in self.survivors:
-            for a in self.events.get(rid, []):
-                for sw, count in a["commands"].items():
-                    out[(a["index"], sw)] = count
+            for _, index, _, commands in self.events.get(rid, []):
+                for pair in commands.split(",") if commands else ():
+                    sw, count = pair.split("=")
+                    out[(index, int(sw))] = int(count)
         return out
 
     def metrics(self) -> MetricsReport:
@@ -195,12 +198,13 @@ def check_total_order(run: _Run) -> Verdict:
     witnesses: list[Witness] = []
     # a replica that applied no event diverges from none
     for a, b in combinations(sorted(run.events), 2):
-        for k, (ea, eb) in enumerate(zip(run.events[a], run.events[b]), 1):
-            if ea["event"] != eb["event"]:
+        for k, ((step_a, _, ea, _), (step_b, _, eb, _)) in enumerate(
+                zip(run.events[a], run.events[b]), 1):
+            if ea != eb:
                 witnesses.append(Witness(
-                    (ea["step"], eb["step"]),
-                    f"order-divergence: c{a} applied {ea['event']} at position "
-                    f"{k} where c{b} applied {eb['event']}"))
+                    (step_a, step_b),
+                    f"order-divergence: c{a} applied {ea} at position "
+                    f"{k} where c{b} applied {eb}"))
                 break
     return _verdict("P1", witnesses)
 
@@ -217,7 +221,7 @@ def check_at_least_once(run: _Run) -> Verdict:
             f"{run.n} controllers crashed"))])
     witnesses: list[Witness] = []
     for rid in run.survivors:
-        applied = {a["event"] for a in run.events.get(rid, [])}
+        applied = {event for _, _, event, _ in run.events.get(rid, [])}
         for event, step in run.emitted.items():
             if event not in applied:
                 witnesses.append(Witness(
@@ -230,13 +234,12 @@ def check_at_most_once(run: _Run) -> Verdict:
     witnesses: list[Witness] = []
     for rid in range(run.n):
         seen: dict[str, int] = {}
-        for a in run.events.get(rid, []):
-            if a["event"] in seen:
+        for step, _, event, _ in run.events.get(rid, []):
+            if event in seen:
                 witnesses.append(Witness(
-                    (seen[a["event"]], a["step"]),
-                    f"repeated-event: c{rid} applied {a['event']} twice"))
+                    (seen[event], step), f"repeated-event: c{rid} applied {event} twice"))
             else:
-                seen[a["event"]] = a["step"]
+                seen[event] = step
     return _verdict("P3", witnesses)
 
 

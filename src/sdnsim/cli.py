@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from itertools import islice
 
@@ -33,6 +31,7 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 MAX_JOBS = 64  # the most worker processes one --jobs value asks for
+SHOWN_WITNESSES = 3  # the most witnesses run and check print per verdict
 
 
 def main(argv=None) -> int:
@@ -107,19 +106,19 @@ def _load(args) -> Scenario:
     return scenario if args.seed is None else scenario.with_seed(args.seed)
 
 
-def _report(report: MetricsReport, verdicts: list[Verdict], shown: int = 3) -> int:
+def _report(report: MetricsReport, verdicts: list[Verdict]) -> int:
     """The tail ``run`` and ``check`` print after their header line: the
-    message metrics, each verdict with at most ``shown`` witnesses, the
-    anomalies and the summary. Returns the exit code."""
+    message metrics, each verdict with at most ``SHOWN_WITNESSES``
+    witnesses, the anomalies and the summary. Returns the exit code."""
     for line in report.lines():
         print(line)
     for v in verdicts:
         note = f" ({v.note})" if v.note else ""
         print(f"{v.prop}: {'pass' if v.passed else 'FAIL'}{note}")
-        for w in v.witnesses[:shown]:
+        for w in v.witnesses[:SHOWN_WITNESSES]:
             print(f"    steps {list(w.steps)}: {w.description}")
-        if len(v.witnesses) > shown:
-            print(f"    ... {len(v.witnesses) - shown} more")
+        if len(v.witnesses) > SHOWN_WITNESSES:
+            print(f"    ... {len(v.witnesses) - SHOWN_WITNESSES} more")
     anomalies = classify_anomalies(verdicts)
     if anomalies:
         print("anomalies: " + ", ".join(anomalies))
@@ -171,10 +170,13 @@ def _sweep(scenario: Scenario, target: int, jobs: int, map_=map):
 @contextmanager
 def _mapper(jobs: int):
     """The ``map`` a command's sweeps run their workers with: the built-in
-    one for one job, else that of one pool of ``jobs`` spawned processes."""
+    one for one job, else that of one pool of ``jobs`` spawned processes.
+    The pool's modules are imported only then, so one job loads none."""
     if jobs == 1:
         yield map
     else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(jobs, multiprocessing.get_context("spawn")) as pool:
             yield pool.map
 

@@ -15,23 +15,13 @@ events. It ends when the heap is empty: the quiesce limit logs one STALL
 record and empties it. Its trace's metadata is its scenario in the file
 form, so ``Simulation(scenario_from_obj(trace.meta)).run()`` replays it
 byte for byte, unless a script called ``crash`` by hand: the CRASH record
-states that crash. The crash sweep steps one fault-free base run and
-groups the event boundaries where the last event produced crash points:
-a boundary whose event was a lone delivery to the target, at the same
-tick and right after the group's last boundary, joins that group, as the
-crash commutes with it (``_commutes_with_crash``). For each group the
-sweep forks the base once, at the group's first boundary, crashes the
-target in the fork and yields it unrun, leaving which groups to run, and
-where, to its caller. The fork stands for every point of its group: its
-records equal those of each first-boundary point's derived scenario that
-``enumerate_crash_points`` replays from the start, and its metadata is
-the first point's. A merged point's replay differs only in its merged
-deliveries, which it logs as DELIVERs before the CRASH and the fork as
-DROPs after it. Trace-point faults, the sweep and the enumeration pick
-crash points with one predicate, ``_is_crash_point``, and point faults
-and the sweep read the records of one step from the same boundary and
-crash at the same place: ``crash`` at the event boundary after the
-matching record, start-up's records counting as the first event's.
+states that crash.
+
+Trace-point faults, ``enumerate_crash_points`` and ``sweep_crash_points``
+pick crash points with one predicate, ``_is_crash_point``, and crash at
+the event boundary after the matching record, start-up's records
+counting as the first event's. ``sweep_crash_points`` states how the
+sweep groups boundaries into forks and what each fork stands for.
 """
 
 from __future__ import annotations
@@ -168,9 +158,8 @@ class Simulation:
     def _deliver(self, src: str, dst: str, msg, wire: dict,
                  detail: dict[str, str]) -> None:
         if self._endpoint_dead(src) or self._endpoint_dead(dst):
-            drop_detail = dict(detail)
-            drop_detail["reason"] = "crash"
-            self.trace.append(self.now, "DROP", dst, peer=src, msg=wire, detail=drop_detail)
+            self.trace.append(self.now, "DROP", dst, peer=src, msg=wire,
+                              detail={**detail, "reason": "crash"})
             return
         self.trace.append(self.now, "DELIVER", dst, peer=src, msg=wire, detail=detail)
         if dst.startswith("s"):
@@ -189,21 +178,22 @@ class Simulation:
         me = f"c{rid}"
         for e in effects:
             if isinstance(e, SendToSwitch):
-                self._send(me, f"s{e.switch}", e.msg, dict(e.tags))
+                self._send(me, f"s{e.switch}", e.msg, e.tags)
             elif isinstance(e, SendToReplica):
                 self._send(me, f"c{e.dst}", e.msg, {})
             elif isinstance(e, Note):
-                self.trace.append(self.now, e.kind, me, detail=dict(e.detail))
+                self.trace.append(self.now, e.kind, me, detail=e.detail)
             else:
                 raise AssertionError(f"unknown effect {e!r}")
 
     # ------------------------------------------------------------------
     # sends, execs, crashes
 
-    def _send(self, src: str, dst: str, msg, tags: dict[str, str]) -> None:
-        detail = dict(tags)
+    def _send(self, src: str, dst: str, msg, detail: dict[str, str]) -> None:
+        """Record and schedule one message; ``detail``, the caller's fresh dict, is
+        its SEND and DELIVER detail, copied only to tag ``phase: setup``."""
         if self._first_workload_t is None or self.now < self._first_workload_t:
-            detail["phase"] = "setup"
+            detail = {**detail, "phase": "setup"}
         last, wire = self._last_wire
         if msg is not last:
             wire = msg_to_wire(msg)

@@ -16,6 +16,8 @@ ControllerId = int
 # The most controllers a scenario may run or a trace may claim.
 MAX_CONTROLLERS = 255
 SwitchId = int
+# The largest switch id: an ack payload carries it in 32 bits.
+MAX_SWITCH_ID = 0xFFFFFFFF
 PortId = int
 
 # Reserved logical port: outputting here hands the packet back to the

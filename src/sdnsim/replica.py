@@ -24,7 +24,7 @@ acks to consult and blindly resends every committed batch.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .apps import StepMemo, state_digest
@@ -92,11 +92,12 @@ class CommitAdvance:
 ReplMessage = Union[Append, AppendAck, CommitAdvance]
 
 
+# An effect's ``tags`` or ``detail`` is a fresh dict that becomes its record's detail.
 @dataclass(frozen=True)
 class SendToSwitch:
     switch: SwitchId
     msg: ControlMessage
-    tags: tuple[tuple[str, str], ...] = ()
+    tags: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class SendToReplica:
 @dataclass(frozen=True)
 class Note:
     kind: str  # APPLY or STALL
-    detail: tuple[tuple[str, str], ...]
+    detail: dict[str, str]
 
 
 Effect = Union[SendToSwitch, SendToReplica, Note]
@@ -292,9 +293,8 @@ class Replica:
         alive = self.n - len(self.crashed)
         if alive < self.majority:
             self.stalled = True
-            return [Note("STALL", (("reason", "majority_lost"),
-                                   ("alive", str(alive)),
-                                   ("view", str(self.view))))]
+            return [Note("STALL", {"reason": "majority_lost", "alive": str(alive),
+                                   "view": str(self.view)})]
         if crashed != self.leader_of(self.view):
             return []
         view = self.view + 1
@@ -371,22 +371,20 @@ class Replica:
         assert entry.index == self.commit_index + 1
         self.commit_index = entry.index
         if isinstance(entry, ViewEntry):
-            return [Note("APPLY", (("index", str(entry.index)),
-                                   ("entry", "VIEW"),
-                                   ("entry_view", str(entry.view)),
-                                   ("leader", str(entry.leader)),
-                                   ("digest", self.app_digest)))]
+            return [Note("APPLY", {"index": str(entry.index), "entry": "VIEW",
+                                   "entry_view": str(entry.view),
+                                   "leader": str(entry.leader),
+                                   "digest": self.app_digest})]
 
         self.event_buffer.pop(entry.event, None)
         self.app_state, cmds, self.app_digest = self.steps.step(
             self.app_state, entry.event.switch, entry.in_port, entry.payload)
         self.commands_by_index[entry.index] = cmds
         summary = ",".join(f"{sw}={len(cmds[sw])}" for sw in sorted(cmds) if cmds[sw])
-        effects: list[Effect] = [Note("APPLY", (("index", str(entry.index)),
-                                                ("entry", "EVENT"),
-                                                ("event", str(entry.event)),
-                                                ("commands", summary),
-                                                ("digest", self.app_digest)))]
+        effects: list[Effect] = [Note("APPLY", {"index": str(entry.index), "entry": "EVENT",
+                                                "event": str(entry.event),
+                                                "commands": summary,
+                                                "digest": self.app_digest})]
         for sw in sorted(cmds):
             if (cmds[sw] and self.is_leader and self.fence_done.get(sw)
                     and entry.index not in self.ack_table[sw]):
@@ -397,7 +395,6 @@ class Replica:
         cmds = self.commands_by_index[index][sw]
         if self.use_bundles:
             return [SendToSwitch(sw, m) for m in build_bundle(index, sw, cmds)]
-        return [SendToSwitch(sw, c, tags=(("cmd_index", str(index)),
-                                          ("cmd_switch", str(sw)),
-                                          ("cmd_ord", str(j))))
+        return [SendToSwitch(sw, c, tags={"cmd_index": str(index), "cmd_switch": str(sw),
+                                          "cmd_ord": str(j)})
                 for j, c in enumerate(cmds)]

@@ -15,7 +15,8 @@ from typing import Any, Optional, get_args
 
 from .apps import MacLearner, StaticRouter
 from .codec import DecodeError, decode, encode, parse_json, read_text
-from .ofmodel import ACK_MARKER, CONTROLLER_PORT, MAX_CONTROLLERS, ControlMessage
+from .ofmodel import (ACK_MARKER, CONTROLLER_PORT, MAX_CONTROLLERS, MAX_SWITCH_ID,
+                      ControlMessage)
 from .replica import ReplMessage
 
 VARIANTS = ("NAIVE", "PAPER_A", "PAPER_B")
@@ -144,6 +145,8 @@ class Scenario:
             path = f"switches[{i}]"
             if sw.id < 0:
                 raise ScenarioError(f"{path}.id: must be non-negative")
+            if sw.id > MAX_SWITCH_ID:
+                raise ScenarioError(f"{path}.id: must be at most {MAX_SWITCH_ID}")
             if sw.id in by_id:
                 raise ScenarioError(f"{path}.id: duplicate switch id {sw.id}")
             by_id[sw.id] = sw

@@ -119,7 +119,8 @@ def test_step_memo_keys_on_identity_not_equality():
 
 def test_step_memo_evicts_the_least_recently_used_step():
     app = CountingLearner()
-    memo = StepMemo(app, state_digest, size=2)
+    memo = StepMemo(app, state_digest)
+    memo.size = 2
     state = {}
     for src in (1, 2):
         memo.step(state, 0, 1, bytes([9, src]))

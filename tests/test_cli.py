@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -15,7 +16,7 @@ from builders import (CountedRecords, apply_event, learning_scenario, one_comman
 from sdnsim import (Simulation, Trace, all_passed, cli, enumerate_crash_points,
                     load_scenario, run_all_checks, sweep_crash_points)
 from sdnsim.cli import main
-from sdnsim.ofmodel import MAX_CONTROLLERS
+from sdnsim.ofmodel import MAX_CONTROLLERS, MAX_SWITCH_ID
 from sdnsim.scenario import ScenarioError, scenario_from_obj, scenario_to_obj
 
 
@@ -180,6 +181,10 @@ MALFORMED_SCENARIOS = {
         lambda obj: obj.update(seed=-1), "seed: must be non-negative"),
     "switch-id-negative": (
         lambda obj: _switch(obj).update(id=-1), "switches[0].id: must be non-negative"),
+    "switch-id-past-the-ack-field": (
+        lambda obj: (_switch(obj).update(id=MAX_SWITCH_ID + 1),
+                     _event(obj).update(switch=MAX_SWITCH_ID + 1)),
+        f"switches[0].id: must be at most {MAX_SWITCH_ID}"),
     "switch-id-duplicate": (
         lambda obj: obj["switches"].append(dict(_switch(obj))),
         "switches[1].id: duplicate switch id 0"),
@@ -246,6 +251,22 @@ def test_run_malformed_scenario_exits_two(tmp_path, capsys, damage, message):
     with pytest.raises(ScenarioError) as exc:
         scenario_from_obj(obj)
     assert message in str(exc.value)
+
+
+def test_the_largest_switch_id_an_ack_carries_runs_and_passes(tmp_path, capsys):
+    obj = json.loads((SCENARIO_DIR / "one_command.json").read_text())
+    _switch(obj).update(id=MAX_SWITCH_ID)
+    _event(obj).update(switch=MAX_SWITCH_ID)
+    path, trace_out = str(tmp_path / "big_id.json"), str(tmp_path / "big_id.trace")
+    Path(path).write_text(json.dumps(obj))
+    for argv in (["run", path, "--trace", trace_out], ["sweep", path]):
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "RESULT pass P1=+ P2=+ P3=+ P4=+ P5=+ P6=+"
+    # the switch committed the bundle whose ack carries its id
+    assert any(r.kind == "EXEC" and r.actor == f"s{MAX_SWITCH_ID}"
+               and r.detail.get("exec") == "BUNDLE_COMMIT"
+               for r in Trace.read(trace_out).records)
 
 
 def test_an_invalid_scenario_cannot_be_built():
@@ -859,11 +880,23 @@ def test_parallel_sweep_and_compare_print_what_one_job_prints(monkeypatch, capsy
             opened.append(max_workers)
             return nullcontext(pool)  # one pool of two workers serves every sweep
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", shared_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", shared_pool)
         for command in ("sweep", "compare"):
             code = main([command, path, "--jobs", "2"])
             assert (code, capsys.readouterr().out) == serial[command], command
     assert len(opened) == 2  # one per command: compare's three variants share one
+
+
+def test_one_job_loads_no_process_pool():
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    script = ("import sys; from sdnsim.cli import main; "
+              f"code = main(['sweep', {str(SCENARIO_DIR / 'paper_a.json')!r}, '--jobs', '1']); "
+              "print(code, sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("extra, code, text", [

@@ -576,7 +576,9 @@ def test_replicas_share_app_states_and_digest_each_once(monkeypatch):
 
 
 def always_miss_steps(app):
-    return StepMemo(app, state_digest, size=0)
+    memo = StepMemo(app, state_digest)
+    memo.size = 0
+    return memo
 
 
 @pytest.mark.parametrize("name", ["paper_a", "naive"])

@@ -111,7 +111,7 @@ def test_majority_arithmetic_commits_on_first_ack():
     assert r.commit_index == 0
     effects = r.on_replica_message(1, AppendAck(0, 4))
     assert r.commit_index == 4  # leader plus one follower is 2 of 3
-    applied = [dict(e.detail)["index"] for e in effects if isinstance(e, Note)]
+    applied = [e.detail["index"] for e in effects if isinstance(e, Note)]
     assert applied == ["1", "2", "3", "4"]
     advances = [e.msg for e in sends_to_replicas(effects)
                 if isinstance(e.msg, CommitAdvance)]
@@ -256,8 +256,7 @@ def test_naive_dispatch_sends_bare_tagged_commands():
     effects = r.on_replica_message(1, AppendAck(0, 1))
     sends = sends_to_switch(effects)
     assert [type(e.msg).__name__ for e in sends] == ["FlowMod"]
-    assert dict(sends[0].tags) == {"cmd_index": "1", "cmd_switch": "0",
-                                   "cmd_ord": "0"}
+    assert sends[0].tags == {"cmd_index": "1", "cmd_switch": "0", "cmd_ord": "0"}
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +323,7 @@ def test_minority_survivors_stall():
     assert r.stalled
     (note,) = [e for e in effects if isinstance(e, Note)]
     assert note.kind == "STALL"
-    assert dict(note.detail)["reason"] == "majority_lost"
+    assert note.detail["reason"] == "majority_lost"
     # stalled replicas go inert
     assert r.on_switch_message(0, event_pkt(9)) == []
 
