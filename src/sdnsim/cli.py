@@ -2,8 +2,9 @@
 protocol variants, and check stored traces.
 
 Exit codes: 0 all properties pass, 1 property violation, 2 usage or
-configuration error, 141 (128 + SIGPIPE) stdout closed by its reader. The last line of every command's output is the
-machine-parseable verdict summary that ``checker.summary_line`` writes.
+configuration error, 141 (128 + SIGPIPE) stdout closed by its reader.
+The last line of every command's output is the machine-parseable
+verdict summary that ``checker.summary_line`` writes.
 """
 
 from __future__ import annotations

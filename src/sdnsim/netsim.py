@@ -204,20 +204,22 @@ class Simulation:
 
     def _switch_call(self, sw: SwitchState, deliver_detail: dict[str, str],
                      method: Callable, *args) -> None:
-        """Call one of ``sw``'s input methods, append each EXEC detail it
-        logs to the trace as one record, leaving ``sw.exec_log`` empty, and
-        send the messages it returns. Executions outside a bundle also
-        carry the ``cmd_`` tags of the delivery that brought them (a table
-        hit, brought by no delivery, carries none)."""
+        """Call one of ``sw``'s input methods, append each execution it
+        logs to the trace as one EXEC record, its message in wire form,
+        leaving ``sw.exec_log`` empty, and send the messages it returns.
+        Executions outside a bundle also carry the ``cmd_`` tags of the
+        delivery that brought them (a table hit, brought by no delivery,
+        carries none)."""
         me = f"s{sw.id}"
         outbound = method(*args)
         execs, sw.exec_log = sw.exec_log, []
-        for detail in execs:
+        for detail, msg in execs:
             if "bundle" not in detail:
                 for k, v in deliver_detail.items():
                     if k.startswith("cmd_"):
                         detail[k] = v
-            self.trace.append(self.now, "EXEC", me, detail=detail)
+            self.trace.append(self.now, "EXEC", me,
+                              msg=None if msg is None else msg_to_wire(msg), detail=detail)
         for ctrl, m in outbound:
             self._send(me, f"c{ctrl}", m, {})
 

@@ -395,6 +395,5 @@ class Replica:
         cmds = self.commands_by_index[index][sw]
         if self.use_bundles:
             return [SendToSwitch(sw, m) for m in build_bundle(index, sw, cmds)]
-        return [SendToSwitch(sw, c, tags={"cmd_index": str(index), "cmd_switch": str(sw),
-                                          "cmd_ord": str(j)})
+        return [SendToSwitch(sw, c, tags={"cmd_index": str(index), "cmd_ord": str(j)})
                 for j, c in enumerate(cmds)]

@@ -11,9 +11,12 @@ length or None), keeping the best entry by (priority, installed_seq) --
 tuple space search, as in Open vSwitch's classifier. ``Match.matches``
 remains the specification the index must agree with.
 
-Each execution appends its EXEC trace detail to ``exec_log``: ``exec``
-(BUNDLE_COMMIT, FLOWMOD, PACKETOUT or PACKET_FWD) and ``info``, plus
-``bundle`` and ``from`` when set. ``conns`` holds the open connections
+Each execution appends a ``(detail, msg)`` pair to ``exec_log``. The
+detail is the EXEC record's: ``exec`` (BUNDLE_COMMIT, FLOWMOD, PACKETOUT
+or PACKET_FWD), with ``from`` (the sending controller) and, in a bundle,
+``bundle``; a table hit has ``in_port`` instead. ``msg`` is the FlowMod
+or PacketOut executed, for a table hit the hit entry as the FlowMod that
+installs it, and None for a commit. ``conns`` holds the open connections
 only; a dropped connection is removed.
 
 Models a stock OpenFlow 1.4 switch. Two rules here carry the whole
@@ -105,9 +108,9 @@ class SwitchState:
         self.seq_counter = 0
         self.generation_id_seen: Optional[int] = None
         self.clone_acks_to_all = clone_acks_to_all
-        # EXEC details not yet taken by the simulator, which takes them
-        # after each input it gives the switch
-        self.exec_log: list[dict[str, str]] = []
+        # (EXEC detail, executed message) pairs not yet taken by the
+        # simulator, which takes them after each input it gives the switch
+        self.exec_log: list[tuple[dict[str, str], Optional[ControlMessage]]] = []
         self._install_seq = 0
 
     def fork(self) -> "SwitchState":
@@ -172,7 +175,7 @@ class SwitchState:
         if bundle_id not in conn.open_bundles:
             return [(conn.controller, ErrorMsg(ErrorCode.BAD_BUNDLE))]
         staged = conn.open_bundles.pop(bundle_id)
-        self._exec("BUNDLE_COMMIT", f"messages={len(staged)}", bundle_id, conn.controller)
+        self._exec("BUNDLE_COMMIT", None, bundle_id, conn.controller)
         out: Outbound = []
         for inner in staged:
             if isinstance(inner, FlowMod):
@@ -188,8 +191,7 @@ class SwitchState:
     def _apply_flow_mod(self, msg: FlowMod, sender: ControllerId,
                         bundle_id: Optional[int]) -> None:
         self.install(msg.match, msg.priority, msg.actions)
-        self._exec("FLOWMOD", f"prio={msg.priority} match={_fmt_match(msg.match)}",
-                   bundle_id, sender)
+        self._exec("FLOWMOD", msg, bundle_id, sender)
 
     def install(self, match: Match, priority: int, actions: tuple[Output, ...]) -> None:
         """Add an entry numbered after every earlier one, replacing the
@@ -212,7 +214,7 @@ class SwitchState:
 
     def _exec_packet_out(self, msg: PacketOut, sender: ControllerId,
                          bundle_id: Optional[int]) -> Outbound:
-        self._exec("PACKETOUT", f"out={_fmt_actions(msg.actions)}", bundle_id, sender)
+        self._exec("PACKETOUT", msg, bundle_id, sender)
         out: Outbound = []
         for action in msg.actions:
             if action.port == CONTROLLER_PORT:
@@ -227,7 +229,8 @@ class SwitchState:
         if entry is None:
             pkt = self._fresh_packet_in(PacketInReason.NO_MATCH, in_port, payload)
             return self.deliver_packet_in(pkt)
-        self._exec("PACKET_FWD", f"in={in_port} out={_fmt_actions(entry.actions)}")
+        self.exec_log.append(({"exec": "PACKET_FWD", "in_port": str(in_port)},
+                              FlowMod(entry.match, entry.priority, entry.actions)))
         out: Outbound = []
         for action in entry.actions:
             if action.port == CONTROLLER_PORT:
@@ -280,25 +283,9 @@ class SwitchState:
         return [(bid, m) for bid, staged in sorted(conn.open_bundles.items())
                 for m in staged]
 
-    def _exec(self, kind: str, info: str, bundle_id: Optional[int] = None,
-              sender: Optional[ControllerId] = None) -> None:
-        detail = {"exec": kind, "info": info}
+    def _exec(self, kind: str, msg: Optional[ControlMessage], bundle_id: Optional[int],
+              sender: ControllerId) -> None:
+        detail = {"exec": kind, "from": str(sender)}
         if bundle_id is not None:
             detail["bundle"] = str(bundle_id)
-        if sender is not None:
-            detail["from"] = str(sender)
-        self.exec_log.append(detail)
-
-
-def _fmt_actions(actions: tuple[Output, ...]) -> str:
-    return ",".join("ctl" if a.port == CONTROLLER_PORT else str(a.port)
-                    for a in actions)
-
-
-def _fmt_match(match: Match) -> str:
-    parts = []
-    if match.in_port is not None:
-        parts.append(f"in_port={match.in_port}")
-    if match.payload_prefix is not None:
-        parts.append(f"prefix={match.payload_prefix.hex()}")
-    return "+".join(parts) if parts else "any"
+        self.exec_log.append((detail, msg))

@@ -174,4 +174,4 @@ def packet_in_send(switch: str, ctrl: str, event: str,
 def bundle_commit_exec(switch: str, bundle: int, sender: int = 0) -> tuple:
     return ("EXEC", switch, None, None,
             {"exec": "BUNDLE_COMMIT", "bundle": str(bundle),
-             "from": str(sender), "info": ""})
+             "from": str(sender)})

@@ -187,7 +187,7 @@ def test_criterion_8_synthetic_counterexamples():
                                apply_event("c2", 1, "0:1", digest="aa")]),
         "P6": synthetic_trace([("EXEC", "s0", None, None,
                                 {"exec": "FLOWMOD", "bundle": "4",
-                                 "from": "0", "info": ""})]),
+                                 "from": "0"})]),
     }
     passing = {
         "P1": synthetic_trace([apply_event("c0", 1, "0:1"),
@@ -204,7 +204,7 @@ def test_criterion_8_synthetic_counterexamples():
                                       "inner": {"type": "FlowMod"}}, None),
              bundle_commit_exec("s0", 4),
              ("EXEC", "s0", None, None,
-              {"exec": "FLOWMOD", "bundle": "4", "from": "0", "info": ""})]),
+              {"exec": "FLOWMOD", "bundle": "4", "from": "0"})]),
     }
     ok = True
     for i, prop in enumerate(PROPERTIES):

@@ -195,8 +195,8 @@ def test_p4_missing_execution_not_flagged_under_majority_loss():
 
 def test_p4_naive_accounting_counts_tagged_batches():
     exec_rec = ("EXEC", "s1", None, None,
-                {"exec": "FLOWMOD", "info": "", "from": "0",
-                 "cmd_index": "4", "cmd_switch": "1", "cmd_ord": "0"})
+                {"exec": "FLOWMOD", "from": "0",
+                 "cmd_index": "4", "cmd_ord": "0"})
     trace = synthetic_trace(committed_apply_records() + [exec_rec],
                             variant="NAIVE")
     assert check_exactly_once_commands(_Run(trace)).passed
@@ -268,7 +268,7 @@ def staged_bundle_records(n_adds=2, commit=True, effects=None):
         effects = n_adds if commit else 0
     for _ in range(effects):
         records.append(("EXEC", "s0", None, None,
-                        {"exec": "FLOWMOD", "bundle": "4", "from": "0", "info": ""}))
+                        {"exec": "FLOWMOD", "bundle": "4", "from": "0"}))
     return records
 
 
@@ -284,7 +284,7 @@ def test_p6_passes_on_discarded_bundle_with_zero_effects():
 
 def test_p6_fails_on_effect_without_commit():
     records = [("EXEC", "s0", None, None,
-                {"exec": "FLOWMOD", "bundle": "4", "from": "0", "info": ""})]
+                {"exec": "FLOWMOD", "bundle": "4", "from": "0"})]
     trace = synthetic_trace(records)
     verdict = check_bundle_atomicity(_Run(trace))
     assert_valid_witnesses(verdict, trace)
@@ -303,7 +303,7 @@ def test_p6_passes_on_empty_trace():
 
 
 def switch_exec(switch, kind, bundle=None):
-    detail = {"exec": kind, "from": "0", "info": ""}
+    detail = {"exec": kind, "from": "0"}
     if bundle is not None:
         detail["bundle"] = str(bundle)
     return ("EXEC", switch, None, None, detail)

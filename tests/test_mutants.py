@@ -17,6 +17,12 @@ detector delay, so that the survivors act on a crash while messages sent
 before it are still in flight; no per-link latency is needed. The
 staged-bundle discard stays vacuous: it needs controller restarts.
 
+One mutant is not killed yet: a new leader that resends its owed batches
+with every data-plane output rewritten to port 99. Its EXEC records show
+the rewritten commands, but every verdict passes, because no property
+compares what a switch executed with what was committed (ROADMAP item 18,
+step 2); its kill is a strict ``xfail``.
+
 One more mutant breaks progress rather than a mechanism: a leader that
 never stops re-replicating livelocks, and P2 kills it by its quiesce-limit
 stall alone, on a fault-free run.
@@ -35,9 +41,10 @@ from pathlib import Path
 import pytest
 
 from builders import unsound_merges
-from sdnsim import Simulation, cli, load_scenario, netsim
+from sdnsim import Simulation, cli, load_scenario, netsim, sweep_crash_points
 from sdnsim.checker import all_passed, classify_anomalies, run_all_checks
-from sdnsim.ofmodel import RoleReply, RoleRequest, SetAsyncConfig
+from sdnsim.ofmodel import (CONTROLLER_PORT, BundleAdd, FlowMod, Output, PacketOut, RoleReply,
+                            RoleRequest, SetAsyncConfig)
 from sdnsim.replica import Append, AppendAck, Replica, SendToSwitch
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -68,6 +75,34 @@ def resend_without_checking_acks(self, sw):
         if self.commands_by_index.get(i, {}).get(sw):
             effects.extend(self._dispatch(i, sw))
     return effects
+
+
+def to_port_99(msg):
+    """``msg`` with every data-plane output of a FlowMod or PacketOut, bare
+    or staged, rewritten to port 99; an ack outputs to the controller only
+    and stays as it is."""
+    if isinstance(msg, BundleAdd):
+        return replace(msg, inner=to_port_99(msg.inner))
+    if isinstance(msg, (FlowMod, PacketOut)):
+        return replace(msg, actions=tuple(a if a.port == CONTROLLER_PORT else Output(99)
+                                          for a in msg.actions))
+    return msg
+
+
+def resend_to_port_99(flush_owed):
+    """``_flush_owed`` resending each owed batch with its outputs rewritten."""
+    def mutant(self, sw):
+        return [replace(e, msg=to_port_99(e.msg)) for e in flush_owed(self, sw)]
+    return mutant
+
+
+def points_executing_port_99_flow_mods(name: str) -> int:
+    """How many points of a shipped scenario's c0 sweep execute a FlowMod
+    that outputs to port 99, as their EXEC records state it."""
+    scenario = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    return sum(len(points) for points, fork in sweep_crash_points(Simulation(scenario), 0)
+               if any(rec.kind == "EXEC" and rec.detail["exec"] == "FLOWMOD"
+                      and {"port": 99} in rec.msg["actions"] for rec in fork.run().records))
 
 
 def startup_without_async_config(startup):
@@ -173,6 +208,21 @@ def test_majority_of_one_diverges_in_order(monkeypatch, unmutated_slow_link, nam
     anomalies = leader_sweep_anomalies(name, **SLOW_LINK)
     assert anomalies["ORDER_DIVERGENCE"] >= 1
     assert not unmutated_slow_link[name]
+
+
+def test_rewritten_owed_commands_show_in_exec_records(monkeypatch):
+    assert points_executing_port_99_flow_mods("paper_a") == 0
+    monkeypatch.setattr(Replica, "_flush_owed", resend_to_port_99(Replica._flush_owed))
+    # 42 of the sweep's 49 points
+    assert points_executing_port_99_flow_mods("paper_a") == 42
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18 step 2: no property compares what "
+                                       "a switch executed with what was committed")
+def test_rewritten_owed_commands_are_caught(monkeypatch, unmutated):
+    monkeypatch.setattr(Replica, "_flush_owed", resend_to_port_99(Replica._flush_owed))
+    assert leader_sweep_anomalies("paper_a")[None] >= 1
+    assert not unmutated["paper_a"]
 
 
 def test_a_livelocked_leader_makes_no_progress(monkeypatch):

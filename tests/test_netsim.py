@@ -23,8 +23,9 @@ from sdnsim import (
 from sdnsim import netsim, replica
 from sdnsim.apps import ROUTE_PRIORITY, StepMemo, state_digest
 from sdnsim.netsim import _is_crash_point
-from sdnsim.ofmodel import CONTROLLER_PORT
+from sdnsim.ofmodel import CONTROLLER_PORT, FlowMod, Match, Output
 from sdnsim.scenario import VARIANTS, InitialFlow, SwitchSpec, WorkloadItem
+from sdnsim.trace import msg_to_wire
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -385,6 +386,58 @@ def test_every_run_and_fork_replays_from_its_first_line(path, variant):
         assert replay(base.trace) == base.trace.to_lines()
 
 
+def misstated_execs(trace) -> tuple[int, list[int]]:
+    """How many FLOWMOD and PACKETOUT EXECs ``trace`` holds, and the steps
+    of those whose ``msg`` is not the message that brought them: for a
+    bundled one, the ``inner`` that its bundle staged at its place in the
+    commit window; for an unbundled one, the ``msg`` of the latest DELIVER
+    whose ``cmd_`` tags it carries."""
+    staged: dict[tuple, list[dict]] = {}  # (switch, controller, bundle id) -> inners
+    tagged: dict[tuple, dict] = {}  # (switch, cmd_index, cmd_ord) -> delivered msg
+    window = iter(())  # the staged inners of the bundle last committed
+    execs, wrong = 0, []
+    for rec in trace.records:
+        detail = rec.detail
+        if rec.kind == "DELIVER" and rec.actor.startswith("s"):
+            msg_type = rec.msg["type"]
+            key = (rec.actor, rec.peer, rec.msg.get("bundle_id"))
+            if msg_type == "BundleOpen":
+                staged.setdefault(key, [])  # a re-open of a live id is rejected
+            elif msg_type == "BundleAdd" and key in staged:
+                staged[key].append(rec.msg["inner"])
+            elif "cmd_index" in detail:
+                tagged[(rec.actor, detail["cmd_index"], detail["cmd_ord"])] = rec.msg
+        elif rec.kind == "EXEC" and detail["exec"] == "BUNDLE_COMMIT":
+            window = iter(staged.pop((rec.actor, f"c{detail['from']}", int(detail["bundle"]))))
+        elif rec.kind == "EXEC" and detail["exec"] in ("FLOWMOD", "PACKETOUT"):
+            execs += 1
+            if "bundle" in detail:
+                expected = next(window, None)
+            else:
+                expected = tagged.get((rec.actor, detail.get("cmd_index"), detail.get("cmd_ord")))
+            if expected is None or rec.msg != expected:
+                wrong.append(rec.step)
+        elif rec.kind == "CRASH":
+            staged = {k: v for k, v in staged.items() if k[1] != rec.actor}
+    return execs, wrong
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_exec_records_state_the_message_executed(path, variant):
+    """Every executed FlowMod or PacketOut, in the fault-free run and in
+    every leader-sweep fork, is recorded as the message that brought it."""
+    scenario = load_scenario(str(path)).with_variant(variant)
+    base = Simulation(scenario)
+    traces = [fork.run() for _, fork in sweep_crash_points(base, 0)] + [base.run()]
+    total = 0
+    for i, trace in enumerate(traces):
+        execs, wrong = misstated_execs(trace)
+        assert wrong == [], f"trace {i} of {len(traces)}"
+        total += execs
+    assert total
+
+
 def paper_a_with_initial_flow():
     """``paper_a`` with an s0 flow that sends prefix-02 packets to the
     controller and out port 3; no shipped scenario has initial flows."""
@@ -397,9 +450,11 @@ def paper_a_with_initial_flow():
 @pytest.mark.parametrize("variant", ["NAIVE", "PAPER_A", "PAPER_B"])
 def test_initial_flow_to_the_controller_raises_an_applied_event(variant):
     trace = run_trace(paper_a_with_initial_flow().with_variant(variant))
-    forwards = [r.detail["info"] for r in trace.records
+    forwards = [(r.detail["in_port"], r.msg) for r in trace.records
                 if r.kind == "EXEC" and r.detail["exec"] == "PACKET_FWD"]
-    assert forwards.count("in=1 out=ctl,3") == 1
+    initial = msg_to_wire(FlowMod(Match(payload_prefix=b"\x02"), 7,
+                                  (Output(CONTROLLER_PORT), Output(3))))
+    assert forwards.count(("1", initial)) == 1
     # the table hit sends the workload packet up as a reason-ACTION PacketIn
     (event,) = {r.msg["event"] for r in trace.records
                 if r.kind == "SEND" and r.actor == "s0" and r.msg["type"] == "PacketIn"
@@ -424,9 +479,13 @@ def test_runtime_flow_mod_wins_a_priority_tie_with_an_initial_flow():
         workload=(WorkloadItem(t=5, switch=0, in_port=2, payload=bytes.fromhex("02aa")),
                   WorkloadItem(t=40, switch=0, in_port=1, payload=bytes.fromhex("02bb"))))
     trace = run_trace(sc)
-    forwards = [r.detail["info"] for r in trace.records
+    # a table hit names its entry in the form of the FLOWMOD that installed it
+    (install,) = [r.msg for r in trace.records
+                  if r.kind == "EXEC" and r.detail["exec"] == "FLOWMOD"]
+    assert install["actions"] == [{"port": 2}]
+    forwards = [(r.detail["in_port"], r.msg) for r in trace.records
                 if r.kind == "EXEC" and r.detail["exec"] == "PACKET_FWD"]
-    assert forwards == ["in=1 out=2"]
+    assert forwards == [("1", install)]
     assert all_passed(run_all_checks(trace))
 
 

@@ -256,7 +256,7 @@ def test_naive_dispatch_sends_bare_tagged_commands():
     effects = r.on_replica_message(1, AppendAck(0, 1))
     sends = sends_to_switch(effects)
     assert [type(e.msg).__name__ for e in sends] == ["FlowMod"]
-    assert sends[0].tags == {"cmd_index": "1", "cmd_switch": "0", "cmd_ord": "0"}
+    assert sends[0].tags == {"cmd_index": "1", "cmd_ord": "0"}
 
 
 # ----------------------------------------------------------------------

@@ -111,10 +111,10 @@ def test_bundle_walkthrough():
     assert out == [(0, ack_pkt), (1, ack_pkt), (2, ack_pkt),
                    (0, BundleCtrlReply(7, BundleReplyKind.COMMIT_OK))]
     assert [e.match for e in sw.flow_table] == [flow.match]
-    assert [(e["exec"], e["bundle"], e["from"]) for e in sw.exec_log] == [
-        ("BUNDLE_COMMIT", "7", "0"),
-        ("FLOWMOD", "7", "0"),
-        ("PACKETOUT", "7", "0"),
+    assert [(d["exec"], d["bundle"], d["from"], m) for d, m in sw.exec_log] == [
+        ("BUNDLE_COMMIT", "7", "0", None),
+        ("FLOWMOD", "7", "0", flow),
+        ("PACKETOUT", "7", "0", ack_out),
     ]
     assert sw.conns[0].open_bundles == {}
 
@@ -207,7 +207,8 @@ def test_table_hit_forwards_without_packet_in():
     sw.handle_message(0, FlowMod(Match(payload_prefix=b"\x02"), 5, (Output(2),)))
     out = sw.inject_data_packet(1, b"\x02\xaa")
     assert out == []
-    assert sw.exec_log[-1]["exec"] == "PACKET_FWD"
+    assert sw.exec_log[-1] == ({"exec": "PACKET_FWD", "in_port": "1"},
+                               FlowMod(Match(payload_prefix=b"\x02"), 5, (Output(2),)))
     assert sw.seq_counter == 0
 
 
@@ -233,7 +234,7 @@ def test_higher_priority_entry_wins():
     sw.handle_message(0, FlowMod(Match(), 1, (Output(1),)))
     sw.handle_message(0, FlowMod(Match(payload_prefix=b"\x02"), 5, (Output(2),)))
     sw.inject_data_packet(1, b"\x02\xaa")
-    assert "out=2" in sw.exec_log[-1]["info"]
+    assert sw.exec_log[-1][1].actions == (Output(2),)
 
 
 def test_flow_mod_replaces_same_match_and_priority():
@@ -384,5 +385,5 @@ def test_bundle_atomicity_error_paths_leave_no_partial_effects():
     sw.handle_message(0, BundleAdd(4, FlowMod(Match(), 1, (Output(2),))))
     sw.handle_message(0, BundleCommit(9))  # wrong id
     assert sw.exec_log == []
-    commits = [e for e in sw.exec_log if e["exec"] == "BUNDLE_COMMIT"]
+    commits = [d for d, _ in sw.exec_log if d["exec"] == "BUNDLE_COMMIT"]
     assert commits == []

@@ -1,11 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from builders import learning_scenario, one_command_scenario, synthetic_trace
 from sdnsim import (FaultSpec, Simulation, Trace, TraceRecord, compute_metrics,
-                    run_all_checks)
+                    load_scenario, run_all_checks, sweep_crash_points)
+from sdnsim.ofmodel import CONTROLLER_PORT
 from sdnsim.trace import TraceFormatError, canonical_json
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +175,58 @@ def test_write_puts_one_line_per_record(tmp_path, trace):
     path = tmp_path / "run.trace"
     trace.write(str(path))
     assert path.read_text(encoding="utf-8") == "".join(ln + "\n" for ln in trace.to_lines())
+
+
+def _ports(actions: list) -> str:
+    return ",".join("ctl" if a["port"] == CONTROLLER_PORT else str(a["port"]) for a in actions)
+
+
+def _match(match: dict) -> str:
+    parts = [f"in_port={match['in_port']}"] if "in_port" in match else []
+    parts += [f"prefix={match['payload_prefix']}"] if "payload_prefix" in match else []
+    return "+".join(parts) or "any"
+
+
+def in_older_form(lines: list[str]) -> list[str]:
+    """A trace's lines as sdnsim wrote them before an EXEC record carried
+    its message: an EXEC states its command as an ``info`` text instead of
+    ``msg`` (and a table hit its in-port there, not as ``in_port``), and
+    each NAIVE command tag set also names its switch as ``cmd_switch``."""
+    objs = [json.loads(line) for line in lines[1:]]
+    for i, obj in enumerate(objs):
+        detail = obj.get("detail", {})
+        if "cmd_index" in detail:
+            switch = obj["peer"] if obj["kind"] == "SEND" else obj["actor"]
+            detail["cmd_switch"] = switch[1:]
+        if obj["kind"] != "EXEC":
+            continue
+        msg, kind = obj.pop("msg", None), detail["exec"]
+        if kind == "BUNDLE_COMMIT":
+            window = 0
+            while (i + window + 1 < len(objs) and objs[i + window + 1]["kind"] == "EXEC"
+                   and objs[i + window + 1]["detail"].get("bundle") == detail["bundle"]):
+                window += 1
+            detail["info"] = f"messages={window}"
+        elif kind == "FLOWMOD":
+            detail["info"] = f"prio={msg['priority']} match={_match(msg['match'])}"
+        elif kind == "PACKETOUT":
+            detail["info"] = f"out={_ports(msg['actions'])}"
+        else:
+            detail["info"] = f"in={detail.pop('in_port')} out={_ports(msg['actions'])}"
+    return lines[:1] + [canonical_json(obj) for obj in objs]
+
+
+def test_traces_stored_in_the_older_exec_form_still_check():
+    one_command = Simulation(load_scenario(str(SCENARIO_DIR / "one_command.json"))).run()
+    naive = load_scenario(str(SCENARIO_DIR / "naive_suppressed.json"))
+    assert naive.variant == "NAIVE"
+    # a leader-sweep fork whose P4 reads the command tags of repeated executions
+    repeats = next(trace for trace in (fork.run() for _, fork
+                                       in sweep_crash_points(Simulation(naive), 0))
+                   if not run_all_checks(trace)[3].passed)
+    for trace in (one_command, repeats):
+        older = in_older_form(trace.to_lines())
+        assert sum('"info":' in line for line in older) == sum(
+            rec.kind == "EXEC" for rec in trace.records)
+        assert not any('"exec":' in line and '"msg":' in line for line in older)
+        assert repr(run_all_checks(Trace.from_lines(older))) == repr(run_all_checks(trace))

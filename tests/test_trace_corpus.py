@@ -23,9 +23,12 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RUN_ONLY = {"majority_loss"}
 
 CORPUS_TRACES = 1092
-# last re-pinned when each meta line became the scenario the trace's run
-# replays; every record line and verdict stayed the same
-CORPUS_SHA256 = "2e0b61594321608cbf0b7f088347cbe0923f697f7728ef0075aaf54632e3d9b3"
+# last re-pinned when EXEC records came to state their command in wire form:
+# a FLOWMOD or PACKETOUT EXEC carries the executed message as ``msg``, a
+# PACKET_FWD the hit entry as a FlowMod and its ``in_port``, and no EXEC an
+# ``info`` text; NAIVE sends, deliveries and executions lost their
+# ``cmd_switch`` tag. Every other record line and every verdict stayed the same.
+CORPUS_SHA256 = "bd0051c960842af21f7ebe47b4bab597cc4143ddf4df708ce92005999f353bd8"
 
 
 def corpus_traces():
