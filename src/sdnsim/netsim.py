@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from .apps import make_app
-from .ofmodel import Match, Output
+from .ofmodel import FlowMod, Match, Output
 from .replica import Note, Replica, SendToReplica, SendToSwitch, shared_steps
 from .scenario import FaultSpec, Scenario, ScenarioError, TracePointSpec, scenario_to_obj
 from .switchsim import SwitchState
@@ -67,8 +67,8 @@ class Simulation:
             sw = SwitchState(spec.id, controllers,
                              clone_acks_to_all=(scenario.variant == "PAPER_B"))
             for fl in spec.flows:
-                sw.install(Match(fl.in_port, fl.payload_prefix), fl.priority,
-                           tuple(Output(p) for p in fl.out_ports))
+                sw.install(FlowMod(Match(fl.in_port, fl.payload_prefix), fl.priority,
+                                   tuple(Output(p) for p in fl.out_ports)))
             self.switches[spec.id] = sw
 
         use_bundles = scenario.variant != "NAIVE"

@@ -150,9 +150,13 @@ class Scenario:
             if sw.id in by_id:
                 raise ScenarioError(f"{path}.id: duplicate switch id {sw.id}")
             by_id[sw.id] = sw
+            seen_ports: set[int] = set()
             for p in sw.ports:
                 if p <= 0 or p == CONTROLLER_PORT:
                     raise ScenarioError(f"{path}.ports: invalid port {p}")
+                if p in seen_ports:
+                    raise ScenarioError(f"{path}.ports: duplicate port {p}")
+                seen_ports.add(p)
             # a switch holds one entry per (match, priority)
             first_flow: dict[tuple, int] = {}
             for j, fl in enumerate(sw.flows):

@@ -1,23 +1,26 @@
 """Switch-side state machine: per-connection roles and async configs,
 atomic bundles, the flow table, and PacketIn fan-out.
 
-This module alone knows a switch's internals. The flow table holds one
-entry per (match, priority), as an OpenFlow ADD replaces the entry with
-the same match and priority. ``install`` numbers every entry in install
-order, scenario flows and FlowMods alike, so on equal priority the later
-install wins. The table is indexed by match, and a lookup does one hash
-probe per match shape present (whether ``in_port`` is set, and the prefix
-length or None), keeping the best entry by (priority, installed_seq) --
-tuple space search, as in Open vSwitch's classifier. ``Match.matches``
-remains the specification the index must agree with.
+This module alone knows a switch's internals. A flow entry is the FlowMod
+that installed it, numbered by ``install`` in install order, scenario
+flows and controller FlowMods alike, so on equal priority the later
+install wins. The table holds one entry per (match, priority), as an
+OpenFlow ADD replaces the entry with the same match and priority. It is
+indexed by match, and a lookup does one hash probe per match shape
+present (whether ``in_port`` is set, and the prefix length or None),
+keeping the best entry by (priority, install number) -- tuple space
+search, as in Open vSwitch's classifier. ``Match.matches`` remains the
+specification the index must agree with.
 
 Each execution appends a ``(detail, msg)`` pair to ``exec_log``. The
 detail is the EXEC record's: ``exec`` (BUNDLE_COMMIT, FLOWMOD, PACKETOUT
 or PACKET_FWD), with ``from`` (the sending controller) and, in a bundle,
-``bundle``; a table hit has ``in_port`` instead. ``msg`` is the FlowMod
-or PacketOut executed, for a table hit the hit entry as the FlowMod that
-installs it, and None for a commit. ``conns`` holds the open connections
-only; a dropped connection is removed.
+``bundle`` (``_log_exec`` builds these); a table hit has ``in_port``
+instead. ``msg`` is the FlowMod or PacketOut executed (``_execute`` runs
+both, alone or in a bundle), for a table hit the hit entry's own FlowMod,
+and None for a commit. A PacketOut and a table hit raise their
+controller-port PacketIns through ``_action_packet_ins``. ``conns`` holds the open connections only; a
+dropped connection is removed.
 
 Models a stock OpenFlow 1.4 switch. Two rules here carry the whole
 failover story and must not be weakened:
@@ -84,22 +87,15 @@ class ConnState:
         return self.role is not Role.SLAVE
 
 
-@dataclass
-class FlowEntry:
-    match: Match
-    priority: int
-    actions: tuple[Output, ...]
-    installed_seq: int
-
-
 class SwitchState:
     """One simulated switch; processes one message to completion at a time."""
 
     def __init__(self, switch_id: SwitchId, controllers: list[ControllerId],
                  clone_acks_to_all: bool = False):
         self.id = switch_id
-        # match -> {priority: entry}; inner dicts are replaced, never mutated
-        self._flows: dict[Match, dict[int, FlowEntry]] = {}
+        # match -> {priority: (install number, FlowMod)}; inner dicts are
+        # replaced, never mutated
+        self._flows: dict[Match, dict[int, tuple[int, FlowMod]]] = {}
         # (in_port set, prefix length or None) of each match in the table
         self._shapes: tuple[tuple[bool, Optional[int]], ...] = ()
         self.conns: dict[ControllerId, ConnState] = {
@@ -138,11 +134,8 @@ class SwitchState:
         if isinstance(msg, _SLAVE_REJECTED) and conn.role is Role.SLAVE:
             return [(sender, ErrorMsg(ErrorCode.IS_SLAVE))]
 
-        if isinstance(msg, FlowMod):
-            self._apply_flow_mod(msg, sender, bundle_id=None)
-            return []
-        if isinstance(msg, PacketOut):
-            return self._exec_packet_out(msg, sender, bundle_id=None)
+        if isinstance(msg, (FlowMod, PacketOut)):
+            return self._execute(msg, sender, bundle_id=None)
         if isinstance(msg, BundleOpen):
             if msg.bundle_id in conn.open_bundles:
                 return [(sender, ErrorMsg(ErrorCode.BAD_BUNDLE))]
@@ -175,28 +168,40 @@ class SwitchState:
         if bundle_id not in conn.open_bundles:
             return [(conn.controller, ErrorMsg(ErrorCode.BAD_BUNDLE))]
         staged = conn.open_bundles.pop(bundle_id)
-        self._exec("BUNDLE_COMMIT", None, bundle_id, conn.controller)
+        self._log_exec("BUNDLE_COMMIT", None, conn.controller, bundle_id)
         out: Outbound = []
         for inner in staged:
-            if isinstance(inner, FlowMod):
-                self._apply_flow_mod(inner, conn.controller, bundle_id)
-            else:
-                out.extend(self._exec_packet_out(inner, conn.controller, bundle_id))
+            out.extend(self._execute(inner, conn.controller, bundle_id))
         out.append((conn.controller, BundleCtrlReply(bundle_id, BundleReplyKind.COMMIT_OK)))
         return out
 
     # ------------------------------------------------------------------
     # flow table and packet execution
 
-    def _apply_flow_mod(self, msg: FlowMod, sender: ControllerId,
-                        bundle_id: Optional[int]) -> None:
-        self.install(msg.match, msg.priority, msg.actions)
-        self._exec("FLOWMOD", msg, bundle_id, sender)
+    def _execute(self, msg: FlowMod | PacketOut, sender: ControllerId,
+                 bundle_id: Optional[int]) -> Outbound:
+        """Log and run one FlowMod or PacketOut, sent alone or committed in
+        bundle ``bundle_id``."""
+        if isinstance(msg, FlowMod):
+            self._log_exec("FLOWMOD", msg, sender, bundle_id)
+            self.install(msg)
+            return []
+        self._log_exec("PACKETOUT", msg, sender, bundle_id)
+        return self._action_packet_ins(msg.actions, CONTROLLER_PORT, msg.payload)
 
-    def install(self, match: Match, priority: int, actions: tuple[Output, ...]) -> None:
-        """Add an entry numbered after every earlier one, replacing the
-        entry with the same match and priority."""
+    def _log_exec(self, kind: str, msg: Optional[ControlMessage], sender: ControllerId,
+                  bundle_id: Optional[int]) -> None:
+        """Log one controller-sent execution: a commit, FlowMod or PacketOut."""
+        detail = {"exec": kind, "from": str(sender)}
+        if bundle_id is not None:
+            detail["bundle"] = str(bundle_id)
+        self.exec_log.append((detail, msg))
+
+    def install(self, flow: FlowMod) -> None:
+        """Add ``flow`` as an entry numbered after every earlier one,
+        replacing the entry with the same match and priority."""
         self._install_seq += 1
+        match = flow.match
         by_priority = self._flows.get(match)
         if by_priority is None:
             by_priority = {}
@@ -204,43 +209,26 @@ class SwitchState:
                      None if match.payload_prefix is None else len(match.payload_prefix))
             if shape not in self._shapes:
                 self._shapes += (shape,)
-        self._flows[match] = {**by_priority,
-                              priority: FlowEntry(match, priority, actions, self._install_seq)}
+        self._flows[match] = {**by_priority, flow.priority: (self._install_seq, flow)}
 
     @property
-    def flow_table(self) -> list[FlowEntry]:
-        """The installed entries, as a new list."""
+    def flow_table(self) -> list[tuple[int, FlowMod]]:
+        """The installed entries as (install number, FlowMod) pairs, in a new list."""
         return [e for by_priority in self._flows.values() for e in by_priority.values()]
-
-    def _exec_packet_out(self, msg: PacketOut, sender: ControllerId,
-                         bundle_id: Optional[int]) -> Outbound:
-        self._exec("PACKETOUT", msg, bundle_id, sender)
-        out: Outbound = []
-        for action in msg.actions:
-            if action.port == CONTROLLER_PORT:
-                pkt = self._fresh_packet_in(PacketInReason.ACTION,
-                                            CONTROLLER_PORT, msg.payload)
-                out.extend(self.deliver_packet_in(pkt))
-        return out
 
     def inject_data_packet(self, in_port: PortId, payload: bytes) -> Outbound:
         """Data-plane packet arrival: forward on a table hit, report a miss."""
-        entry = self._lookup(in_port, payload)
-        if entry is None:
+        flow = self._lookup(in_port, payload)
+        if flow is None:
             pkt = self._fresh_packet_in(PacketInReason.NO_MATCH, in_port, payload)
             return self.deliver_packet_in(pkt)
-        self.exec_log.append(({"exec": "PACKET_FWD", "in_port": str(in_port)},
-                              FlowMod(entry.match, entry.priority, entry.actions)))
-        out: Outbound = []
-        for action in entry.actions:
-            if action.port == CONTROLLER_PORT:
-                pkt = self._fresh_packet_in(PacketInReason.ACTION, in_port, payload)
-                out.extend(self.deliver_packet_in(pkt))
-        return out
+        self.exec_log.append(({"exec": "PACKET_FWD", "in_port": str(in_port)}, flow))
+        return self._action_packet_ins(flow.actions, in_port, payload)
 
-    def _lookup(self, in_port: PortId, payload: bytes) -> Optional[FlowEntry]:
+    def _lookup(self, in_port: PortId, payload: bytes) -> Optional[FlowMod]:
         flows = self._flows
-        best: Optional[FlowEntry] = None
+        best: Optional[FlowMod] = None
+        best_key: tuple = ()  # sorts before every (priority, install number)
         for has_port, length in self._shapes:
             if length is not None and len(payload) < length:
                 continue  # as startswith: too short for any prefix this long
@@ -248,10 +236,21 @@ class SwitchState:
                                           None if length is None else payload[:length]))
             if by_priority is None:
                 continue
-            entry = by_priority[max(by_priority)]
-            if best is None or (entry.priority, entry.installed_seq) > (best.priority, best.installed_seq):
-                best = entry
+            priority = max(by_priority)
+            seq, flow = by_priority[priority]
+            if (priority, seq) > best_key:
+                best, best_key = flow, (priority, seq)
         return best
+
+    def _action_packet_ins(self, actions: tuple[Output, ...], in_port: PortId,
+                           payload: bytes) -> Outbound:
+        """One ACTION PacketIn, fanned out, per controller-port output."""
+        out: Outbound = []
+        for action in actions:
+            if action.port == CONTROLLER_PORT:
+                pkt = self._fresh_packet_in(PacketInReason.ACTION, in_port, payload)
+                out.extend(self.deliver_packet_in(pkt))
+        return out
 
     def _fresh_packet_in(self, reason: PacketInReason, in_port: PortId,
                          payload: bytes) -> PacketIn:
@@ -282,10 +281,3 @@ class SwitchState:
         conn = self.conns.pop(controller)
         return [(bid, m) for bid, staged in sorted(conn.open_bundles.items())
                 for m in staged]
-
-    def _exec(self, kind: str, msg: Optional[ControlMessage], bundle_id: Optional[int],
-              sender: ControllerId) -> None:
-        detail = {"exec": kind, "from": str(sender)}
-        if bundle_id is not None:
-            detail["bundle"] = str(bundle_id)
-        self.exec_log.append((detail, msg))

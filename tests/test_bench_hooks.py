@@ -1,18 +1,25 @@
-"""The entry points the benchmark's traced run wraps stay where it looks
-them up.
+"""The entry points the benchmark's traced run wraps, and the package-level
+names its runner calls, stay where it looks them up.
 
 ``bench/spans.py`` times each layer by replacing these attributes on
 their owners: a module, a class, or (for the exec log it reads) a switch
 instance. A rename or move would otherwise surface only in a traced
-benchmark run. The list is copied from that file, which is not imported,
-so a change to the benchmark alone cannot break this test.
+benchmark run. ``bench/run.py`` also calls a few names on the ``sdnsim``
+package itself. The list is copied from those files, which are not
+imported, so a change to the benchmark alone cannot break this test.
 """
 
 import pytest
 
+import sdnsim
 from sdnsim import apps, checker, cli, netsim, ofmodel, replica, switchsim, trace
 
 HOOKS = [
+    # called on the package by bench/run.py, most only when a sweep
+    # raises, which no passing run reaches
+    *((sdnsim, name) for name in (
+        "load_scenario", "Trace", "Simulation", "enumerate_crash_points",
+        "run_all_checks", "all_passed")),
     (cli, "main"), (cli, "load_scenario"), (cli, "enumerate_crash_points"),
     (cli, "run_all_checks"), (cli, "compute_metrics"),
     (netsim.Simulation, "__init__"), (netsim.Simulation, "run"), (netsim, "msg_to_wire"),

@@ -190,6 +190,9 @@ MALFORMED_SCENARIOS = {
         "switches[1].id: duplicate switch id 0"),
     "port-zero": (
         lambda obj: _switch(obj).update(ports=[0, 2]), "switches[0].ports: invalid port 0"),
+    "port-duplicate": (
+        lambda obj: _switch(obj).update(ports=[1, 2, 2]),
+        "switches[0].ports: duplicate port 2"),
     "flow-output-not-on-switch": (
         lambda obj: _switch(obj)["flows"].append({"out_ports": [3]}),
         "switches[0].flows[0]: output port 3 not on switch"),

@@ -1,8 +1,14 @@
 """End-to-end protocol properties asserted on live simulation state, plus
 harder fault schedules than the acceptance sweep."""
 
+import contextlib
+import hashlib
+import heapq
+
+import pytest
 from builders import learning_scenario, one_command_scenario, stalled
-from sdnsim import FaultSpec, Simulation, all_passed, run_all_checks
+from sdnsim import (FaultSpec, Scenario, Simulation, SwitchSpec, WorkloadItem, all_passed,
+                    run_all_checks, sweep_crash_points)
 from sdnsim.replica import EventEntry
 
 
@@ -68,8 +74,6 @@ def test_naive_single_controller_commits_immediately():
 def test_randomized_workloads_hold_all_properties():
     import random
 
-    from sdnsim import Scenario, SwitchSpec, WorkloadItem
-
     rng = random.Random(0xC0FFEE)
     for case in range(10):
         n_switches = rng.randint(1, 3)
@@ -122,3 +126,105 @@ def test_events_during_failover_window_are_recovered():
                    if r.kind == "APPLY" and r.actor == survivor
                    and r.detail.get("entry") == "EVENT"}
         assert set(emitted) <= applied
+
+
+# ----------------------------------------------------------------------
+# ROADMAP item 1: safety that rests on timing. Each repro wraps the
+# scheduler, so the simulator needs no option for it; each failing case is
+# a strict xfail until the protocol fix (item 1, step 3) makes it pass.
+
+ITEM_1 = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: a new leader neither collects nor backfills logs")
+
+
+@contextlib.contextmanager
+def failing_with(expected):
+    """Let through an AssertionError only if its text has ``expected`` (None:
+    any), so a strict xfail cannot hold on some other failure."""
+    try:
+        yield
+    except AssertionError as e:
+        if expected is not None and expected not in str(e):
+            pytest.fail(f"expected an AssertionError with {expected!r}, got {e}")
+        raise
+
+
+def conflicting_applies(trace):
+    """(index, first, other) wherever two replicas, crashed ones included,
+    applied different log entries at one index; each side is (actor, entry)."""
+    first = {}
+    conflicts = []
+    for r in trace.records:
+        if r.kind == "APPLY":
+            d = r.detail
+            entry = (d["entry"], d.get("event") or d["entry_view"])
+            seen = first.setdefault(d["index"], (r.actor, entry))
+            if seen[1] != entry:
+                conflicts.append((d["index"], seen, (r.actor, entry)))
+    return conflicts
+
+
+# the assertion each xfailed case must fail on
+SLOW_LINK_FAILURE = {9: "conflicting applies", 10: "conflict below commit index"}
+TIE_ORDER_FAILURE = {2: "gap in replicated entries", 4: "gap in replicated entries"}
+
+
+@pytest.mark.parametrize("crash_t", [
+    *range(5, 9), pytest.param(9, marks=ITEM_1), pytest.param(10, marks=ITEM_1),
+    *range(11, 16)])
+def test_leader_crash_with_a_slow_link_keeps_applied_logs_agreeing(monkeypatch, crash_t):
+    # at 10 a replica asserts "conflict below commit index"; at 9 every
+    # property passes, yet c0 applies an EVENT and c1 and c2 a VIEW at index 1
+    schedule = Simulation._schedule
+
+    def slow_c0_to_c1(self, t, handler, *args):
+        # every c0->c1 delivery takes 4 ticks, not 1, so the link stays FIFO
+        if handler is Simulation._deliver and args[:2] == ("c0", "c1"):
+            t += 3
+        schedule(self, t, handler, *args)
+
+    monkeypatch.setattr(Simulation, "_schedule", slow_c0_to_c1)
+    scenario = one_command_scenario(faults=(FaultSpec(0, at_time=crash_t),))
+    with failing_with(SLOW_LINK_FAILURE.get(crash_t)):
+        trace = Simulation(scenario).run()
+        verdicts = run_all_checks(trace)
+        assert all_passed(verdicts), [v for v in verdicts if not v.passed]
+        conflicts = conflicting_applies(trace)
+        assert not conflicts, f"conflicting applies {conflicts}"
+
+
+def repeated_event_scenario():
+    """One switch, the same packet at t=5 and t=6."""
+    return Scenario(name="repeated-event", variant="PAPER_A", n_controllers=3,
+                    switches=(SwitchSpec(id=0, ports=(1, 2, 3)),), app="mac-learner",
+                    workload=tuple(WorkloadItem(t, 0, 1, bytes.fromhex("0101"))
+                                   for t in (5, 6)))
+
+
+@pytest.mark.parametrize("tie_seed", [
+    None, 0, 1, pytest.param(2, marks=ITEM_1), 3, pytest.param(4, marks=ITEM_1), 5])
+def test_leader_sweep_under_seeded_tie_order(monkeypatch, tie_seed):
+    # at tie seeds 2 and 4 a replica asserts "gap in replicated entries";
+    # None keeps the simulator's own tie order (scheduling order)
+    def seeded_ties(self, t, handler, *args):
+        # same-time deliveries on different channels run in an order keyed
+        # by a hash of the channel; seq keeps each channel FIFO
+        key = 0
+        if handler is Simulation._deliver:
+            digest = hashlib.sha256(f"{tie_seed}:{args[0]}:{args[1]}".encode()).digest()
+            key = int.from_bytes(digest[:8], "big")
+        heapq.heappush(self._heap, (t, (key, self._seq), handler, args))
+        self._seq += 1
+
+    if tie_seed is not None:
+        monkeypatch.setattr(Simulation, "_schedule", seeded_ties)
+    forks = 0
+    with failing_with(TIE_ORDER_FAILURE.get(tie_seed)):
+        for _, fork in sweep_crash_points(Simulation(repeated_event_scenario()), 0):
+            trace = fork.run()
+            verdicts = run_all_checks(trace)
+            assert all_passed(verdicts), [v for v in verdicts if not v.passed]
+            assert conflicting_applies(trace) == []
+            forks += 1
+    assert forks > 1

@@ -24,7 +24,7 @@ from sdnsim.ofmodel import (
     SetAsyncConfig,
     encode_ack,
 )
-from sdnsim.switchsim import FlowEntry, SwitchState
+from sdnsim.switchsim import SwitchState
 
 
 def make_switch(clone=False):
@@ -110,7 +110,7 @@ def test_bundle_walkthrough():
                        CONTROLLER_PORT, encode_ack(7, 7))
     assert out == [(0, ack_pkt), (1, ack_pkt), (2, ack_pkt),
                    (0, BundleCtrlReply(7, BundleReplyKind.COMMIT_OK))]
-    assert [e.match for e in sw.flow_table] == [flow.match]
+    assert [f for _, f in sw.flow_table] == [flow]
     assert [(d["exec"], d["bundle"], d["from"], m) for d, m in sw.exec_log] == [
         ("BUNDLE_COMMIT", "7", "0", None),
         ("FLOWMOD", "7", "0", flow),
@@ -212,6 +212,24 @@ def test_table_hit_forwards_without_packet_in():
     assert sw.seq_counter == 0
 
 
+def test_table_hit_logs_the_installing_flow_mod_itself():
+    sw = registered_switch()
+    flow = FlowMod(Match(payload_prefix=b"\x02"), 5, (Output(2),))
+    sw.handle_message(0, flow)
+    sw.inject_data_packet(1, b"\x02\xaa")
+    detail, msg = sw.exec_log[-1]
+    assert detail["exec"] == "PACKET_FWD"
+    assert msg is flow
+
+
+def test_table_hit_to_controller_raises_action_packet_ins():
+    sw = registered_switch()
+    sw.handle_message(0, FlowMod(Match(in_port=1), 5, (Output(2), Output(CONTROLLER_PORT))))
+    out = sw.inject_data_packet(1, b"\x02\xaa")
+    pkt = PacketIn(EventId(7, 1), PacketInReason.ACTION, 1, b"\x02\xaa")
+    assert out == [(0, pkt), (1, pkt), (2, pkt)]
+
+
 def test_table_miss_emits_packet_in_with_fresh_seq():
     sw = registered_switch()
     out = sw.inject_data_packet(1, b"\x02\xaa")
@@ -241,18 +259,18 @@ def test_flow_mod_replaces_same_match_and_priority():
     sw = registered_switch()
     sw.handle_message(0, FlowMod(Match(payload_prefix=b"\x02"), 5, (Output(1),)))
     sw.handle_message(0, FlowMod(Match(payload_prefix=b"\x02"), 5, (Output(2),)))
-    assert len(sw.flow_table) == 1
-    assert sw.flow_table[0].actions == (Output(2),)
+    assert [(seq, f.actions) for seq, f in sw.flow_table] == [(2, (Output(2),))]
 
 
 # ----------------------------------------------------------------------
 # flow-table index against a linear scan
 
 def scan_lookup(entries, in_port, payload):
-    """The specification: of the entries whose match accepts the packet,
-    the one with the highest (priority, installed_seq)."""
-    hits = [e for e in entries if e.match.matches(in_port, payload)]
-    return max(hits, key=lambda e: (e.priority, e.installed_seq), default=None)
+    """The specification: of the (install number, FlowMod) entries whose
+    match accepts the packet, the FlowMod with the highest (priority,
+    install number)."""
+    hits = [(f.priority, seq, f) for seq, f in entries if f.match.matches(in_port, payload)]
+    return max(hits, key=lambda h: h[:2], default=(None, None, None))[2]
 
 
 def random_match(rng, alphabet=b"\x01\x02"):
@@ -266,8 +284,7 @@ def random_packet(rng, alphabet=b"\x01\x02"):
 
 
 def table_values(entries):
-    return sorted((e.installed_seq, e.match.in_port, e.match.payload_prefix, e.priority,
-                   e.actions) for e in entries)
+    return sorted(entries, key=lambda e: e[0])
 
 
 def test_lookup_agrees_with_a_linear_scan():
@@ -277,20 +294,20 @@ def test_lookup_agrees_with_a_linear_scan():
         sw = registered_switch()
         model = []  # the table as a list, replacing on equal (match, priority)
 
-        def installed(entry):
-            model[:] = [e for e in model
-                        if (e.match, e.priority) != (entry.match, entry.priority)]
-            model.append(entry)
+        def installed(seq, flow):
+            model[:] = [(s, f) for s, f in model
+                        if (f.match, f.priority) != (flow.match, flow.priority)]
+            model.append((seq, flow))
 
         n_initial = rng.randrange(4)
         for seq in range(1, n_initial + 1):
-            entry = FlowEntry(random_match(rng), rng.randrange(3), (Output(1),), seq)
-            sw.install(entry.match, entry.priority, entry.actions)
-            installed(entry)
+            flow = FlowMod(random_match(rng), rng.randrange(3), (Output(1),))
+            sw.install(flow)
+            installed(seq, flow)
         for seq in range(n_initial + 1, n_initial + rng.randrange(1, 40)):
             mod = FlowMod(random_match(rng), rng.randrange(3), (Output(rng.choice([1, 2])),))
             sw.handle_message(0, mod)
-            installed(FlowEntry(mod.match, mod.priority, mod.actions, seq))
+            installed(seq, mod)
             assert table_values(sw.flow_table) == table_values(model)
             for _ in range(5):
                 in_port, payload = random_packet(rng)
@@ -342,8 +359,8 @@ def test_fork_flow_mods_stay_in_their_copy():
     assert table_values(fork.flow_table) == fork_after != fork_before
     assert fork._lookup(1, b"\x02").actions == (Output(2),)
     assert sw._lookup(1, b"\x02").actions == (Output(2),)
-    assert [(e.priority, e.actions) for e in sw.flow_table] == [(5, (Output(3),)),
-                                                              (7, (Output(2),))]
+    assert [(f.priority, f.actions) for _, f in sw.flow_table] == [(5, (Output(3),)),
+                                                                 (7, (Output(2),))]
 
 
 # ----------------------------------------------------------------------
