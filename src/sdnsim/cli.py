@@ -145,14 +145,15 @@ def cmd_run(args) -> int:
 def _sweep_share(scenario: Scenario, target: int, worker: int, workers: int):
     """Run and check one worker's share of the sweep: the forks of every
     ``workers``-th group of crash points, from the ``worker``-th (counting
-    from 0), one check each. Returns the fault-free trace and one (point,
-    verdicts) row per point, the rows of one fork sharing its verdicts."""
+    from 0), one check each. Returns the fault-free trace, from worker 0
+    only (None from the others), and one (point, verdicts) row per point,
+    the rows of one fork sharing its verdicts."""
     base = Simulation(scenario)
     rows = []
     for points, fork in islice(sweep_crash_points(base, target), worker, None, workers):
         verdicts = run_all_checks(fork.run())
         rows.extend((point, verdicts) for point in points)
-    return base.run(), rows
+    return (None if worker else base.run()), rows
 
 
 def _sweep(scenario: Scenario, target: int, jobs: int, map_=map):
@@ -193,8 +194,8 @@ def cmd_sweep(args) -> int:
     for point, verdicts in rows:
         flags = " ".join("+" if v.passed else "-" for v in verdicts)
         anomalies = ",".join(classify_anomalies(verdicts)) or "-"
-        where = f"{point.kind} {point.msg_type}"
-        print(f"{point.occurrence:>5} {point.t:>4} {where:<24} {flags:<13} {anomalies}")
+        where = f"{point.record.kind} {point.record.msg['type']}"
+        print(f"{point.occurrence:>5} {point.record.t:>4} {where:<24} {flags:<13} {anomalies}")
     verdicts = combined([vs for _, vs in rows])
     print(summary_line(verdicts))
     return EXIT_PASS if all_passed(verdicts) else EXIT_VIOLATION

@@ -252,14 +252,12 @@ class Simulation:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One enumerated crash point: where in the fault-free run it sits and
-    the derived scenario that crashes the target there."""
+    """One enumerated crash point: the target's ``occurrence``-th send or
+    delivery, the fault-free run's own ``record`` of it, after which the
+    target crashes, and the derived scenario that crashes it there."""
 
     occurrence: int
-    step: int
-    t: int
-    kind: str
-    msg_type: str
+    record: TraceRecord
     scenario: Scenario
 
 
@@ -388,5 +386,4 @@ def _sweep_point(scenario: Scenario, target: int, occurrence: int,
     fault = FaultSpec(target=target, at_point=replace(_ANY_POINT, occurrence=occurrence))
     derived = replace(scenario, name=f"{scenario.name}+crash-c{target}-p{occurrence}",
                       faults=scenario.faults + (fault,))
-    return SweepPoint(occurrence, rec.step, rec.t, rec.kind,
-                      (rec.msg or {}).get("type", ""), derived)
+    return SweepPoint(occurrence, rec, derived)

@@ -61,7 +61,7 @@ def merged_deliveries(point, trace: Trace) -> int:
     the group's first boundary. The base logged each merged step's one
     record right after that boundary's records, so the fork's CRASH takes
     the step of the first."""
-    return max(0, point.step - sweep_crash(point, trace))
+    return max(0, point.record.step - sweep_crash(point, trace))
 
 
 def point_lines(points, trace: Trace) -> list[tuple]:

@@ -863,7 +863,9 @@ def test_sweep_shares_split_the_boundaries_and_merge_to_one_jobs_rows(path, monk
             assert (trace.to_lines(), merged) == (fault_free.to_lines(), rows), jobs
             for worker in range(jobs):
                 checked.clear()
-                _, share = cli._sweep_share(scenario, target, worker, jobs)
+                trace, share = cli._sweep_share(scenario, target, worker, jobs)
+                # only worker 0 sends back the fault-free trace
+                assert (trace is None) == (worker > 0), (jobs, worker)
                 mine = groups[worker::jobs]  # every jobs-th group, not point
                 assert len(checked) == len(mine), (jobs, worker)
                 assert [p.occurrence for p, _ in share] == [n for g in mine for n in g]

@@ -194,15 +194,16 @@ def test_derived_runs_replay_the_base_prefix():
     sc = one_command_scenario()
     base = run_trace(sc)
     point = enumerate_crash_points(sc, 0)[10]
+    rec = point.record
     derived = run_trace(point.scenario)
-    assert [r.to_obj() for r in derived.records[:point.step]] == \
-        [r.to_obj() for r in base.records[:point.step]]
+    assert [r.to_obj() for r in derived.records[:rec.step]] == \
+        [r.to_obj() for r in base.records[:rec.step]]
     # the crash lands at the first event boundary after the matched record
     crash = next(r for r in derived.records if r.kind == "CRASH")
-    assert crash.step > point.step
-    assert crash.t == point.t
-    between = derived.records[point.step:crash.step - 1]
-    assert all(r.t == point.t for r in between)
+    assert crash.step > rec.step
+    assert crash.t == rec.t
+    between = derived.records[rec.step:crash.step - 1]
+    assert all(r.t == rec.t for r in between)
 
 
 # the trace-point forms the demos and acceptance tests crash at, and the
@@ -290,12 +291,13 @@ def test_sweep_yields_forks_that_crashed_and_have_not_run(target):
         assert fork.trace.records[:shared] == base.trace.records[:shared]
         crash = fork.trace.records[shared]
         assert (crash.kind, crash.actor) == ("CRASH", f"c{target}")
-        merged = [p for p in points if p.step > shared]
+        merged = [p for p in points if p.record.step > shared]
         lag = base.processed - fork.processed
         assert lag - len(merged) in (0, 1)
         for p, records in zip(merged, steps[fork.processed + 1:]):
-            assert [(r.step, r.t, r.kind, r.actor) for r in records] == [
-                (p.step, fork.now, "DELIVER", f"c{target}")]
+            assert len(records) == 1 and records[0] is p.record
+            assert (p.record.t, p.record.kind, p.record.actor) == (
+                fork.now, "DELIVER", f"c{target}")
         forks += 1
         lagging += bool(merged)
     assert forks > 1 and lagging
@@ -332,6 +334,32 @@ def test_forked_sweep_matches_replay_on_every_shipped_scenario(path):
     scenario = load_scenario(str(path))
     for target in range(scenario.n_controllers):
         assert_sweep_matches_replay(scenario, target)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_points_hold_the_fault_free_record_they_crash_after(path, monkeypatch):
+    """A point is the fault-free run's own record object, not a copy, both
+    from the sweep and from the replay oracle, whose run is caught here."""
+    scenario = load_scenario(str(path))
+    runs = []
+    run = Simulation.run
+
+    def kept_run(sim):
+        runs.append(run(sim))
+        return runs[-1]
+
+    monkeypatch.setattr(Simulation, "run", kept_run)
+    for target in range(scenario.n_controllers):
+        base = Simulation(scenario)
+        swept = [p for points, _ in sweep_crash_points(base, target) for p in points]
+        runs.clear()
+        replayed = enumerate_crash_points(scenario, target)
+        (oracle,) = runs
+        assert swept and swept == replayed, f"target {target}"
+        for points, records in ((swept, base.trace.records), (replayed, oracle.records)):
+            for p in points:
+                assert p.record is records[p.record.step - 1], f"point {p.occurrence}"
+                assert _is_crash_point(p.record, f"c{target}", netsim._ANY_POINT)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -494,7 +522,7 @@ def test_startup_points_crash_after_the_first_dispatched_event():
     sim = Simulation(sc)
     n_startup = len(sim.trace.records)
     forked, _ = forked_sweep(sc, 0)
-    startup = [(p, lines) for p, lines in forked if p.step <= n_startup]
+    startup = [(p, lines) for p, lines in forked if p.record.step <= n_startup]
     assert [p.occurrence for p, _ in startup] == [1, 2]  # c0's two RoleRequests
     for p, lines in startup:
         trace = run_trace(p.scenario)

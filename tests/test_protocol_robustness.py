@@ -4,12 +4,15 @@ harder fault schedules than the acceptance sweep."""
 import contextlib
 import hashlib
 import heapq
+from pathlib import Path
 
 import pytest
 from builders import learning_scenario, one_command_scenario, stalled
 from sdnsim import (FaultSpec, Scenario, Simulation, SwitchSpec, WorkloadItem, all_passed,
-                    run_all_checks, sweep_crash_points)
+                    load_scenario, run_all_checks, sweep_crash_points)
 from sdnsim.replica import EventEntry
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_crash_free_run_leaves_identical_logs():
@@ -202,29 +205,55 @@ def repeated_event_scenario():
                                    for t in (5, 6)))
 
 
-@pytest.mark.parametrize("tie_seed", [
-    None, 0, 1, pytest.param(2, marks=ITEM_1), 3, pytest.param(4, marks=ITEM_1), 5])
-def test_leader_sweep_under_seeded_tie_order(monkeypatch, tie_seed):
-    # at tie seeds 2 and 4 a replica asserts "gap in replicated entries";
-    # None keeps the simulator's own tie order (scheduling order)
-    def seeded_ties(self, t, handler, *args):
-        # same-time deliveries on different channels run in an order keyed
-        # by a hash of the channel; seq keeps each channel FIFO
+def seeded_ties(tie_seed):
+    """A ``Simulation._schedule`` under which same-time deliveries on
+    different channels run in an order keyed by a sha256 of
+    ``tie_seed:src:dst``; seq keeps each channel FIFO."""
+    def schedule(self, t, handler, *args):
         key = 0
         if handler is Simulation._deliver:
             digest = hashlib.sha256(f"{tie_seed}:{args[0]}:{args[1]}".encode()).digest()
             key = int.from_bytes(digest[:8], "big")
         heapq.heappush(self._heap, (t, (key, self._seq), handler, args))
         self._seq += 1
+    return schedule
 
-    if tie_seed is not None:
-        monkeypatch.setattr(Simulation, "_schedule", seeded_ties)
+
+def assert_clean_leader_sweep(scenario):
+    """Every fork of the c0 sweep passes P1-P6 with no conflicting applies."""
     forks = 0
-    with failing_with(TIE_ORDER_FAILURE.get(tie_seed)):
-        for _, fork in sweep_crash_points(Simulation(repeated_event_scenario()), 0):
-            trace = fork.run()
-            verdicts = run_all_checks(trace)
-            assert all_passed(verdicts), [v for v in verdicts if not v.passed]
-            assert conflicting_applies(trace) == []
-            forks += 1
+    for _, fork in sweep_crash_points(Simulation(scenario), 0):
+        trace = fork.run()
+        verdicts = run_all_checks(trace)
+        assert all_passed(verdicts), [v for v in verdicts if not v.passed]
+        assert conflicting_applies(trace) == []
+        forks += 1
     assert forks > 1
+
+
+@pytest.mark.parametrize("tie_seed", [
+    None, 0, 1, pytest.param(2, marks=ITEM_1), 3, pytest.param(4, marks=ITEM_1), 5])
+def test_leader_sweep_under_seeded_tie_order(monkeypatch, tie_seed):
+    # at tie seeds 2 and 4 a replica asserts "gap in replicated entries";
+    # None keeps the simulator's own tie order (scheduling order)
+    if tie_seed is not None:
+        monkeypatch.setattr(Simulation, "_schedule", seeded_ties(tie_seed))
+    with failing_with(TIE_ORDER_FAILURE.get(tie_seed)):
+        assert_clean_leader_sweep(repeated_event_scenario())
+
+
+# the tie seeds from 0 to 29 at which both shipped sweeps abort
+SHIPPED_TIE_ORDER_GAPS = (4, 10, 14, 23)
+
+
+@pytest.mark.parametrize(("name", "tie_seed"), [
+    pytest.param(name, seed, marks=ITEM_1) if seed in SHIPPED_TIE_ORDER_GAPS else (name, seed)
+    for name in ("paper_a", "paper_b") for seed in (0, 1, *SHIPPED_TIE_ORDER_GAPS)])
+def test_shipped_leader_sweep_under_seeded_tie_order(monkeypatch, name, tie_seed):
+    # at tie seeds 4, 10, 14 and 23 a replica asserts "gap in replicated
+    # entries"; seeds 0 and 1 are the passing controls
+    scenario = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    monkeypatch.setattr(Simulation, "_schedule", seeded_ties(tie_seed))
+    with failing_with("gap in replicated entries" if tie_seed in SHIPPED_TIE_ORDER_GAPS
+                      else None):
+        assert_clean_leader_sweep(scenario)

@@ -11,6 +11,7 @@ say so and re-pin the digest.
 """
 
 import hashlib
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RUN_ONLY = {"majority_loss"}
 
 CORPUS_TRACES = 1092
+# the PAPER_A corpus traces, one per fault-free run and crash point (192
+# runs and forks), each with its PAPER_B twin
+PAPER_PAIRS = 402
 # last re-pinned when EXEC records came to state their command in wire form:
 # a FLOWMOD or PACKETOUT EXEC carries the executed message as ``msg``, a
 # PACKET_FWD the hit entry as a FlowMod and its ``in_port``, and no EXEC an
@@ -91,3 +95,33 @@ def test_corpus_traces_read_back_unchanged(corpus):
         assert back.to_lines() == lines
         assert repr(run_all_checks(back)) == verdicts
     assert len(corpus) == CORPUS_TRACES
+
+
+def test_no_corpus_trace_discards_a_staged_bundle(corpus):
+    """No corpus run crashes a controller while a switch holds a bundle it
+    staged, so the discard rule is vacuous here (ROADMAP items 4(b) and
+    20). This flips when a sweep first reaches a staged bundle."""
+    discards = [(scenario.name, rec.step) for scenario, trace, _, _ in corpus
+                for rec in trace.records
+                if rec.kind == "DROP" and rec.detail.get("reason") == "connection_drop"]
+    assert discards == []
+
+
+def test_paper_b_corpus_traces_are_record_identical_to_paper_a(corpus):
+    """PAPER_B's ack clones change no record (ROADMAP item 11), so
+    ``compare``'s equivalence line compares record-identical runs: each
+    PAPER_A corpus trace has the lines, after its meta line, of the PAPER_B
+    trace at the same place in that scenario's block. Making the clones
+    load-bearing flips this."""
+    blocks = defaultdict(list)  # (shipped scenario, variant) -> record lines
+    for scenario, _, lines, _ in corpus:
+        blocks[scenario.name.partition("+")[0], scenario.variant].append(lines[1:])
+    pairs = 0
+    for (name, variant), paper_a in blocks.items():
+        if variant == "PAPER_A":
+            paper_b = blocks[name, "PAPER_B"]
+            assert len(paper_a) == len(paper_b), name
+            for n, (a, b) in enumerate(zip(paper_a, paper_b)):
+                assert a == b, f"{name}: trace {n}"
+            pairs += len(paper_a)
+    assert pairs == PAPER_PAIRS
