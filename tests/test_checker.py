@@ -1,10 +1,13 @@
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from builders import (STALL, CountedRecords, apply_event, bundle_commit_exec,
-                      one_command_scenario, packet_in_send, synthetic_trace)
-from sdnsim import Simulation, checker, compute_metrics
+                      learning_scenario, one_command_scenario, packet_in_send,
+                      synthetic_trace)
+from sdnsim import Simulation, checker, compute_metrics, load_scenario, sweep_crash_points
 from sdnsim.checker import (
     PROPERTIES,
     Verdict,
@@ -22,6 +25,9 @@ from sdnsim.checker import (
     summary_line,
 )
 from sdnsim.ofmodel import ACK_MARKER, MAX_CONTROLLERS
+from sdnsim.scenario import VARIANTS
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def assert_valid_witnesses(verdict, trace):
@@ -360,6 +366,56 @@ def test_run_all_checks_parses_each_trace_once(monkeypatch):
     trace = Simulation(one_command_scenario()).run()
     run_all_checks(trace)
     assert len(parsed) == 1 and parsed[0] is trace
+
+
+# ----------------------------------------------------------------------
+# the fold a run carries and its forks continue
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_fold_forked_mid_run_and_fed_another_suffix_matches_a_fresh_fold(variant):
+    """At every event boundary of the learning scenario, a fold of the run
+    so far is forked. The fold is then fed the fault-free rest, and its
+    fork the rest of a run that crashes a controller there: the leader
+    where the sweep would (after a send or delivery of its own), follower
+    c2 elsewhere, since a leader crash between two same-tick deliveries can
+    trip ROADMAP item 1's gap. Each holds what a fresh fold of its whole
+    trace holds, so neither sees the other's suffix: NAIVE's re-executed
+    batches, later APPLYs and EXECs, and bundles open at the fork all go
+    to containers that both held there."""
+    base = Simulation(learning_scenario(variant))
+    crashes = Counter()  # crashed controller -> boundaries
+    while base.step():
+        leader = any(rec.actor == "c0" and rec.kind in ("SEND", "DELIVER")
+                     for rec in base.trace.records[base._step_start:])
+        target = 0 if leader else 2
+        fold = _Run(base.trace)
+        forked = fold.fork()
+        fault_free, crashed = base.fork(), base.fork()
+        crashed.crash(target)
+        crashes[target] += 1
+        fold.update(fault_free.run())
+        forked.update(crashed.run())
+        for run, sim in ((fold, fault_free), (forked, crashed)):
+            fresh = _Run(sim.trace)
+            assert vars(run) == vars(fresh), f"event {base.processed}"
+            assert repr(run.verdicts()) == repr(fresh.verdicts()), f"event {base.processed}"
+    assert crashes[0] > 10 and crashes[2] > 10
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_sweep_verdicts_from_the_forked_fold_equal_a_full_check(path, variant):
+    """Every sweep fork's ``verdicts()``, fed only what the fork ran past
+    its fork point, and the base's after the sweep are ``run_all_checks``
+    of the same trace, at every crash target."""
+    scenario = load_scenario(str(path)).with_variant(variant)
+    for target in range(scenario.n_controllers):
+        base = Simulation(scenario)
+        for points, fork in sweep_crash_points(base, target):
+            fork.run()
+            assert repr(fork.verdicts()) == repr(run_all_checks(fork.trace)), (
+                f"target {target}, point {points[0].occurrence}")
+        assert repr(base.verdicts()) == repr(run_all_checks(base.trace)), f"target {target}"
 
 
 def test_summary_line_format():

@@ -848,12 +848,13 @@ def test_one_fork_per_group(monkeypatch):
 def test_sweep_shares_split_the_boundaries_and_merge_to_one_jobs_rows(path, monkeypatch):
     scenario = load_scenario(str(path))
     checked = []  # the trace of each fork a share runs and checks
+    verdicts = Simulation.verdicts
 
-    def counted_check(trace):
-        checked.append(trace)
-        return run_all_checks(trace)
+    def counted_check(sim):
+        checked.append(sim.trace)
+        return verdicts(sim)
 
-    monkeypatch.setattr(cli, "run_all_checks", counted_check)
+    monkeypatch.setattr(Simulation, "verdicts", counted_check)
     for target in range(scenario.n_controllers):
         groups = [[p.occurrence for p in points]
                   for points, _ in sweep_crash_points(Simulation(scenario), target)]

@@ -36,9 +36,11 @@ CORPUS_SHA256 = "bd0051c960842af21f7ebe47b4bab597cc4143ddf4df708ce92005999f353bd
 
 
 def corpus_traces():
-    """Yield (scenario, trace, lines) for every corpus trace in a fixed
-    order: the scenario its meta line states, the trace the simulator
-    returned and the corpus trace's lines. A sweep fork is one corpus trace
+    """Yield (scenario, trace, lines, incremental) for every corpus trace in
+    a fixed order: the scenario its meta line states, the trace the
+    simulator returned, the corpus trace's lines and the repr of the
+    ``verdicts()`` of the run that wrote the trace, which a sweep fork
+    folds from its fork point on. A sweep fork is one corpus trace
     per crash point its group stands for, each with that point's derived
     scenario as its meta line. A point the sweep merged into its group
     after the fork's boundary has the trace of its own replay, whose lines
@@ -48,34 +50,42 @@ def corpus_traces():
         for variant in VARIANTS:
             scenario = base.with_variant(variant)
             if path.stem in RUN_ONLY:
-                trace = Simulation(scenario).run()
-                yield scenario, trace, trace.to_lines()
+                trace, verdicts = ran(Simulation(scenario))
+                yield scenario, trace, trace.to_lines(), verdicts
                 continue
             for target in range(scenario.n_controllers):
                 run = Simulation(scenario)
-                forks = [(points, fork.run())
+                forks = [(points, *ran(fork))
                          for points, fork in sweep_crash_points(run, target)]
-                fault_free = run.run()
+                fault_free, verdicts = ran(run)
                 if target == 0:
-                    yield scenario, fault_free, fault_free.to_lines()
-                for points, trace in forks:
+                    yield scenario, fault_free, fault_free.to_lines(), verdicts
+                for points, trace, verdicts in forks:
                     for point, lines in point_lines(points, trace):
-                        own = (Simulation(point.scenario).run()
-                               if merged_deliveries(point, trace) else trace)
-                        yield point.scenario, own, lines
+                        own, own_verdicts = (ran(Simulation(point.scenario))
+                                             if merged_deliveries(point, trace)
+                                             else (trace, verdicts))
+                        yield point.scenario, own, lines, own_verdicts
+
+
+def ran(sim):
+    """The trace of ``sim`` run to its end, and the repr of its ``verdicts()``."""
+    trace = sim.run()
+    return trace, repr(sim.verdicts())
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    """Every corpus trace as (scenario, trace, lines, repr of its verdicts),
-    built and checked once for both tests."""
-    return [(scenario, trace, lines, repr(run_all_checks(trace)))
-            for scenario, trace, lines in corpus_traces()]
+    """Every corpus trace as (scenario, trace, lines, repr of its verdicts,
+    repr of its run's incremental verdicts), built and checked once for
+    every test."""
+    return [(scenario, trace, lines, repr(run_all_checks(trace)), incremental)
+            for scenario, trace, lines, incremental in corpus_traces()]
 
 
 def test_corpus_traces_and_verdicts_are_unchanged(corpus):
     digest = hashlib.sha256()
-    for _, _, lines, verdicts in corpus:
+    for _, _, lines, verdicts, _ in corpus:
         for line in lines:
             digest.update(line.encode("utf-8") + b"\n")
         digest.update(verdicts.encode("utf-8") + b"\n")
@@ -86,7 +96,7 @@ def test_corpus_traces_and_verdicts_are_unchanged(corpus):
 def test_corpus_traces_read_back_unchanged(corpus):
     """The trace gate accepts every corpus trace, and what it reads back
     is what the simulator wrote."""
-    for scenario, trace, lines, verdicts in corpus:
+    for scenario, trace, lines, verdicts, _ in corpus:
         back = Trace.from_lines(lines)
         # a fork's meta is its first point's scenario; the lines state their own
         assert back.meta == scenario_to_obj(scenario)
@@ -97,11 +107,20 @@ def test_corpus_traces_read_back_unchanged(corpus):
     assert len(corpus) == CORPUS_TRACES
 
 
+def test_incremental_verdicts_equal_a_full_check(corpus):
+    """Each run's ``verdicts()``, which a sweep fork folds only from its
+    fork point on, are ``run_all_checks`` of its whole trace (ROADMAP
+    item 5's bound)."""
+    for scenario, _, _, verdicts, incremental in corpus:
+        assert incremental == verdicts, scenario.name
+    assert len(corpus) == CORPUS_TRACES
+
+
 def test_no_corpus_trace_discards_a_staged_bundle(corpus):
     """No corpus run crashes a controller while a switch holds a bundle it
     staged, so the discard rule is vacuous here (ROADMAP items 4(b) and
     20). This flips when a sweep first reaches a staged bundle."""
-    discards = [(scenario.name, rec.step) for scenario, trace, _, _ in corpus
+    discards = [(scenario.name, rec.step) for scenario, trace, _, _, _ in corpus
                 for rec in trace.records
                 if rec.kind == "DROP" and rec.detail.get("reason") == "connection_drop"]
     assert discards == []
@@ -114,7 +133,7 @@ def test_paper_b_corpus_traces_are_record_identical_to_paper_a(corpus):
     trace at the same place in that scenario's block. Making the clones
     load-bearing flips this."""
     blocks = defaultdict(list)  # (shipped scenario, variant) -> record lines
-    for scenario, _, lines, _ in corpus:
+    for scenario, _, lines, _, _ in corpus:
         blocks[scenario.name.partition("+")[0], scenario.variant].append(lines[1:])
     pairs = 0
     for (name, variant), paper_a in blocks.items():
