@@ -1,10 +1,12 @@
 """Deterministic controller applications.
 
-An app is a pure step function over a JSON-serializable state value:
+An app is a pure step function over its state, an immutable ``Table``:
 ``step(state, switch, in_port, payload) -> (state', commands)``. No clocks,
 no randomness, no hidden inputs; replicas applying the same log must arrive
 at byte-identical states, which is what the convergence check asserts.
-States are never mutated: a step that changes the state returns a new one.
+A step that changes the state sets one key of a new table, which encodes
+that one entry, however large the table has grown; the state's digest
+hashes the entry texts the table keeps without encoding them again.
 
 Because steps are pure, a run steps each app through one ``StepMemo``:
 every replica, and every fork of the run, that applies the same input to
@@ -18,7 +20,10 @@ source address.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import OrderedDict
+from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .ofmodel import (
@@ -32,7 +37,6 @@ from .ofmodel import (
 )
 from .trace import canonical_json
 
-AppState = Any  # JSON-serializable value; compared across replicas
 Commands = dict[SwitchId, list[ControlMessage]]
 
 LEARNED_PRIORITY = 10
@@ -40,8 +44,46 @@ ROUTE_PRIORITY = 20
 STEP_MEMO_SIZE = 64  # the most steps one StepMemo keeps
 
 
-def state_digest(state: AppState) -> str:
-    return hashlib.sha256(canonical_json(state).encode("utf-8")).hexdigest()[:16]
+class Table(Mapping):
+    """An app state: an immutable mapping of str keys to JSON values, equal
+    to the dict of its entries. It keeps the keys sorted and, in that order,
+    each entry's ``"key":value`` text as ``canonical_json`` writes it in a
+    dict, so ``json()`` is ``canonical_json`` of that dict. ``set`` returns
+    a new table and encodes only the entry it sets."""
+
+    __slots__ = ("_values", "_keys", "_texts")
+
+    def __init__(self) -> None:
+        self._values, self._keys, self._texts = {}, [], []
+
+    def set(self, key: str, value: Any) -> Table:
+        new = Table()
+        new._values = {**self._values, key: value}
+        new._keys = keys = self._keys[:]
+        new._texts = texts = self._texts[:]
+        i = bisect_left(keys, key)
+        if i == len(keys) or keys[i] != key:
+            keys.insert(i, key)
+            texts.insert(i, "")
+        texts[i] = encode_basestring_ascii(key) + ":" + canonical_json(value)
+        return new
+
+    def json(self) -> str:
+        return "{" + ",".join(self._texts) + "}"
+
+    def __getitem__(self, key: str) -> Any:
+        return self._values[key]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+def state_digest(state: Table) -> str:
+    """The first 16 hex digits of the sha256 of ``state``'s canonical JSON."""
+    return hashlib.sha256(state.json().encode("utf-8")).hexdigest()[:16]
 
 
 class StepMemo:
@@ -56,9 +98,12 @@ class StepMemo:
     being unique. The memo keeps the ``size`` most recently used steps; an
     evicted step is simply computed again, to the same result. Replicas
     start from ``initial_state``, whose digest is ``initial_digest``.
+
+    A computed step encodes one ``Table`` entry, not the whole table: the
+    digest hashes the entry texts the table keeps.
     """
 
-    def __init__(self, app, digest: Callable[[AppState], str]):
+    def __init__(self, app, digest: Callable[[Table], str]):
         self.app = app
         self.digest = digest
         self.size = STEP_MEMO_SIZE
@@ -70,8 +115,8 @@ class StepMemo:
     def __len__(self) -> int:
         return len(self._steps)
 
-    def step(self, state: AppState, sw: SwitchId, in_port: PortId,
-             payload: bytes) -> tuple[AppState, Commands, str]:
+    def step(self, state: Table, sw: SwitchId, in_port: PortId,
+             payload: bytes) -> tuple[Table, Commands, str]:
         key = (id(state), sw, in_port, payload)
         cached = self._steps.get(key)
         if cached is not None and cached[0] is state:
@@ -93,16 +138,15 @@ class MacLearner:
     def __init__(self, switch_ports: dict[SwitchId, list[PortId]]):
         self.switch_ports = {sw: sorted(ports) for sw, ports in switch_ports.items()}
 
-    def initial_state(self) -> AppState:
-        return {}
+    def initial_state(self) -> Table:
+        return Table()
 
-    def step(self, state: AppState, sw: SwitchId, in_port: PortId,
-             payload: bytes) -> tuple[AppState, Commands]:
+    def step(self, state: Table, sw: SwitchId, in_port: PortId,
+             payload: bytes) -> tuple[Table, Commands]:
         if len(payload) < 2:
             return state, {}
         dst, src = payload[0], payload[1]
-        new_state = dict(state)
-        new_state[f"{sw}:{src}"] = in_port
+        new_state = state.set(f"{sw}:{src}", in_port)
 
         cmds: list[ControlMessage] = [
             FlowMod(Match(payload_prefix=bytes([src])), LEARNED_PRIORITY,
@@ -126,11 +170,11 @@ class StaticRouter:
     def __init__(self, routes: tuple):  # of scenario.Route
         self.routes = tuple(routes)
 
-    def initial_state(self) -> AppState:
-        return {"routes": [[r.prefix.hex(), r.port] for r in self.routes]}
+    def initial_state(self) -> Table:
+        return Table().set("routes", [[r.prefix.hex(), r.port] for r in self.routes])
 
-    def step(self, state: AppState, sw: SwitchId, in_port: PortId,
-             payload: bytes) -> tuple[AppState, Commands]:
+    def step(self, state: Table, sw: SwitchId, in_port: PortId,
+             payload: bytes) -> tuple[Table, Commands]:
         for r in self.routes:
             if payload.startswith(r.prefix):
                 cmd = FlowMod(Match(payload_prefix=r.prefix), ROUTE_PRIORITY,

@@ -1,6 +1,11 @@
-from sdnsim.apps import MacLearner, StaticRouter, StepMemo, make_app, state_digest
+import hashlib
+import random
+
+from sdnsim import Scenario, Simulation, SwitchSpec, WorkloadItem, apps
+from sdnsim.apps import MacLearner, StaticRouter, StepMemo, Table, make_app, state_digest
 from sdnsim.ofmodel import FlowMod, Match, Output, PacketOut
 from sdnsim.scenario import Route
+from sdnsim.trace import canonical_json
 
 
 def learner():
@@ -69,8 +74,10 @@ def test_static_router_installs_matching_route():
 
 
 def test_state_digest_is_canonical():
-    assert state_digest({"a": 1, "b": 2}) == state_digest({"b": 2, "a": 1})
-    assert state_digest({"a": 1}) != state_digest({"a": 2})
+    # tables set in different orders give equal digests
+    assert state_digest(Table().set("a", 1).set("b", 2)) == \
+        state_digest(Table().set("b", 2).set("a", 1))
+    assert state_digest(Table().set("a", 1)) != state_digest(Table().set("a", 2))
 
 
 def test_make_app_selects_by_name():
@@ -93,12 +100,12 @@ def test_step_memo_returns_one_result_per_parent_object_and_input():
     app = CountingLearner()
     memo = StepMemo(app, state_digest)
     assert memo.initial_state == {}
-    assert memo.initial_digest == state_digest({})
+    assert memo.initial_digest == state_digest(Table())
     first = memo.step(memo.initial_state, 0, 1, b"\x05\x01")
     assert memo.step(memo.initial_state, 0, 1, b"\x05\x01") is first
     assert app.steps == 1
     new_state, cmds, digest = first
-    assert (new_state, cmds) == learner().step({}, 0, 1, b"\x05\x01")
+    assert (new_state, cmds) == learner().step(Table(), 0, 1, b"\x05\x01")
     assert digest == state_digest(new_state)
     for other_input in ((1, 1, b"\x05\x01"), (0, 2, b"\x05\x01"), (0, 1, b"\x05\x02")):
         memo.step(memo.initial_state, *other_input)
@@ -108,9 +115,10 @@ def test_step_memo_returns_one_result_per_parent_object_and_input():
 def test_step_memo_keys_on_identity_not_equality():
     app = CountingLearner()
     memo = StepMemo(app, state_digest)
-    state = {"0:1": 1}
+    state = Table().set("0:1", 1)
     memo.step(state, 0, 2, b"\x05\x02")
-    equal = dict(state)
+    equal = Table().set("0:1", 1)
+    assert equal == state and equal is not state
     result = memo.step(equal, 0, 2, b"\x05\x02")
     assert app.steps == 2
     assert memo.step(equal, 0, 2, b"\x05\x02") is result
@@ -121,7 +129,7 @@ def test_step_memo_evicts_the_least_recently_used_step():
     app = CountingLearner()
     memo = StepMemo(app, state_digest)
     memo.size = 2
-    state = {}
+    state = Table()
     for src in (1, 2):
         memo.step(state, 0, 1, bytes([9, src]))
     memo.step(state, 0, 1, bytes([9, 1]))  # refresh src 1, so src 2 goes next
@@ -131,3 +139,123 @@ def test_step_memo_evicts_the_least_recently_used_step():
     assert app.steps == 3
     memo.step(state, 0, 1, bytes([9, 2]))
     assert app.steps == 4
+
+
+# ----------------------------------------------------------------------
+# A Table's text is canonical_json of the dict of its entries, so a state's
+# digest is the sha256 of that dict's canonical JSON.
+
+def reference_digest(state: dict) -> str:
+    return hashlib.sha256(canonical_json(state).encode("utf-8")).hexdigest()[:16]
+
+
+KEY_CHARS = 'ab0:"\\\x00\x1f\x7f é€\U0001f600'
+
+
+def random_value(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-10**6, 10**6)
+    if kind == 1:
+        return "".join(rng.choices(KEY_CHARS, k=rng.randint(0, 4)))
+    return [rng.randint(0, 9), [random_value(rng)], "x\n"]
+
+
+def test_table_text_is_canonical_json_of_its_dict():
+    rng = random.Random(30)
+    for _ in range(40):
+        table, reference = Table(), {}
+        keys = ["".join(rng.choices(KEY_CHARS, k=rng.randint(0, 3))) for _ in range(12)]
+        for _ in range(rng.randint(1, 30)):
+            key, value = rng.choice(keys), random_value(rng)  # keys repeat: overwrites
+            before, old_reference = table, dict(reference)
+            table = table.set(key, value)
+            reference[key] = value
+            assert before == old_reference  # set made a new table
+            assert table == reference and len(table) == len(reference)
+            assert table.json() == canonical_json(reference)
+            assert state_digest(table) == reference_digest(reference)
+    assert Table().json() == canonical_json({})
+
+
+def test_table_set_leaves_the_old_table_as_it_was():
+    old = Table().set("b", 1)
+    new = old.set("a", 2).set("b", 3)
+    assert old == {"b": 1} and old.json() == '{"b":1}'
+    assert new == {"a": 2, "b": 3} and list(new) == ["a", "b"]
+
+
+def test_table_orders_raw_keys_not_their_escaped_text():
+    # '"' sorts before "0", but its escaped text '\\"' sorts after it
+    table = Table().set("0", 1).set('"', 2)
+    assert table.json() == canonical_json({"0": 1, '"': 2}) == '{"\\"":2,"0":1}'
+
+
+def large_learning_scenario(n_events=400):
+    """The benchmark's ``long_run`` shape at 400 events: two switches of four
+    ports, every address drawn from 1..250, so packets both learn new
+    addresses, re-learn known ones and hit installed flows."""
+    rng = random.Random("apps/large-table")
+    ports = (1, 2, 3, 4)
+    return Scenario(
+        name="large-table", variant="PAPER_A", n_controllers=3,
+        switches=tuple(SwitchSpec(id=s, ports=ports) for s in (0, 1)), app="mac-learner",
+        workload=tuple(WorkloadItem(t=5 + 3 * k, switch=rng.randrange(2),
+                                    in_port=rng.choice(ports),
+                                    payload=bytes([rng.randint(1, 250), rng.randint(1, 250)]))
+                       for k in range(n_events)),
+        quiesce_limit=100 * n_events)
+
+
+def test_apply_digests_of_a_large_table_match_a_dict_reference():
+    trace = Simulation(large_learning_scenario()).run()
+    packet_ins = {r.msg["event"]: (int(r.actor[1:]), r.msg["in_port"],
+                                   bytes.fromhex(r.msg["payload"]))
+                  for r in trace.records
+                  if r.kind == "SEND" and (r.msg or {}).get("type") == "PacketIn"}
+    states: dict[str, dict] = {}
+    learned = set()
+    overwrites = 0
+    for r in trace.records:
+        if r.kind != "APPLY":
+            continue
+        state = states.setdefault(r.actor, {})
+        if r.detail["entry"] == "EVENT":
+            sw, in_port, payload = packet_ins[r.detail["event"]]
+            key = f"{sw}:{payload[1]}"
+            overwrites += key in state
+            state[key] = in_port
+            learned.add(key)
+        assert r.detail["digest"] == reference_digest(state), r
+    hits = sum(1 for r in trace.records
+               if r.kind == "EXEC" and r.detail["exec"] == "PACKET_FWD")
+    assert sorted(states) == ["c0", "c1", "c2"]
+    assert len(learned) >= 200 and overwrites and hits
+
+
+def test_a_step_encodes_one_entry(monkeypatch):
+    encoded = []
+
+    def counting(encode):
+        def wrapper(value):
+            text = encode(value)
+            encoded.append(len(text))
+            return text
+        return wrapper
+
+    # apps encodes keys with encode_basestring_ascii and values with canonical_json
+    for name in ("canonical_json", "encode_basestring_ascii"):
+        monkeypatch.setattr(apps, name, counting(getattr(apps, name)))
+    memo = StepMemo(learner(), apps.state_digest)
+    rng = random.Random("apps/one-entry")
+    state = memo.initial_state
+    per_step = []
+    for _ in range(800):
+        encoded.clear()
+        state = memo.step(state, rng.randrange(2), rng.randint(1, 2),
+                          bytes([rng.randint(1, 250), rng.randint(1, 250)]))[0]
+        per_step.append(sum(encoded))
+    final = dict(state)
+    assert len(canonical_json(final)) > 3000
+    longest_entry = max(len(canonical_json({k: v})) - 2 for k, v in final.items())
+    assert max(per_step) <= longest_entry

@@ -257,3 +257,44 @@ def test_shipped_leader_sweep_under_seeded_tie_order(monkeypatch, name, tie_seed
     with failing_with("gap in replicated entries" if tie_seed in SHIPPED_TIE_ORDER_GAPS
                       else None):
         assert_clean_leader_sweep(scenario)
+
+
+# No scheduler patch is needed to reach the gap: crash c0 by hand at the
+# event boundary between c1's and c2's same-tick deliveries of one Append,
+# after c1 has sent its AppendAck. A sweep never crashes c0 there, since
+# its crash points are only the target's own sends and deliveries.
+APPEND_SPLITS = {"one_command": (13,), "paper_a": (21, 36, 56), "paper_b": (21, 36, 56)}
+
+
+def between_append_deliveries(sim):
+    """Whether ``sim``'s last step delivered an Append from c0 to c1 and its
+    next one delivers the same Append to c2 at the same tick."""
+    first = sim.trace.records[sim._step_start]
+    t, _, handler, args = sim._heap[0]
+    return (first.kind == "DELIVER" and (first.peer, first.actor) == ("c0", "c1")
+            and first.msg["type"] == "Append" and t == sim.now
+            and handler is Simulation._deliver and args[:2] == ("c0", "c2")
+            and args[3] is first.msg)
+
+
+@pytest.mark.parametrize(("name", "boundary", "target"), [
+    *(pytest.param(name, b, 0, marks=ITEM_1)
+      for name, splits in APPEND_SPLITS.items() for b in splits),
+    *((name, splits[0] + d, 0) for name, splits in APPEND_SPLITS.items() for d in (-1, 1)),
+    *((name, b, target) for name, splits in APPEND_SPLITS.items() for b in splits
+      for target in (1, 2))])
+def test_crash_between_same_tick_append_deliveries(name, boundary, target):
+    # crashing c0 at a split boundary asserts "gap in replicated entries";
+    # c0 at the boundaries next to the first split and c1 or c2 at every
+    # split are the passing controls
+    sim = Simulation(load_scenario(str(SCENARIO_DIR / f"{name}.json")))
+    while sim.processed < boundary:
+        assert sim.step()
+    split = boundary in APPEND_SPLITS[name]
+    with failing_with("gap in replicated entries" if split and target == 0 else None):
+        assert between_append_deliveries(sim) == split
+        sim.crash(target)
+        trace = sim.run()
+        verdicts = run_all_checks(trace)
+        assert all_passed(verdicts), [v for v in verdicts if not v.passed]
+        assert conflicting_applies(trace) == []
