@@ -44,9 +44,10 @@ for variant, suppress in [("PAPER_A", False), ("PAPER_B", False),
     # the sweep hands back one crashed, unrun fork of the fault-free run per
     # group of event boundaries; run from there, it stands for every point
     # of the group: each point at its first boundary crashes there, and a
-    # later boundary joins only after a lone same-tick delivery to the
-    # target, which the crash commutes with; the fork's checker view starts
-    # from the fault-free prefix's, so checking it reads only its own suffix
+    # later boundary joins only after a lone same-tick delivery the target
+    # did not send, which the crash commutes with; the fork's checker view
+    # starts from the fault-free prefix's, so checking it reads only its
+    # own suffix
     for fork_points, fork in sweep_crash_points(Simulation(scenario(variant, suppress)), 0):
         points.extend(fork_points)
         fork.run()

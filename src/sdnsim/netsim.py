@@ -21,7 +21,10 @@ Trace-point faults, ``enumerate_crash_points`` and ``sweep_crash_points``
 pick crash points with one predicate, ``_is_crash_point``, and crash at
 the event boundary after the matching record, start-up's records
 counting as the first event's. ``sweep_crash_points`` states how the
-sweep groups boundaries into forks and what each fork stands for.
+sweep groups boundaries into forks and what each fork stands for: a
+boundary followed at the same tick by a step whose one record is a
+delivery the target did not send shares the fork of the boundary before,
+and ``_commutes_with_crash`` argues why that fork stands for both.
 """
 
 from __future__ import annotations
@@ -326,14 +329,17 @@ def sweep_crash_points(base: Simulation,
     in the records of the step just taken, from its ``_step_start``, and
     all of them crash there. At the first boundary of a group the sweep
     forks the base and crashes the target in the fork; each following step
-    that ``_commutes_with_crash`` adds its one point to the group and forks
-    nothing. At the next step that does not, or when the base ends, the
-    sweep yields the group's points, in occurrence order, with its fork,
-    which has not run and whose meta is the first point's derived scenario.
-    Run to its end, the fork is that point's replay. A merged point's
-    replay differs from it only in the k deliveries merged up to that
-    point: DELIVERs before the CRASH in the replay, ``reason: crash`` DROPs
-    after it in the fork. Later base steps leave a fork unchanged. A
+    that ``_commutes_with_crash`` merges into the group, a lone same-tick
+    delivery the target did not send, forks nothing and adds its point, if
+    it is a delivery to the target, to the group. At the next step that
+    does not merge, or when the base ends, the sweep yields the group's
+    points, in occurrence order, with its fork, which has not run and whose
+    meta is the first point's derived scenario. Run to its end, the fork is
+    that point's replay. A merged point's replay differs from it only in
+    the k records merged up to that point's own: before the CRASH in the
+    replay, after it and the switches' connection drops in the fork, where
+    the target's among them are ``reason: crash`` DROPs, not DELIVERs.
+    Later base steps leave a fork unchanged. A
     caller that wants a share of the groups slices this generator. At the
     first ``next()``, before the base steps, a base that has stepped raises
     ``ValueError`` and one with trace-point faults raises
@@ -390,17 +396,23 @@ def _commutes_with_crash(records: list[TraceRecord], actor: str,
     """Whether crashing ``actor`` at an event boundary commutes with the
     step that logged ``records`` ``steps`` events and ``ticks`` ticks after
     it: that step is the next event, at the same tick, and its only record
-    is a DELIVER to ``actor``.
+    is a DELIVER that ``actor`` did not send.
 
-    Such a step ran only the target's handler, which sent nothing. Every
-    ``_schedule`` in a handler comes with a SEND record, or in ``crash``
-    with a CRASH record, so it scheduled nothing either. The target's
-    state change dies with the target, and the checker reads no
-    controller-side DELIVER. At the same tick, the crash logs its CRASH
-    and schedules the failure notices for the same times before the step
-    as after it. So both orders leave the same heap, ``seq`` included, and
-    the same state, and their records differ only in the delivery: a
-    ``reason: crash`` DROP after the CRASH when the crash comes first, a
-    DELIVER before it when it comes second."""
+    The receiver's handler logged nothing but the DELIVER, so it sent
+    nothing; every ``_schedule`` in a handler comes with a SEND record, or
+    in ``crash`` with a CRASH record, so it scheduled nothing either, and
+    the heap keeps its ``seq`` order. The crash reads and changes only the
+    target's channels, the switches' connections to it and the failure
+    notices it schedules, for the same times at the same tick; a receiver
+    other than the target neither reads nor changes any of these, and the
+    target's own state change dies with it. A delivery the target sent is
+    not merged: after the crash it would be a DROP, and its receiver's
+    state would differ. So both orders leave the same heap and state, and
+    their records differ only in where the step's record sits: before the
+    CRASH when the crash comes second, after it and the switches'
+    connection drops when it comes first, where a delivery to the target
+    becomes a ``reason: crash`` DROP. The checker's fold keeps no DELIVER's
+    step, and a CRASH clears only the target's open bundles from it, so
+    both orders check to the same verdicts."""
     return (steps == 1 and ticks == 0 and len(records) == 1
-            and records[0].kind == "DELIVER" and records[0].actor == actor)
+            and records[0].kind == "DELIVER" and records[0].peer != actor)

@@ -56,11 +56,12 @@ def sweep_crash(point, trace: Trace) -> int:
 
 
 def merged_deliveries(point, trace: Trace) -> int:
-    """How many deliveries the sweep merged into ``point``'s group up to
-    ``point``'s own, given the trace of the group's fork: 0 for a point of
-    the group's first boundary. The base logged each merged step's one
-    record right after that boundary's records, so the fork's CRASH takes
-    the step of the first."""
+    """How many records the sweep merged into ``point``'s group up to and
+    including ``point``'s own, given the trace of the group's fork: 0 for a
+    point of the group's first boundary. The base logged each merged step's
+    one record right after that boundary's records, so the fork's CRASH
+    takes the step of the first. The count takes in the deliveries between
+    other endpoints merged before ``point``, which are not crash points."""
     return max(0, point.record.step - sweep_crash(point, trace))
 
 
@@ -68,9 +69,11 @@ def point_lines(points, trace: Trace) -> list[tuple]:
     """Expand one crash-sweep group's fork into (point, trace lines) per
     crash point, as a replay of that point's derived scenario writes them:
     its scenario as the meta line, then the fork's records with the k
-    deliveries merged up to the point swapped back. The fork logs each of
-    them as a ``reason: crash`` DROP after the CRASH and the switches'
-    connection drops; the replay, as a DELIVER just before the CRASH."""
+    records merged up to the point (``merged_deliveries``) moved back. The
+    fork logs them after the CRASH and the switches' connection drops; the
+    replay, just before the CRASH. Only the target's deliveries among them
+    differ in kind: ``reason: crash`` DROPs in the fork, DELIVERs in the
+    replay."""
     records = trace.records
     crash = sweep_crash(points[0], trace)
     dropped = crash + 1  # past the CRASH and the switches' connection drops

@@ -831,10 +831,11 @@ def test_one_fork_per_group(monkeypatch):
     monkeypatch.setattr(Simulation, "fork", counted_fork)
     monkeypatch.setattr(cli, "sweep_crash_points", grouped)
     _, rows = cli._sweep(scenario, 0, 1)
-    # 49 points at 21 boundaries; the sweep merges 7 of them, each a lone
-    # same-tick delivery to c0, into the group before
-    assert len(forked_at) == len(groups) == 14
-    assert len(set(forked_at)) == 14  # each at its own boundary
+    # 49 points at 21 boundaries; the sweep merges 10 of them, each a lone
+    # same-tick delivery to c0 after the group's boundary and any lone
+    # same-tick deliveries between other endpoints, into the group before
+    assert len(forked_at) == len(groups) == 11
+    assert len(set(forked_at)) == 11  # each at its own boundary
     assert all(groups)
     assert [n for g in groups for n in g] == list(range(1, 50))  # consecutive, in order
     assert [p.occurrence for p, _ in rows] == list(range(1, 50))

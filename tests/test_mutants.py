@@ -243,3 +243,15 @@ def test_merging_a_delivery_at_a_later_tick_is_caught(monkeypatch):
                         commutes(records, actor, steps, 0))
     merged_at_any_tick, unsound = unsound_merges(scenario, 0)
     assert merged_at_any_tick > merged and unsound
+
+
+def test_merging_a_step_of_more_than_one_record_is_caught(monkeypatch):
+    scenario = load_scenario(str(SCENARIO_DIR / "paper_b.json"))
+    merged, unsound = unsound_merges(scenario, 1)
+    assert merged and not unsound
+    commutes = netsim._commutes_with_crash
+    monkeypatch.setattr(netsim, "_commutes_with_crash",
+                        lambda records, actor, steps, ticks:
+                        commutes(records[:1], actor, steps, ticks))
+    merged_any_length, unsound = unsound_merges(scenario, 1)
+    assert merged_any_length > merged and unsound

@@ -22,10 +22,10 @@ from sdnsim import (
 )
 from sdnsim import netsim, replica
 from sdnsim.apps import ROUTE_PRIORITY, StepMemo, state_digest
-from sdnsim.netsim import _is_crash_point
+from sdnsim.netsim import _commutes_with_crash, _is_crash_point
 from sdnsim.ofmodel import CONTROLLER_PORT, FlowMod, Match, Output
 from sdnsim.scenario import VARIANTS, InitialFlow, SwitchSpec, WorkloadItem
-from sdnsim.trace import msg_to_wire
+from sdnsim.trace import TraceRecord, msg_to_wire
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -270,37 +270,49 @@ def forked_sweep(scenario, target):
 @pytest.mark.parametrize("target", [0, 1, 2])
 def test_sweep_yields_forks_that_crashed_and_have_not_run(target):
     """A yielded fork has crashed at its group's first boundary and may lag
-    the base: each base step since then is one merged delivery to the
-    target, at the fork's tick, except the step that ended the group."""
+    the base: each base step since then is one lone DELIVER at the fork's
+    tick that the target did not send, except the step that ended the
+    group, and the group's merged points are the target's among them."""
     base = Simulation(learning_scenario())
+    actor = f"c{target}"
     steps = [None]  # steps[n]: the records of the base's n-th event
     step = base.step
+    ended = False  # whether the base has run out of events
 
     def logged_step():
+        nonlocal ended
         went = step()
         if went:
             steps.append(base.trace.records[base._step_start:])
+        ended = not went
         return went
 
+    def merges(records, t):
+        return (len(records) == 1 and records[0].t == t
+                and records[0].kind == "DELIVER" and records[0].peer != actor)
+
     base.step = logged_step
-    forks = lagging = 0
+    forks = lagging = others = 0
     for points, fork in sweep_crash_points(base, target):
         shared = next(i for i, r in enumerate(fork.trace.records) if r.kind == "CRASH")
         assert fork.processed <= base.processed
         assert target in fork.crashed and target not in base.crashed
         assert fork.trace.records[:shared] == base.trace.records[:shared]
         crash = fork.trace.records[shared]
-        assert (crash.kind, crash.actor) == ("CRASH", f"c{target}")
+        assert (crash.kind, crash.actor) == ("CRASH", actor)
+        since = steps[fork.processed + 1:]
+        if not ended:
+            assert not merges(since.pop(), fork.now)  # the step that ended the group
+        assert all(merges(records, fork.now) for records in since)
         merged = [p for p in points if p.record.step > shared]
-        lag = base.processed - fork.processed
-        assert lag - len(merged) in (0, 1)
-        for p, records in zip(merged, steps[fork.processed + 1:]):
-            assert len(records) == 1 and records[0] is p.record
-            assert (p.record.t, p.record.kind, p.record.actor) == (
-                fork.now, "DELIVER", f"c{target}")
+        delivered = [records[0] for records in since if records[0].actor == actor]
+        assert len(merged) == len(delivered)
+        for p, rec in zip(merged, delivered):
+            assert rec is p.record
         forks += 1
         lagging += bool(merged)
-    assert forks > 1 and lagging
+        others += len(since) - len(delivered)
+    assert forks > 1 and lagging and others
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
@@ -377,6 +389,66 @@ def test_merged_points_replay_as_their_group_with_the_deliveries_swapped(path, v
             assert unsound == [], f"latency {sc.latency}, target {target}"
             if target == 0:
                 assert merged, f"latency {sc.latency}"
+
+
+def record(kind, actor, peer=None):
+    return TraceRecord(1, 5, kind, actor, peer, None, {})
+
+
+@pytest.mark.parametrize("records, steps, ticks, merges", [
+    ([record("DELIVER", "c0", "s0")], 1, 0, True),
+    ([record("DELIVER", "c1", "s0")], 1, 0, True),
+    ([record("DELIVER", "s0", "c1")], 1, 0, True),
+    ([record("DELIVER", "c2", "c1")], 1, 0, True),
+    ([record("DELIVER", "s0", "c0")], 1, 0, False),
+    ([record("DELIVER", "c1", "c0")], 1, 0, False),
+    ([record("DROP", "c1", "s0")], 1, 0, False),
+    ([record("DETECT", "c1")], 1, 0, False),
+    ([record("DELIVER", "c1", "s0"), record("SEND", "c1", "c2")], 1, 0, False),
+    ([record("DELIVER", "c0", "s0"), record("DELIVER", "c1", "s0")], 1, 0, False),
+    ([record("DELIVER", "c1", "s0")], 2, 0, False),
+    ([record("DELIVER", "c1", "s0")], 1, 1, False),
+], ids=["to-target", "switch-to-other", "other-to-switch", "other-to-other",
+        "target-to-switch", "target-to-other", "drop", "detect", "deliver-and-send",
+        "two-delivers", "two-steps", "next-tick"])
+def test_the_merge_rule_takes_a_lone_same_tick_delivery_the_target_did_not_send(
+        records, steps, ticks, merges):
+    assert _commutes_with_crash(records, "c0", steps, ticks) is merges
+
+
+# Sweeps with two forks that share an outcome, as (forks, outcomes): in
+# each, a c1 fork ends at a step of two records between other endpoints
+# (c2's Append delivery and its AppendAck), and the fork after it at the
+# same tick, past lone deliveries to c0, has the same outcome. Merging
+# such steps is ROADMAP item 22's multi-record rule.
+SHARED_OUTCOMES = {(name, variant, 1): (14, 12)
+                   for name in ("naive", "naive_suppressed", "paper_a", "paper_b")
+                   for variant in ("PAPER_A", "PAPER_B")}
+
+
+def sweep_outcomes(scenario, target) -> tuple[int, int]:
+    """How many forks the sweep crashing ``target`` makes, and how many
+    distinct outcomes they have: the fork's sorted records, less the
+    target's own DELIVERs and DROPs, and its pass flags."""
+    actor = f"c{target}"
+    outcomes = []
+    for _, fork in sweep_crash_points(Simulation(scenario), target):
+        records = sorted(json.dumps([r.t, r.kind, r.actor, r.peer, r.msg, r.detail],
+                                    sort_keys=True)
+                         for r in fork.run().records
+                         if not (r.kind in ("DELIVER", "DROP") and r.actor == actor))
+        outcomes.append((tuple(records), tuple(v.passed for v in fork.verdicts())))
+    return len(outcomes), len(set(outcomes))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_a_sweep_forks_once_per_outcome(path, variant):
+    scenario = load_scenario(str(path)).with_variant(variant)
+    for target in range(scenario.n_controllers):
+        forks, outcomes = sweep_outcomes(scenario, target)
+        expected = SHARED_OUTCOMES.get((path.stem, variant, target), (forks, forks))
+        assert (forks, outcomes) == expected, f"target {target}"
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
