@@ -8,10 +8,11 @@ A step that changes the state sets one key of a new table, which encodes
 that one entry, however large the table has grown; the state's digest
 hashes the entry texts the table keeps without encoding them again.
 
-Because steps are pure, a run steps each app through one ``StepMemo``:
-every replica, and every fork of the run, that applies the same input to
-the same state object gets the one cached result (new state, commands and
-the new state's digest) instead of stepping and digesting it again.
+Because steps are pure, ``step_once`` keeps each step's result (new state,
+commands and the new state's digest) on the state it stepped from: every
+replica, and every fork of the run, that applies the same input to the
+same state object gets that one result instead of stepping and digesting
+it again.
 
 Workload payload convention: byte 0 is the destination address, byte 1 the
 source address.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from collections import OrderedDict
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
@@ -41,7 +41,6 @@ Commands = dict[SwitchId, list[ControlMessage]]
 
 LEARNED_PRIORITY = 10
 ROUTE_PRIORITY = 20
-STEP_MEMO_SIZE = 64  # the most steps one StepMemo keeps
 
 
 class Table(Mapping):
@@ -49,12 +48,13 @@ class Table(Mapping):
     to the dict of its entries. It keeps the keys sorted and, in that order,
     each entry's ``"key":value`` text as ``canonical_json`` writes it in a
     dict, so ``json()`` is ``canonical_json`` of that dict. ``set`` returns
-    a new table and encodes only the entry it sets."""
+    a new table and encodes only the entry it sets. ``_steps`` keeps the
+    results ``step_once`` computed from this table, by input."""
 
-    __slots__ = ("_values", "_keys", "_texts")
+    __slots__ = ("_values", "_keys", "_texts", "_steps")
 
     def __init__(self) -> None:
-        self._values, self._keys, self._texts = {}, [], []
+        self._values, self._keys, self._texts, self._steps = {}, [], [], {}
 
     def set(self, key: str, value: Any) -> Table:
         new = Table()
@@ -86,48 +86,20 @@ def state_digest(state: Table) -> str:
     return hashlib.sha256(state.json().encode("utf-8")).hexdigest()[:16]
 
 
-class StepMemo:
-    """An app's steps, each computed once per parent state object and input.
-
-    ``step`` returns ``(new_state, commands, digest)``, where ``digest`` is
-    ``digest(new_state)``. A step is keyed by the identity of its parent
-    state and its inputs, and a hit requires the cached parent to be the
-    very object passed; the entry keeps that parent alive, so its id cannot
-    be reused meanwhile. Since apps are pure, a hit returns what a fresh
-    step would: correctness never rests on state equality or on digests
-    being unique. The memo keeps the ``size`` most recently used steps; an
-    evicted step is simply computed again, to the same result. Replicas
-    start from ``initial_state``, whose digest is ``initial_digest``.
-
-    A computed step encodes one ``Table`` entry, not the whole table: the
-    digest hashes the entry texts the table keeps.
-    """
-
-    def __init__(self, app, digest: Callable[[Table], str]):
-        self.app = app
-        self.digest = digest
-        self.size = STEP_MEMO_SIZE
-        self.initial_state = app.initial_state()
-        self.initial_digest = digest(self.initial_state)
-        # (id(parent), sw, in_port, payload) -> (parent, result)
-        self._steps: OrderedDict[tuple, tuple] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._steps)
-
-    def step(self, state: Table, sw: SwitchId, in_port: PortId,
-             payload: bytes) -> tuple[Table, Commands, str]:
-        key = (id(state), sw, in_port, payload)
-        cached = self._steps.get(key)
-        if cached is not None and cached[0] is state:
-            self._steps.move_to_end(key)
-            return cached[1]
-        new_state, cmds = self.app.step(state, sw, in_port, payload)
-        result = (new_state, cmds, self.digest(new_state))
-        self._steps[key] = (state, result)
-        if len(self._steps) > self.size:
-            self._steps.popitem(last=False)
-        return result
+def step_once(app, state: Table, sw: SwitchId, in_port: PortId, payload: bytes,
+              digest: Callable[[Table], str]) -> tuple[Table, Commands, str]:
+    """``(new_state, commands, digest(new_state))`` for ``app`` stepping
+    ``state``, computed once per state object and input: the result is kept
+    on ``state``, so it lives as long as ``state`` does, and so does every
+    state stepped from it. Nothing that lives for a whole run may hold an
+    app state. Since apps are pure, a kept result is what a fresh step
+    would return."""
+    key = (sw, in_port, payload)
+    result = state._steps.get(key)
+    if result is None:
+        new_state, cmds = app.step(state, sw, in_port, payload)
+        result = state._steps[key] = (new_state, cmds, digest(new_state))
+    return result
 
 
 class MacLearner:

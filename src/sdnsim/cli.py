@@ -25,7 +25,7 @@ from .netsim import Simulation, resolve_crash_target, sweep_crash_points
 from .checker import compute_metrics, run_all_checks  # noqa: F401
 from .netsim import enumerate_crash_points  # noqa: F401
 from .scenario import VARIANTS, Scenario, ScenarioError, load_scenario
-from .trace import Trace, TraceFormatError
+from .trace import Trace, TraceFormatError, _is_int
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     scenario_args = argparse.ArgumentParser(add_help=False)
     scenario_args.add_argument("scenario")
-    scenario_args.add_argument("--seed", type=int, help="override the scenario seed")
+    scenario_args.add_argument("--seed", type=_digits, help="override the scenario seed")
     sweep_args = argparse.ArgumentParser(add_help=False, parents=[scenario_args])
     sweep_args.add_argument("--jobs", type=_jobs, default=1)
 
@@ -89,12 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _digits(text: str) -> int:
+    """An integer option's value: ASCII digits, the rule a trace's integers keep."""
+    if not _is_int(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _jobs(text: str) -> int:
     """A ``--jobs`` value: a count of worker processes, 1 to ``MAX_JOBS``."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    jobs = _digits(text)
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
     if jobs > MAX_JOBS:

@@ -38,10 +38,10 @@ from typing import Callable, Iterator
 from .apps import make_app
 from .checker import Verdict, _Run
 from .ofmodel import FlowMod, Match, Output
-from .replica import Note, Replica, SendToReplica, SendToSwitch, shared_steps
+from .replica import Note, Replica, SendToReplica, SendToSwitch, start_app
 from .scenario import FaultSpec, Scenario, ScenarioError, TracePointSpec, scenario_to_obj
 from .switchsim import SwitchState
-from .trace import Trace, TraceRecord, msg_to_wire
+from .trace import Trace, TraceRecord, _is_int, msg_to_wire
 
 
 class Simulation:
@@ -66,7 +66,7 @@ class Simulation:
         self._fold = None  # the checker's view of the trace, from the first fork or verdicts
 
         switch_ports = {s.id: list(s.ports) for s in scenario.switches}
-        steps = shared_steps(make_app(scenario.app, scenario.app_config.routes, switch_ports))
+        start = start_app(make_app(scenario.app, scenario.app_config.routes, switch_ports))
         controllers = list(range(scenario.n_controllers))
         self.switches: dict[int, SwitchState] = {}
         for spec in scenario.switches:
@@ -81,7 +81,7 @@ class Simulation:
         register_async = not scenario.suppress_slave_events
         switch_ids = sorted(self.switches)
         self.replicas: dict[int, Replica] = {
-            c: Replica(c, scenario.n_controllers, switch_ids, steps,
+            c: Replica(c, scenario.n_controllers, switch_ids, start,
                        use_bundles=use_bundles, register_async=register_async)
             for c in controllers
         }
@@ -293,14 +293,13 @@ def resolve_crash_target(scenario: Scenario, selector: str) -> int:
     if selector == "leader":
         return 0  # leader of the initial view
     if selector.startswith("replica:"):
-        try:
-            target = int(selector[len("replica:"):])
-        except ValueError:
+        text = selector[len("replica:"):]
+        if not _is_int(text):
             raise ScenarioError(f"crash selector {selector!r}: "
-                                f"replica id must be an integer") from None
-        if not (0 <= target < scenario.n_controllers):
-            raise ScenarioError(f"crash target {target} out of range")
-        return target
+                                f"replica id must be ASCII digits")
+        if int(text) >= scenario.n_controllers:
+            raise ScenarioError(f"crash target {text} out of range")
+        return int(text)
     raise ScenarioError(f"unknown crash selector {selector!r}")
 
 
@@ -350,17 +349,15 @@ def sweep_crash_points(base: Simulation,
     actor = f"c{target}"
     occurrence = 0
     held: list[SweepPoint] = []  # the points of the group whose fork is held
-    fork = last = None  # its fork, and the events the base had run at its last boundary
+    fork = None  # its fork
     while base.step():
         records = base.trace.records[base._step_start:]
         hits = [rec for rec in records if _is_crash_point(rec, actor, _ANY_POINT)]
         points = [SweepPoint(n, rec, base.sc, target)
                   for n, rec in enumerate(hits, occurrence + 1)]
         occurrence += len(hits)
-        if held and _commutes_with_crash(records, actor, base.processed - last,
-                                         base.now - fork.now):
+        if held and _commutes_with_crash(records, actor, base.now - fork.now):
             held += points
-            last = base.processed
             continue
         if held:
             yield held, fork
@@ -369,7 +366,7 @@ def sweep_crash_points(base: Simulation,
             fork = base.fork()
             fork.trace.meta = scenario_to_obj(points[0].scenario)
             fork.crash(target)
-            held, last = points, base.processed
+            held = points
     if held:
         yield held, fork
 
@@ -391,12 +388,11 @@ def _is_crash_point(rec: TraceRecord, actor: str, spec: TracePointSpec) -> bool:
             and spec.msg_type in (None, (rec.msg or {}).get("type")))
 
 
-def _commutes_with_crash(records: list[TraceRecord], actor: str,
-                         steps: int, ticks: int) -> bool:
+def _commutes_with_crash(records: list[TraceRecord], actor: str, ticks: int) -> bool:
     """Whether crashing ``actor`` at an event boundary commutes with the
-    step that logged ``records`` ``steps`` events and ``ticks`` ticks after
-    it: that step is the next event, at the same tick, and its only record
-    is a DELIVER that ``actor`` did not send.
+    next event, which logged ``records`` ``ticks`` ticks after it: that
+    event is at the same tick, and its only record is a DELIVER that
+    ``actor`` did not send.
 
     The receiver's handler logged nothing but the DELIVER, so it sent
     nothing; every ``_schedule`` in a handler comes with a SEND record, or
@@ -414,5 +410,5 @@ def _commutes_with_crash(records: list[TraceRecord], actor: str,
     becomes a ``reason: crash`` DROP. The checker's fold keeps no DELIVER's
     step, and a CRASH clears only the target's open bundles from it, so
     both orders check to the same verdicts."""
-    return (steps == 1 and ticks == 0 and len(records) == 1
+    return (ticks == 0 and len(records) == 1
             and records[0].kind == "DELIVER" and records[0].peer != actor)

@@ -27,7 +27,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Union
 
-from .apps import StepMemo, state_digest
+from .apps import Table, state_digest, step_once
 from .ofmodel import (
     CONTROLLER_PORT,
     BundleAdd,
@@ -131,20 +131,22 @@ def build_bundle(index: int, sw: SwitchId,
     return msgs
 
 
-def shared_steps(app) -> StepMemo:
-    """The step memo that all replicas of one run, and all its forks,
-    share; it digests app states with this module's ``state_digest``."""
-    return StepMemo(app, state_digest)
+def start_app(app) -> tuple[object, Table, str]:
+    """``app``, its initial state and that state's digest, which every
+    replica of one run, and all its forks, start from."""
+    state = app.initial_state()
+    return app, state, state_digest(state)
 
 
 class Replica:
     """One controller's protocol state. App states are immutable values
-    shared with every other replica that reached them: ``steps`` (one
-    ``StepMemo`` per run) hands replicas applying the same entry to the
-    same state one new state, command set and digest."""
+    shared with every other replica that reached them: ``start`` (one
+    ``start_app`` per run) is the first, and ``step_once`` hands replicas
+    applying the same entry to the same state one new state, command set
+    and digest."""
 
     def __init__(self, rid: ControllerId, n_replicas: int,
-                 switch_ids: list[SwitchId], steps: StepMemo, use_bundles: bool,
+                 switch_ids: list[SwitchId], start: tuple, use_bundles: bool,
                  register_async: bool):
         self.id = rid
         self.n = n_replicas
@@ -153,9 +155,7 @@ class Replica:
         self.commit_index = 0
         self.event_buffer: dict[EventId, tuple[bytes, PortId]] = {}
         self.ack_table: dict[SwitchId, set[int]] = {s: set() for s in switch_ids}
-        self.steps = steps
-        self.app_state = steps.initial_state
-        self.app_digest = steps.initial_digest
+        self.app, self.app_state, self.app_digest = start
         self.use_bundles = use_bundles
         self.register_async = register_async
         self.switch_ids = sorted(switch_ids)
@@ -169,7 +169,7 @@ class Replica:
 
     def fork(self) -> "Replica":
         """An independent copy; log entries, commands and app states are
-        immutable and stay shared, as does the step memo."""
+        immutable and stay shared, as does the app."""
         new = copy.copy(self)
         new.log = list(self.log)
         new.event_buffer = dict(self.event_buffer)
@@ -377,8 +377,9 @@ class Replica:
                                    "digest": self.app_digest})]
 
         self.event_buffer.pop(entry.event, None)
-        self.app_state, cmds, self.app_digest = self.steps.step(
-            self.app_state, entry.event.switch, entry.in_port, entry.payload)
+        self.app_state, cmds, self.app_digest = step_once(
+            self.app, self.app_state, entry.event.switch, entry.in_port, entry.payload,
+            state_digest)
         self.commands_by_index[entry.index] = cmds
         summary = ",".join(f"{sw}={len(cmds[sw])}" for sw in sorted(cmds) if cmds[sw])
         effects: list[Effect] = [Note("APPLY", {"index": str(entry.index), "entry": "EVENT",

@@ -2,8 +2,9 @@ import hashlib
 import random
 
 from sdnsim import Scenario, Simulation, SwitchSpec, WorkloadItem, apps
-from sdnsim.apps import MacLearner, StaticRouter, StepMemo, Table, make_app, state_digest
+from sdnsim.apps import MacLearner, StaticRouter, Table, make_app, state_digest, step_once
 from sdnsim.ofmodel import FlowMod, Match, Output, PacketOut
+from sdnsim.replica import start_app
 from sdnsim.scenario import Route
 from sdnsim.trace import canonical_json
 
@@ -96,49 +97,42 @@ class CountingLearner(MacLearner):
         return super().step(state, sw, in_port, payload)
 
 
-def test_step_memo_returns_one_result_per_parent_object_and_input():
+def test_step_once_returns_one_result_per_parent_object_and_input():
     app = CountingLearner()
-    memo = StepMemo(app, state_digest)
-    assert memo.initial_state == {}
-    assert memo.initial_digest == state_digest(Table())
-    first = memo.step(memo.initial_state, 0, 1, b"\x05\x01")
-    assert memo.step(memo.initial_state, 0, 1, b"\x05\x01") is first
+    started, state, digest = start_app(app)
+    assert started is app and state == {} and digest == state_digest(Table())
+    first = step_once(app, state, 0, 1, b"\x05\x01", state_digest)
+    assert step_once(app, state, 0, 1, b"\x05\x01", state_digest) is first
     assert app.steps == 1
     new_state, cmds, digest = first
     assert (new_state, cmds) == learner().step(Table(), 0, 1, b"\x05\x01")
     assert digest == state_digest(new_state)
     for other_input in ((1, 1, b"\x05\x01"), (0, 2, b"\x05\x01"), (0, 1, b"\x05\x02")):
-        memo.step(memo.initial_state, *other_input)
+        step_once(app, state, *other_input, state_digest)
     assert app.steps == 4
 
 
-def test_step_memo_keys_on_identity_not_equality():
+def test_step_once_keys_on_identity_not_equality():
     app = CountingLearner()
-    memo = StepMemo(app, state_digest)
     state = Table().set("0:1", 1)
-    memo.step(state, 0, 2, b"\x05\x02")
+    step_once(app, state, 0, 2, b"\x05\x02", state_digest)
     equal = Table().set("0:1", 1)
     assert equal == state and equal is not state
-    result = memo.step(equal, 0, 2, b"\x05\x02")
+    result = step_once(app, equal, 0, 2, b"\x05\x02", state_digest)
     assert app.steps == 2
-    assert memo.step(equal, 0, 2, b"\x05\x02") is result
+    assert step_once(app, equal, 0, 2, b"\x05\x02", state_digest) is result
     assert app.steps == 2
 
 
-def test_step_memo_evicts_the_least_recently_used_step():
+def test_a_kept_step_outlasts_any_number_of_later_steps_from_its_state():
     app = CountingLearner()
-    memo = StepMemo(app, state_digest)
-    memo.size = 2
     state = Table()
-    for src in (1, 2):
-        memo.step(state, 0, 1, bytes([9, src]))
-    memo.step(state, 0, 1, bytes([9, 1]))  # refresh src 1, so src 2 goes next
-    memo.step(state, 0, 1, bytes([9, 3]))
-    assert len(memo) == 2 and app.steps == 3
-    memo.step(state, 0, 1, bytes([9, 1]))
-    assert app.steps == 3
-    memo.step(state, 0, 1, bytes([9, 2]))
-    assert app.steps == 4
+    first = step_once(app, state, 0, 1, b"\x09\x00", state_digest)
+    for src in range(1, 256):
+        step_once(app, state, 0, 1, bytes([9, src]), state_digest)
+    assert app.steps == 256
+    assert step_once(app, state, 0, 1, b"\x09\x00", state_digest) is first
+    assert app.steps == 256
 
 
 # ----------------------------------------------------------------------
@@ -246,14 +240,15 @@ def test_a_step_encodes_one_entry(monkeypatch):
     # apps encodes keys with encode_basestring_ascii and values with canonical_json
     for name in ("canonical_json", "encode_basestring_ascii"):
         monkeypatch.setattr(apps, name, counting(getattr(apps, name)))
-    memo = StepMemo(learner(), apps.state_digest)
+    app = learner()
     rng = random.Random("apps/one-entry")
-    state = memo.initial_state
+    state = app.initial_state()
     per_step = []
     for _ in range(800):
         encoded.clear()
-        state = memo.step(state, rng.randrange(2), rng.randint(1, 2),
-                          bytes([rng.randint(1, 250), rng.randint(1, 250)]))[0]
+        state = step_once(app, state, rng.randrange(2), rng.randint(1, 2),
+                          bytes([rng.randint(1, 250), rng.randint(1, 250)]),
+                          apps.state_digest)[0]
         per_step.append(sum(encoded))
     final = dict(state)
     assert len(canonical_json(final)) > 3000

@@ -755,7 +755,8 @@ def test_sweep_rejects_point_faulted_scenario(tmp_path, capsys):
 
 def test_sweep_rejects_bad_crash_selector(tmp_path, capsys):
     path = write_scenario(tmp_path, one_command_scenario())
-    for selector in ("nonsense", "replica:x", "replica:", "replica:9"):
+    for selector in ("nonsense", "replica:x", "replica:", "replica:9", "replica:-1",
+                     "replica:+1", "replica:0_1", "replica:\u0661", "replica: 1"):
         assert main(["sweep", path, "--crash", selector]) == 2, selector
         assert capsys.readouterr().err.startswith("error: "), selector
 
@@ -763,9 +764,13 @@ def test_sweep_rejects_bad_crash_selector(tmp_path, capsys):
 # --jobs value -> argparse's complaint about it
 BAD_JOBS = {
     "0": "must be at least 1, got 0",
-    "-1": "must be at least 1, got -1",
+    "-1": "invalid int value: '-1'",
     "x": "invalid int value: 'x'",
     "2.5": "invalid int value: '2.5'",
+    "+1": "invalid int value: '+1'",
+    "0_1": "invalid int value: '0_1'",
+    "\u0662": "invalid int value: '\u0662'",
+    " 1": "invalid int value: ' 1'",
 }
 # Run only through the tests below, which stub out the sweep: a real run
 # would ask for that many worker processes.
@@ -909,8 +914,12 @@ def test_one_job_loads_no_process_pool():
 @pytest.mark.parametrize("extra, code, text", [
     (["--frobnicate"], 2, "unrecognized arguments: --frobnicate"),
     (["--seed", "x"], 2, "argument --seed: invalid int value: 'x'"),
+    (["--seed", "1_0"], 2, "argument --seed: invalid int value: '1_0'"),
+    (["--seed", "\u0663"], 2, "argument --seed: invalid int value: '\u0663'"),
+    (["--seed", "+1"], 2, "argument --seed: invalid int value: '+1'"),
     (["-h"], 0, "usage: sdnsim run"),
-], ids=["unknown-option", "seed-not-an-int", "help"])
+], ids=["unknown-option", "seed-not-an-int", "seed-with-an-underscore",
+        "seed-in-arabic-indic-digits", "seed-with-a-sign", "help"])
 def test_argument_errors_and_help_return_their_exit_code(tmp_path, capsys, extra, code,
                                                          text):
     path = write_scenario(tmp_path, one_command_scenario())

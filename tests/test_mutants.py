@@ -239,8 +239,7 @@ def test_merging_a_delivery_at_a_later_tick_is_caught(monkeypatch):
     assert merged and not unsound
     commutes = netsim._commutes_with_crash
     monkeypatch.setattr(netsim, "_commutes_with_crash",
-                        lambda records, actor, steps, ticks:
-                        commutes(records, actor, steps, 0))
+                        lambda records, actor, ticks: commutes(records, actor, 0))
     merged_at_any_tick, unsound = unsound_merges(scenario, 0)
     assert merged_at_any_tick > merged and unsound
 
@@ -251,7 +250,6 @@ def test_merging_a_step_of_more_than_one_record_is_caught(monkeypatch):
     assert merged and not unsound
     commutes = netsim._commutes_with_crash
     monkeypatch.setattr(netsim, "_commutes_with_crash",
-                        lambda records, actor, steps, ticks:
-                        commutes(records[:1], actor, steps, ticks))
+                        lambda records, actor, ticks: commutes(records[:1], actor, ticks))
     merged_any_length, unsound = unsound_merges(scenario, 1)
     assert merged_any_length > merged and unsound

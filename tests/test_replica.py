@@ -29,7 +29,7 @@ from sdnsim.replica import (
     SendToSwitch,
     ViewEntry,
     build_bundle,
-    shared_steps,
+    start_app,
 )
 from sdnsim.scenario import Route
 
@@ -39,7 +39,7 @@ def route_app():
 
 
 def make_replica(rid=0, n=3, switches=(0,), app=None, use_bundles=True):
-    return Replica(rid, n, list(switches), shared_steps(app or route_app()),
+    return Replica(rid, n, list(switches), start_app(app or route_app()),
                    use_bundles=use_bundles, register_async=True)
 
 

@@ -18,7 +18,9 @@ import pytest
 
 from builders import merged_deliveries, point_lines
 from sdnsim import Simulation, Trace, load_scenario, run_all_checks, sweep_crash_points
+from sdnsim.ofmodel import ErrorCode, ErrorMsg
 from sdnsim.scenario import VARIANTS, scenario_from_obj, scenario_to_obj
+from sdnsim.trace import msg_to_wire
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RUN_ONLY = {"majority_loss"}
@@ -124,6 +126,17 @@ def test_no_corpus_trace_discards_a_staged_bundle(corpus):
                 for rec in trace.records
                 if rec.kind == "DROP" and rec.detail.get("reason") == "connection_drop"]
     assert discards == []
+
+
+def test_no_corpus_trace_carries_an_error_message(corpus):
+    """No corpus run makes a switch answer with an ``ErrorMsg``, so its
+    IS_SLAVE, BAD_BUNDLE and STALE_GENERATION guards never fire here, and
+    demotion by generation id is vacuous (ROADMAP items 4 and 23). This
+    flips when a sweep first makes a switch refuse a message."""
+    assert msg_to_wire(ErrorMsg(ErrorCode.IS_SLAVE))["type"] == "ErrorMsg"
+    errors = [(scenario.name, rec.step) for scenario, trace, _, _, _ in corpus
+              for rec in trace.records if (rec.msg or {}).get("type") == "ErrorMsg"]
+    assert errors == []
 
 
 def test_paper_b_corpus_traces_are_record_identical_to_paper_a(corpus):
