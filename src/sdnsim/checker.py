@@ -5,7 +5,7 @@ exactly-once commands, P5 replica convergence, P6 bundle atomicity.
 
 Each property is a read-only function of ``_Run``, the one parsed view
 of a trace, a fold over its records in order. It keeps no record and
-builds no dict per record: an applied event is one tuple, and a command
+builds no dict per record: an APPLY or EXEC is one tuple, and a command
 summary is parsed only where P4 reads it. The fold also counts the
 control messages delivered after setup and finds the ``sim`` STALL
 record, so ``check_trace`` reads the verdicts, the message metrics and
@@ -111,8 +111,9 @@ class _Run:
     ``update`` the ones appended since, and ``fork`` copies the view for a
     copy of the trace to continue, so a sweep fork's view starts from its
     parent's. Each EVENT APPLY is kept as one ``(step, index, event,
-    commands)`` tuple, ``commands`` being the record's summary string,
-    which only ``committed_commands`` parses."""
+    commands)`` tuple, whose summary string only P4 parses, and each EXEC
+    as one ``(step, exec, bundle, staged, index)`` tuple in its switch's
+    list, which P4 and P6 share."""
 
     def __init__(self, trace: Trace):
         self.last_step = 0  # the records folded so far: steps run 1, 2, ... without gaps
@@ -124,10 +125,9 @@ class _Run:
         self.last_apply: dict[int, tuple[int, str, int]] = {}
         self.events: dict[int, list[tuple[int, int, str, str]]] = defaultdict(list)
         self.emitted: dict[str, int] = {}  # workload event -> first SEND step, in order
-        # (switch, log index) -> steps executing that entry's command batch
-        self.executions: dict[tuple[int, int], list[int]] = defaultdict(list)
-        # switch -> (step, exec, bundle, staged) per EXEC; staged is the inner types
-        # a BUNDLE_COMMIT's bundle staged, or None when no bundle was open under its id
+        # switch -> (step, exec, bundle, staged, index) per EXEC; staged is the inner
+        # types a BUNDLE_COMMIT's bundle staged, or None when no bundle was open under
+        # its id; index is the log index whose command batch the EXEC executes, or None
         self.execs: dict[int, list[tuple]] = defaultdict(list)
         # (switch, connection, bundle id) -> inner types each open bundle staged
         self.open_bundles: dict[tuple[int, int, int], list[str]] = {}
@@ -177,9 +177,8 @@ class _Run:
                     staged = open_bundles.pop((sw, int(detail["from"]), index), None)
                 elif detail.get("cmd_ord") == "0":
                     index = int(detail["cmd_index"])
-                self.execs[sw].append((rec.step, exec_kind, detail.get("bundle"), staged))
-                if index is not None:
-                    self.executions[(sw, index)].append(rec.step)
+                self.execs[sw].append((rec.step, exec_kind, detail.get("bundle"), staged,
+                                       index))
         self.last_step = len(trace.records)
 
     def fork(self) -> "_Run":
@@ -190,9 +189,9 @@ class _Run:
         new.crashed = set(self.crashed)
         new.last_apply = dict(self.last_apply)
         new.emitted = dict(self.emitted)
-        new.events, new.executions, new.execs = (
+        new.events, new.execs = (
             defaultdict(list, {k: list(v) for k, v in lists.items()})
-            for lists in (self.events, self.executions, self.execs))
+            for lists in (self.events, self.execs))
         new.open_bundles = {k: list(v) for k, v in self.open_bundles.items()}
         return new
 
@@ -214,17 +213,6 @@ class _Run:
             check_replica_convergence(self),
             check_bundle_atomicity(self),
         ]
-
-    def committed_commands(self) -> dict[tuple[int, int], int]:
-        """(log index, switch) -> command count, unioned over survivors'
-        ``switch=count,...`` summaries."""
-        out: dict[tuple[int, int], int] = {}
-        for rid in self.survivors:
-            for _, index, _, commands in self.events.get(rid, []):
-                for pair in commands.split(",") if commands else ():
-                    sw, count = pair.split("=")
-                    out[(index, int(sw))] = int(count)
-        return out
 
     def metrics(self) -> MetricsReport:
         total = sum(self.delivered.values())
@@ -291,7 +279,12 @@ def check_exactly_once_commands(run: _Run) -> Verdict:
     switch. Duplicates are flagged unconditionally; missing executions only
     under quiescence and the fault bound."""
     witnesses: list[Witness] = []
-    executions = run.executions
+    # (switch, log index) -> steps executing that entry's command batch
+    executions: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for sw, execs in run.execs.items():
+        for step, _, _, _, index in execs:
+            if index is not None:
+                executions[(sw, index)].append(step)
     for (sw, index), steps in sorted(executions.items()):
         if len(steps) > 1:
             witnesses.append(Witness(
@@ -301,7 +294,13 @@ def check_exactly_once_commands(run: _Run) -> Verdict:
 
     note = ""
     if run.live and run.stall_step is None:
-        committed = run.committed_commands()
+        # (log index, switch) -> command count, unioned over survivors' summaries
+        committed: dict[tuple[int, int], int] = {}
+        for rid in run.survivors:
+            for _, index, _, commands in run.events.get(rid, []):
+                for pair in commands.split(",") if commands else ():
+                    sw, count = pair.split("=")
+                    committed[(index, int(sw))] = int(count)
         for (index, sw), count in sorted(committed.items()):
             if count and (sw, index) not in executions:
                 witnesses.append(Witness(
@@ -352,13 +351,13 @@ def check_bundle_atomicity(run: _Run) -> Verdict:
     for sw, execs in sorted(run.execs.items()):
         j = 0
         while j < len(execs):
-            step, exec_kind, bundle, staged = execs[j]
+            step, exec_kind, bundle, staged, _ = execs[j]
             j += 1
             if exec_kind == "BUNDLE_COMMIT":
                 if staged is None:
                     witnesses.append(Witness((step,), f"spurious-effect: commit of bundle "
                                              f"{bundle} on s{sw} with no staged content"))
-                elif [(b, k) for _, k, b, _ in execs[j: j + len(staged)]] == [
+                elif [(b, k) for _, k, b, _, _ in execs[j: j + len(staged)]] == [
                         (bundle, _EXEC_KINDS.get(t)) for t in staged]:
                     j += len(staged)
                 else:

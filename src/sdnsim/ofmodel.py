@@ -149,7 +149,6 @@ class BundleCtrlReply:
 @dataclass(frozen=True)
 class ErrorMsg:
     code: ErrorCode
-    context: bytes = b""
 
 
 ControlMessage = Union[

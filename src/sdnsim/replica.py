@@ -163,7 +163,7 @@ class Replica:
         self.logged_events: set[EventId] = set()
         self.commands_by_index: dict[int, dict[SwitchId, list[ControlMessage]]] = {}
         self.acked_through: dict[ControllerId, int] = {}
-        self.fence_done: dict[SwitchId, bool] = {s: False for s in switch_ids}
+        self.fenced: set[SwitchId] = set()  # switches fenced in the current view
         self.crashed: set[ControllerId] = set()
         self.stalled = False
 
@@ -177,7 +177,7 @@ class Replica:
         new.logged_events = set(self.logged_events)
         new.commands_by_index = dict(self.commands_by_index)
         new.acked_through = dict(self.acked_through)
-        new.fence_done = dict(self.fence_done)
+        new.fenced = set(self.fenced)
         new.crashed = set(self.crashed)
         return new
 
@@ -218,7 +218,7 @@ class Replica:
         if isinstance(msg, RoleReply):
             if (msg.role is Role.MASTER and msg.generation_id == self.view
                     and self.is_leader):
-                self.fence_done[sw] = True
+                self.fenced.add(sw)
                 return self._flush_owed(sw)
             return []
         if isinstance(msg, (BundleCtrlReply, ErrorMsg)):
@@ -308,7 +308,7 @@ class Replica:
         # log, then fence every switch; resends happen per switch once its
         # RoleReply arrives.
         self.acked_through = {}
-        self.fence_done = {s: False for s in self.switch_ids}
+        self.fenced = set()
         new_entries: list[LogEntry] = [ViewEntry(len(self.log) + 1, view, self.id)]
         self._append_local(new_entries[0])
         for ev in sorted(self.event_buffer):
@@ -387,7 +387,7 @@ class Replica:
                                                 "commands": summary,
                                                 "digest": self.app_digest})]
         for sw in sorted(cmds):
-            if (cmds[sw] and self.is_leader and self.fence_done.get(sw)
+            if (cmds[sw] and self.is_leader and sw in self.fenced
                     and entry.index not in self.ack_table[sw]):
                 effects.extend(self._dispatch(entry.index, sw))
         return effects

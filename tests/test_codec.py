@@ -64,9 +64,8 @@ GOLDEN = [
     (BundleCommit(5), {"type": "BundleCommit", "bundle_id": 5}),
     (BundleCtrlReply(5, BundleReplyKind.COMMIT_OK),
      {"type": "BundleCtrlReply", "bundle_id": 5, "kind": "COMMIT_OK"}),
-    (ErrorMsg(ErrorCode.BAD_BUNDLE, b"\x00\x05"),
-     {"type": "ErrorMsg", "code": "BAD_BUNDLE", "context": "0005"}),
-    (ErrorMsg(ErrorCode.IS_SLAVE), {"type": "ErrorMsg", "code": "IS_SLAVE", "context": ""}),
+    (ErrorMsg(ErrorCode.BAD_BUNDLE), {"type": "ErrorMsg", "code": "BAD_BUNDLE"}),
+    (ErrorMsg(ErrorCode.IS_SLAVE), {"type": "ErrorMsg", "code": "IS_SLAVE"}),
     (Append(3, (ViewEntry(4, 3, 0), EventEntry(5, EventId(0, 1), b"\x02\xaa", 1)), 4),
      {"type": "Append", "view": 3, "commit_index": 4, "entries": [
          {"type": "ViewEntry", "index": 4, "view": 3, "leader": 0},

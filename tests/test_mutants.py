@@ -120,7 +120,7 @@ def flush_before_the_role_reply(on_failure_notice):
         if any(isinstance(e, SendToSwitch) and isinstance(e.msg, RoleRequest)
                for e in effects):
             for sw in self.switch_ids:
-                self.fence_done[sw] = True
+                self.fenced.add(sw)
                 effects.extend(self._flush_owed(sw))
         return effects
     return mutant
@@ -128,7 +128,7 @@ def flush_before_the_role_reply(on_failure_notice):
 
 def ignore_role_reply_once_fenced(on_switch_message):
     def mutant(self, sw, msg):
-        if isinstance(msg, RoleReply) and self.fence_done[sw]:
+        if isinstance(msg, RoleReply) and sw in self.fenced:
             return []
         return on_switch_message(self, sw, msg)
     return mutant

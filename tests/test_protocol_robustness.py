@@ -9,10 +9,14 @@ from pathlib import Path
 import pytest
 from builders import learning_scenario, one_command_scenario, stalled
 from sdnsim import (FaultSpec, Scenario, Simulation, SwitchSpec, WorkloadItem, all_passed,
-                    load_scenario, run_all_checks, sweep_crash_points)
+                    classify_anomalies, load_scenario, run_all_checks, sweep_crash_points)
 from sdnsim.replica import EventEntry
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def shipped(name):
+    return load_scenario(str(SCENARIO_DIR / f"{name}.json"))
 
 
 def test_crash_free_run_leaves_identical_logs():
@@ -252,49 +256,76 @@ SHIPPED_TIE_ORDER_GAPS = (4, 10, 14, 23)
 def test_shipped_leader_sweep_under_seeded_tie_order(monkeypatch, name, tie_seed):
     # at tie seeds 4, 10, 14 and 23 a replica asserts "gap in replicated
     # entries"; seeds 0 and 1 are the passing controls
-    scenario = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    scenario = shipped(name)
     monkeypatch.setattr(Simulation, "_schedule", seeded_ties(tie_seed))
     with failing_with("gap in replicated entries" if tie_seed in SHIPPED_TIE_ORDER_GAPS
                       else None):
         assert_clean_leader_sweep(scenario)
 
 
-# No scheduler patch is needed to reach the gap: crash c0 by hand at the
-# event boundary between c1's and c2's same-tick deliveries of one Append,
-# after c1 has sent its AppendAck. A sweep never crashes c0 there, since
-# its crash points are only the target's own sends and deliveries.
-APPEND_SPLITS = {"one_command": (13,), "paper_a": (21, 36, 56), "paper_b": (21, 36, 56)}
+# ROADMAP items 1 and 21: the every-boundary census. For each shipped
+# scenario and controller, fork a fault-free run after each of its steps
+# and crash that controller there, under the simulator's own timing and tie
+# order. No scheduler patch is needed to reach item 1's gap: crashing c0 at
+# these boundaries asserts "gap in replicated entries". A sweep never
+# crashes c0 there, since its crash points are only the target's own sends
+# and deliveries.
+CENSUS_ABORTS = {"majority_loss": (21,), "naive": (21, 33, 45),
+                 "naive_suppressed": (15, 25, 35), "one_command": (13,),
+                 "paper_a": (21, 36, 56), "paper_b": (21, 36, 56)}
+# the anomalies each scenario and target's forks show: only NAIVE's c0 forks fail
+CENSUS_ANOMALIES = {("naive", 0): {"REPEATED_COMMAND"},
+                    ("naive_suppressed", 0): {"LOST_EVENT", "REPEATED_COMMAND"}}
+# the boundaries whose fork discards a staged bundle (a connection_drop
+# DROP), all of them c0 forks that pass; the sweep reaches none of them
+STAGED_DROPS = (*range(30, 33), *range(50, 53), *range(67, 70))
+CENSUS_DROPS = {("one_command", 0): (18, 19), ("paper_a", 0): STAGED_DROPS,
+                ("paper_b", 0): STAGED_DROPS}
 
 
-def between_append_deliveries(sim):
-    """Whether ``sim``'s last step delivered an Append from c0 to c1 and its
-    next one delivers the same Append to c2 at the same tick."""
-    first = sim.trace.records[sim._step_start]
-    t, _, handler, args = sim._heap[0]
-    return (first.kind == "DELIVER" and (first.peer, first.actor) == ("c0", "c1")
-            and first.msg["type"] == "Append" and t == sim.now
-            and handler is Simulation._deliver and args[:2] == ("c0", "c2")
-            and args[3] is first.msg)
+@pytest.mark.parametrize(("name", "target"), [
+    (path.stem, target) for path in sorted(SCENARIO_DIR.glob("*.json"))
+    for target in range(shipped(path.stem).n_controllers)])
+def test_crash_at_every_event_boundary(name, target):
+    # every fork but the aborting ones runs to its end with no conflicting
+    # applies; outside NAIVE each passes P1-P6
+    base = Simulation(shipped(name))
+    anomalies, drops = set(), []
+    while base.step():
+        if target == 0 and base.processed in CENSUS_ABORTS.get(name, ()):
+            continue
+        fork = base.fork()
+        fork.crash(target)
+        trace = fork.run()
+        anomalies.update(classify_anomalies(run_all_checks(trace)))
+        assert conflicting_applies(trace) == [], base.processed
+        if any(r.kind == "DROP" and r.detail["reason"] == "connection_drop"
+               for r in trace.records):
+            drops.append(base.processed)
+    assert anomalies == CENSUS_ANOMALIES.get((name, target), set())
+    assert tuple(drops) == CENSUS_DROPS.get((name, target), ())
 
 
-@pytest.mark.parametrize(("name", "boundary", "target"), [
-    *(pytest.param(name, b, 0, marks=ITEM_1)
-      for name, splits in APPEND_SPLITS.items() for b in splits),
-    *((name, splits[0] + d, 0) for name, splits in APPEND_SPLITS.items() for d in (-1, 1)),
-    *((name, b, target) for name, splits in APPEND_SPLITS.items() for b in splits
-      for target in (1, 2))])
-def test_crash_between_same_tick_append_deliveries(name, boundary, target):
-    # crashing c0 at a split boundary asserts "gap in replicated entries";
-    # c0 at the boundaries next to the first split and c1 or c2 at every
-    # split are the passing controls
-    sim = Simulation(load_scenario(str(SCENARIO_DIR / f"{name}.json")))
-    while sim.processed < boundary:
-        assert sim.step()
-    split = boundary in APPEND_SPLITS[name]
-    with failing_with("gap in replicated entries" if split and target == 0 else None):
-        assert between_append_deliveries(sim) == split
-        sim.crash(target)
-        trace = sim.run()
+@pytest.mark.parametrize(("name", "boundary"), [
+    pytest.param(name, b, marks=ITEM_1) for name, bs in CENSUS_ABORTS.items() for b in bs])
+def test_crash_between_same_tick_append_deliveries(name, boundary):
+    # the cause, from the base's own records: step k is c1's delivery of
+    # c0's Append and its AppendAck, and step k+1 c2's delivery of the same
+    # Append at the same tick; then the crashed fork asserts the gap
+    base = Simulation(shipped(name))
+    while base.processed < boundary:
+        assert base.step()
+    with failing_with("gap in replicated entries"):
+        fork = base.fork()
+        fork.crash(0)
+        cause = base.trace.records[base._step_start:]
+        assert base.step()
+        cause += base.trace.records[base._step_start:][:1]
+        assert [(r.kind, r.actor, r.peer, (r.msg or {}).get("type")) for r in cause] == [
+            ("DELIVER", "c1", "c0", "Append"), ("SEND", "c1", "c0", "AppendAck"),
+            ("DELIVER", "c2", "c0", "Append")]
+        assert cause[2].t == cause[0].t and cause[2].msg is cause[0].msg
+        trace = fork.run()
         verdicts = run_all_checks(trace)
         assert all_passed(verdicts), [v for v in verdicts if not v.passed]
         assert conflicting_applies(trace) == []

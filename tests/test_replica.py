@@ -285,7 +285,7 @@ def test_new_leader_runs_the_failover_protocol():
     assert {e.dst for e in appends} == {2}
     roles = [e.msg for e in sends_to_switch(effects)]
     assert roles == [RoleRequest(Role.MASTER, 1)]
-    assert not r.fence_done[0]
+    assert r.fenced == set()
 
 
 def test_surviving_follower_adopts_the_new_view():
