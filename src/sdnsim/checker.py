@@ -11,12 +11,13 @@ control messages delivered after setup and finds the ``sim`` STALL
 record, so ``check_trace`` reads the verdicts, the message metrics and
 the quiesce flag off one fresh fold of the whole trace; no code outside
 trace I/O and the simulator walks a trace's records. The fold can be
-continued with the records appended since (``update``) and copied
+continued with the records that follow (``update``) and copied
 (``fork``): a ``Simulation`` keeps one and hands each of its forks a
 copy, so a sweep fork's verdicts fold only the records past its fork
-point. The checker trusts its input: a trace the simulator wrote, or one
-that ``Trace.from_lines``, the one gate for trace files, accepted, so
-the fold has no error paths.
+point, and ``sdnsim check`` folds each record of a file as the gate
+accepts it, so it holds none. The checker trusts its input: records the
+simulator wrote, or ones that ``trace.scan_lines``, the one gate for
+trace files, accepted, so the fold has no error paths.
 
 Liveness-flavored obligations (P2, and P4's "commands eventually
 execute" half) are only asserted when the CRASH records show at most
@@ -37,11 +38,11 @@ from __future__ import annotations
 import copy
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Optional
+from itertools import combinations
+from typing import Iterable, Optional
 
 from .ofmodel import decode_ack
-from .trace import Trace
+from .trace import Trace, TraceRecord
 
 PROPERTIES = ("P1", "P2", "P3", "P4", "P5", "P6")
 
@@ -108,15 +109,18 @@ class _Run:
     metrics read: a fold over its records in step order, which also finds
     the ``sim`` STALL record (``stall_step`` is its step, or None for a run
     that quiesced). ``_Run(trace)`` folds the records the trace holds now,
-    ``update`` the ones appended since, and ``fork`` copies the view for a
-    copy of the trace to continue, so a sweep fork's view starts from its
-    parent's. Each EVENT APPLY is kept as one ``(step, index, event,
-    commands)`` tuple, whose summary string only P4 parses, and each EXEC
-    as one ``(step, exec, bundle, staged, index)`` tuple in its switch's
-    list, which P4 and P6 share."""
+    ``update`` any records that follow them, from the trace or straight
+    from the gate, and ``fork`` copies the view for a copy of the trace to
+    continue, so a sweep fork's view starts from its parent's. The
+    metadata is read once, by ``__init__``. Each EVENT APPLY is kept as one
+    ``(step, index, event, commands)`` tuple, whose summary string only P4
+    parses, and each EXEC as one ``(step, exec, bundle, staged, index)``
+    tuple in its switch's list, which P4 and P6 share."""
 
     def __init__(self, trace: Trace):
-        self.last_step = 0  # the records folded so far: steps run 1, 2, ... without gaps
+        self.n: int = trace.meta["n_controllers"]
+        self.variant: str = trace.meta.get("variant", "?")
+        self.last_step = 0  # the last folded record's step: steps run 1, 2, ... without gaps
         self.stall_step: Optional[int] = None
         # message type ("?" for a record without one) -> DELIVERs past setup
         self.delivered: Counter[str] = Counter()
@@ -131,55 +135,52 @@ class _Run:
         self.execs: dict[int, list[tuple]] = defaultdict(list)
         # (switch, connection, bundle id) -> inner types each open bundle staged
         self.open_bundles: dict[tuple[int, int, int], list[str]] = {}
-        self.update(trace)
+        self.update(trace.records)
 
-    def update(self, trace: Trace) -> None:
-        """Fold the records ``trace`` appended since this view last folded it."""
-        self.n: int = trace.meta["n_controllers"]
-        self.variant: str = trace.meta.get("variant", "?")
+    def update(self, records: Iterable[TraceRecord]) -> None:
+        """Fold ``records``, the ones that follow those folded so far."""
         open_bundles, delivered = self.open_bundles, self.delivered
-        for rec in islice(trace.records, self.last_step, None):
-            kind, msg, detail = rec.kind, rec.msg, rec.detail
+        step = self.last_step
+        for step, _, kind, actor, peer, msg, detail in records:
             if kind == "APPLY":
-                rid, index = int(rec.actor[1:]), int(detail["index"])
-                self.last_apply[rid] = (index, detail.get("digest", ""), rec.step)
+                rid, index = int(actor[1:]), int(detail["index"])
+                self.last_apply[rid] = (index, detail.get("digest", ""), step)
                 if detail["entry"] == "EVENT":
-                    self.events[rid].append((rec.step, index, detail.get("event", ""),
+                    self.events[rid].append((step, index, detail.get("event", ""),
                                              detail.get("commands", "")))
             elif kind == "SEND":
                 # a switch's PacketIn carries a workload event or an ack
-                if (msg and msg["type"] == "PacketIn" and rec.actor.startswith("s")
+                if (msg and msg["type"] == "PacketIn" and actor.startswith("s")
                         and decode_ack(bytes.fromhex(msg["payload"])) is None):
-                    self.emitted.setdefault(msg["event"], rec.step)
+                    self.emitted.setdefault(msg["event"], step)
             elif kind == "DELIVER":
                 msg_type = msg["type"] if msg else "?"
                 if detail.get("phase") != "setup":
                     delivered[msg_type] += 1
                 if msg_type in ("BundleOpen", "BundleAdd"):
-                    key = (int(rec.actor[1:]), int(rec.peer[1:]), msg["bundle_id"])
+                    key = (int(actor[1:]), int(peer[1:]), msg["bundle_id"])
                     if msg_type == "BundleOpen":
                         # a re-open of a live id is rejected by the switch
                         open_bundles.setdefault(key, [])
                     elif key in open_bundles:
                         open_bundles[key].append(msg["inner"]["type"])
             elif kind == "CRASH":
-                dead = int(rec.actor[1:])
+                dead = int(actor[1:])
                 self.crashed.add(dead)
                 for key in [k for k in open_bundles if k[1] == dead]:
                     del open_bundles[key]
-            elif kind == "STALL" and rec.actor == "sim":
-                self.stall_step = rec.step
+            elif kind == "STALL" and actor == "sim":
+                self.stall_step = step
             elif kind == "EXEC":
-                sw = int(rec.actor[1:])
+                sw = int(actor[1:])
                 exec_kind, index, staged = detail.get("exec"), None, None
                 if exec_kind == "BUNDLE_COMMIT":
                     index = int(detail["bundle"])
                     staged = open_bundles.pop((sw, int(detail["from"]), index), None)
                 elif detail.get("cmd_ord") == "0":
                     index = int(detail["cmd_index"])
-                self.execs[sw].append((rec.step, exec_kind, detail.get("bundle"), staged,
-                                       index))
-        self.last_step = len(trace.records)
+                self.execs[sw].append((step, exec_kind, detail.get("bundle"), staged, index))
+        self.last_step = step
 
     def fork(self) -> "_Run":
         """A copy to be updated separately: its containers are copied, inner
@@ -213,6 +214,10 @@ class _Run:
             check_replica_convergence(self),
             check_bundle_atomicity(self),
         ]
+
+    def results(self) -> tuple[list[Verdict], MetricsReport, bool]:
+        """The verdicts, the message metrics and whether the run quiesced."""
+        return self.verdicts(), self.metrics(), self.stall_step is None
 
     def metrics(self) -> MetricsReport:
         total = sum(self.delivered.values())
@@ -377,8 +382,7 @@ def check_bundle_atomicity(run: _Run) -> Verdict:
 def check_trace(trace: Trace) -> tuple[list[Verdict], MetricsReport, bool]:
     """The verdicts, the message metrics and whether the run quiesced,
     all read from one pass over ``trace``."""
-    run = _Run(trace)
-    return run.verdicts(), run.metrics(), run.stall_step is None
+    return _Run(trace).results()
 
 
 def run_all_checks(trace: Trace) -> list[Verdict]:

@@ -17,15 +17,15 @@ from contextlib import contextmanager
 from itertools import islice
 
 from . import codec
-from .checker import (MetricsReport, Verdict, all_passed, check_trace, classify_anomalies,
-                      combined, summary_line)
+from .checker import (MetricsReport, Verdict, _Run, all_passed, check_trace,
+                      classify_anomalies, combined, summary_line)
 from .netsim import Simulation, resolve_crash_target, sweep_crash_points
 # The replay oracle, the metrics and the verdicts on their own; not called
 # here, but the benchmark's span wrappers look them up under these names.
 from .checker import compute_metrics, run_all_checks  # noqa: F401
 from .netsim import enumerate_crash_points  # noqa: F401
 from .scenario import VARIANTS, Scenario, ScenarioError, load_scenario
-from .trace import Trace, TraceFormatError, _is_int
+from .trace import Trace, TraceFormatError, _is_int, read_records
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -248,10 +248,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
-    trace = Trace.read(args.trace)
-    verdicts, report, quiesced = check_trace(trace)
-    print(f"trace {args.trace}: {len(trace.records)} records, "
-          f"variant={trace.meta.get('variant')}, quiesced={quiesced}")
+    """Fold each record into the checker's view as the gate accepts it,
+    so no record is held."""
+    meta, records = read_records(args.trace)
+    run = _Run(Trace(meta))
+    run.update(records)
+    verdicts, report, quiesced = run.results()
+    print(f"trace {args.trace}: {run.last_step} records, "
+          f"variant={meta.get('variant')}, quiesced={quiesced}")
     return _report(report, verdicts)
 
 

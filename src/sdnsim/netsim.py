@@ -33,6 +33,7 @@ import copy
 import heapq
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterator
 
 from .apps import make_app
@@ -142,7 +143,7 @@ class Simulation:
         if self._fold is None:
             self._fold = _Run(self.trace)
         else:
-            self._fold.update(self.trace)
+            self._fold.update(islice(self.trace.records, self._fold.last_step, None))
         return self._fold
 
     def fork(self) -> "Simulation":

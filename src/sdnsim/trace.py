@@ -14,18 +14,22 @@ scanner, and files are split only on ``"\\n"``. A line the scanner cannot
 read whole as one object is parsed again by ``codec.parse_json``, so
 every error names its file line and the decoder's own message.
 
-``Trace.from_lines`` is the one gate for trace input. ``_Rules`` holds
-every rule of a trace file past its JSON syntax (README, "Trace files",
-lists them), and a broken rule is a ``TraceFormatError`` that names the
-file line and the field. The checker trusts a trace the gate accepted as
-it trusts one the simulator wrote.
+``scan_lines`` is the one gate for trace input: it checks the metadata
+line when called, and each record as it yields it, so a reader that
+folds the records as they come (``sdnsim check``) holds none of them.
+``read_records`` reads a file through it, and ``Trace.from_lines`` and
+``Trace.read`` build a whole ``Trace`` on it. ``_Rules`` holds every
+rule of a trace file past its JSON syntax (README, "Trace files", lists
+them), and a broken rule is a ``TraceFormatError`` that names the file
+line and the field. The checker trusts a record the gate accepted as it
+trusts one the simulator wrote.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Iterator, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from .codec import encode, parse_json, read_text
 from .ofmodel import MAX_CONTROLLERS
@@ -79,7 +83,8 @@ class Trace:
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.to_lines()) + "\n")
+            fh.write(canonical_json({"meta": self.meta}) + "\n")
+            fh.writelines(line + "\n" for line in _record_lines(self.records))
 
     @classmethod
     def read(cls, path: str) -> "Trace":
@@ -87,31 +92,46 @@ class Trace:
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Trace":
-        """Parse a trace file's lines under ``_Rules``. Blank lines are
-        skipped but counted, so every error names its line in the file."""
-        numbered = ((lineno, ln) for lineno, ln in enumerate(lines, 1)
-                    if ln and not ln.isspace())
-        first = next(numbered, None)
-        if first is None:
-            raise TraceFormatError("empty trace")
-        head = _json_object(*first)
-        if not isinstance(head.get("meta"), dict):
-            raise TraceFormatError(f"line {first[0]}: first trace line must carry run metadata")
-        trace = cls(head["meta"])
-        rules = _Rules(first[0], trace.meta)
-        records = trace.records
-        for lineno, ln in numbered:
-            obj = _json_object(lineno, ln)
-            try:
-                rec = TraceRecord(obj["step"], obj["t"], obj["kind"], obj["actor"],
-                                  obj.get("peer"), obj.get("msg"), obj.get("detail", {}))
-            except KeyError as exc:
-                raise TraceFormatError(f"line {lineno}: record missing field {exc}") from exc
-            error = rules.error(rec, len(records) + 1)
-            if error is not None:
-                raise TraceFormatError(f"line {lineno}: {error}")
-            records.append(rec)
+        """The trace ``scan_lines`` reads from a trace file's lines."""
+        meta, records = scan_lines(lines)
+        trace = cls(meta)
+        trace.records.extend(records)
         return trace
+
+
+def read_records(path: str) -> tuple[dict, Iterator[TraceRecord]]:
+    """``scan_lines`` of the trace file at ``path``."""
+    return scan_lines(read_text(path, TraceFormatError).split("\n"))
+
+
+def scan_lines(lines: Iterable[str]) -> tuple[dict, Iterator[TraceRecord]]:
+    """A trace file's metadata, checked under ``_Rules`` now, and an
+    iterator that checks each record under them as it yields it. Blank
+    lines are skipped but counted, so every error names its line in the
+    file."""
+    numbered = ((lineno, ln) for lineno, ln in enumerate(lines, 1)
+                if ln and not ln.isspace())
+    first = next(numbered, None)
+    if first is None:
+        raise TraceFormatError("empty trace")
+    head = _json_object(*first)
+    if not isinstance(head.get("meta"), dict):
+        raise TraceFormatError(f"line {first[0]}: first trace line must carry run metadata")
+    return head["meta"], _scan_records(numbered, _Rules(first[0], head["meta"]))
+
+
+def _scan_records(numbered: Iterator[tuple[int, str]], rules: _Rules) -> Iterator[TraceRecord]:
+    for step, (lineno, ln) in enumerate(numbered, 1):
+        obj = _json_object(lineno, ln)
+        try:
+            rec = TraceRecord(obj["step"], obj["t"], obj["kind"], obj["actor"],
+                              obj.get("peer"), obj.get("msg"), obj.get("detail", {}))
+        except KeyError as exc:
+            raise TraceFormatError(f"line {lineno}: record missing field {exc}") from exc
+        error = rules.error(rec, step)
+        if error is not None:
+            raise TraceFormatError(f"line {lineno}: {error}")
+        yield rec
 
 
 class TraceFormatError(Exception):

@@ -393,8 +393,8 @@ def test_a_fold_forked_mid_run_and_fed_another_suffix_matches_a_fresh_fold(varia
         fault_free, crashed = base.fork(), base.fork()
         crashed.crash(target)
         crashes[target] += 1
-        fold.update(fault_free.run())
-        forked.update(crashed.run())
+        fold.update(fault_free.run().records[fold.last_step:])
+        forked.update(crashed.run().records[forked.last_step:])
         for run, sim in ((fold, fault_free), (forked, crashed)):
             fresh = _Run(sim.trace)
             assert vars(run) == vars(fresh), f"event {base.processed}"

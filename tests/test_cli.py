@@ -2,8 +2,10 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import replace
@@ -17,7 +19,8 @@ from sdnsim import (Simulation, Trace, all_passed, cli, enumerate_crash_points,
                     load_scenario, run_all_checks, sweep_crash_points)
 from sdnsim.cli import main
 from sdnsim.ofmodel import MAX_CONTROLLERS, MAX_SWITCH_ID
-from sdnsim.scenario import ScenarioError, scenario_from_obj, scenario_to_obj
+from sdnsim.scenario import (ScenarioError, SwitchSpec, WorkloadItem, scenario_from_obj,
+                             scenario_to_obj)
 
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -324,7 +327,8 @@ def test_check_accepts_a_passing_stored_trace(tmp_path, capsys):
 
 def test_run_and_check_walk_the_records_once(tmp_path, capsys, monkeypatch):
     """The header's quiesce flag, the metrics and the verdicts are read in
-    one pass over the records."""
+    one pass over the records: run's over the trace it holds, check's over
+    the records its file reader yields."""
     traces = []
     run = Simulation.run
 
@@ -340,10 +344,18 @@ def test_run_and_check_walk_the_records_once(tmp_path, capsys, monkeypatch):
     assert trace.records.walks == 1
     run_out = capsys.readouterr().out.splitlines()
 
-    trace.records = CountedRecords(trace.records)
-    monkeypatch.setattr(Trace, "read", lambda path: trace)
-    assert main(["check", "run.trace"]) == 0
-    assert trace.records.walks == 1
+    path = str(tmp_path / "run.trace")
+    trace.write(path)
+    yielded = []  # the steps of the records the reader yields to check
+    read = cli.read_records
+
+    def counted_read(path):
+        meta, records = read(path)
+        return meta, (yielded.append(rec.step) or rec for rec in records)
+
+    monkeypatch.setattr(cli, "read_records", counted_read)
+    assert main(["check", path]) == 0
+    assert yielded == [rec.step for rec in trace.records]
     check_out = capsys.readouterr().out.splitlines()
     assert check_out[0].endswith(", quiesced=True")
     assert check_out[1:] == run_out[1:]
@@ -382,6 +394,53 @@ def test_check_truncated_trace_exits_two(tmp_path):
     lines = trace.to_lines()
     path.write_text("\n".join(lines[:1] + lines[3:]))  # drop a record line
     assert main(["check", str(path)]) == 2
+
+
+@pytest.fixture(scope="module")
+def long_trace_path(tmp_path_factory):
+    """The benchmark's long_run shape cut to 300 events: a fault-free
+    mac-learner run on three controllers and two four-port switches."""
+    rng = random.Random(1)
+    ports = (1, 2, 3, 4)
+    workload = tuple(WorkloadItem(t=5 + 3 * k, switch=rng.randrange(2), in_port=rng.choice(ports),
+                                  payload=bytes([rng.randint(1, 250), rng.randint(1, 250)]))
+                     for k in range(300))
+    scenario = learning_scenario(switches=(SwitchSpec(0, ports), SwitchSpec(1, ports)),
+                                 workload=workload, quiesce_limit=31000)
+    path = tmp_path_factory.mktemp("long") / "run.trace"
+    Simulation(scenario).run().write(str(path))
+    return str(path)
+
+
+def _peak_bytes(fn) -> int:
+    """The most memory Python held at once while ``fn()`` ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_holds_no_record_of_the_trace(long_trace_path, capsys):
+    """check folds each record as the gate accepts it, so at its peak it
+    holds less than half of what reading the trace whole holds."""
+    checked = _peak_bytes(lambda: main(["check", long_trace_path]))
+    assert capsys.readouterr().out.endswith("RESULT pass P1=+ P2=+ P3=+ P4=+ P5=+ P6=+\n")
+    assert checked < _peak_bytes(lambda: Trace.read(long_trace_path)) / 2
+
+
+def test_check_of_a_trace_cut_mid_record_names_its_last_line(long_trace_path, tmp_path, capsys):
+    """The gate raises in the middle of check's fold, past thousands of
+    folded records; check still prints nothing and exits 2."""
+    data = Path(long_trace_path).read_bytes()[:-20]
+    path = tmp_path / "cut.trace"
+    path.write_bytes(data)
+    last = data.count(b"\n") + 1
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: line {last}: ")
 
 
 def _record(objs, kind, msg_type=None, actor="s"):
