@@ -11,9 +11,9 @@ Command delivery is made exactly-once by three interlocking rules:
 * commands for log index i go out as one atomic bundle with id i, carrying
   a PacketOut that acknowledges (i, switch) back to every replica;
 * a new leader resends a committed index only if no ack for it has been
-  seen, and only after the switch answered its RoleRequest -- per-connection
-  FIFO then guarantees every ack the switch emitted before the mastership
-  change has already been processed;
+  seen (checked once, in ``Replica._dispatch``), and only after the switch
+  answered its RoleRequest -- per-connection FIFO then guarantees every ack
+  the switch emitted before the mastership change has already been processed;
 * the switch discards staged bundles when a connection drops, so a dead
   leader's half-sent bundle can never commit behind the new leader's back.
 
@@ -154,7 +154,7 @@ class Replica:
         self.log: list[LogEntry] = []
         self.commit_index = 0
         self.event_buffer: dict[EventId, tuple[bytes, PortId]] = {}
-        self.ack_table: dict[SwitchId, set[int]] = {s: set() for s in switch_ids}
+        self.acked: set[tuple[SwitchId, int]] = set()  # (switch, index) acks seen
         self.app, self.app_state, self.app_digest = start
         self.use_bundles = use_bundles
         self.register_async = register_async
@@ -173,7 +173,7 @@ class Replica:
         new = copy.copy(self)
         new.log = list(self.log)
         new.event_buffer = dict(self.event_buffer)
-        new.ack_table = {sw: set(acks) for sw, acks in self.ack_table.items()}
+        new.acked = set(self.acked)
         new.logged_events = set(self.logged_events)
         new.commands_by_index = dict(self.commands_by_index)
         new.acked_through = dict(self.acked_through)
@@ -196,15 +196,12 @@ class Replica:
 
     def startup(self) -> list[Effect]:
         """Initial connection setup: take roles, register for async messages."""
+        role = Role.MASTER if self.is_leader else Role.SLAVE
         effects: list[Effect] = []
-        if self.is_leader:
-            for sw in self.switch_ids:
-                effects.append(SendToSwitch(sw, RoleRequest(Role.MASTER, self.view)))
-        else:
-            for sw in self.switch_ids:
-                effects.append(SendToSwitch(sw, RoleRequest(Role.SLAVE, self.view)))
-                if self.register_async:
-                    effects.append(SendToSwitch(sw, SetAsyncConfig(True)))
+        for sw in self.switch_ids:
+            effects.append(SendToSwitch(sw, RoleRequest(role, self.view)))
+            if role is Role.SLAVE and self.register_async:
+                effects.append(SendToSwitch(sw, SetAsyncConfig(True)))
         return effects
 
     # ------------------------------------------------------------------
@@ -228,7 +225,7 @@ class Replica:
     def _on_packet_in(self, pkt: PacketIn) -> list[Effect]:
         ack = decode_ack(pkt.payload)
         if ack is not None:
-            self.ack_table.setdefault(ack.target_switch, set()).add(ack.log_index)
+            self.acked.add((ack.target_switch, ack.log_index))
             return []
         if pkt.event not in self.event_buffer:
             self.event_buffer[pkt.event] = (pkt.payload, pkt.in_port)
@@ -269,7 +266,8 @@ class Replica:
             if idx <= len(self.log):
                 if self.log[idx - 1] != entry:
                     # conflicting suffix left behind by an older view
-                    assert idx > self.commit_index, "conflict below commit index"
+                    if idx <= self.commit_index:
+                        raise AssertionError("conflict below commit index")
                     del self.log[idx - 1:]
                     self.logged_events = {
                         e.event for e in self.log if isinstance(e, EventEntry)
@@ -324,20 +322,19 @@ class Replica:
         return effects
 
     def _flush_owed(self, sw: SwitchId) -> list[Effect]:
-        """Send every committed, applied command batch for this switch that
-        no replica has seen acknowledged. Runs once, right after the fence."""
+        """Send every committed, applied command batch this switch is owed.
+        Runs once, right after the fence."""
         effects: list[Effect] = []
         for i in range(1, self.commit_index + 1):
-            cmds = self.commands_by_index.get(i, {}).get(sw)
-            if cmds and i not in self.ack_table[sw]:
-                effects.extend(self._dispatch(i, sw))
+            effects.extend(self._dispatch(i, sw))
         return effects
 
     # ------------------------------------------------------------------
     # log machinery
 
     def _append_local(self, entry: LogEntry) -> None:
-        assert entry.index == len(self.log) + 1
+        if entry.index != len(self.log) + 1:
+            raise AssertionError("append out of order")
         self.log.append(entry)
         if isinstance(entry, EventEntry):
             self.logged_events.add(entry.event)
@@ -368,7 +365,8 @@ class Replica:
         return effects
 
     def _apply_entry(self, entry: LogEntry) -> list[Effect]:
-        assert entry.index == self.commit_index + 1
+        if entry.index != self.commit_index + 1:
+            raise AssertionError("apply out of order")
         self.commit_index = entry.index
         if isinstance(entry, ViewEntry):
             return [Note("APPLY", {"index": str(entry.index), "entry": "VIEW",
@@ -387,13 +385,15 @@ class Replica:
                                                 "commands": summary,
                                                 "digest": self.app_digest})]
         for sw in sorted(cmds):
-            if (cmds[sw] and self.is_leader and sw in self.fenced
-                    and entry.index not in self.ack_table[sw]):
+            if self.is_leader and sw in self.fenced:
                 effects.extend(self._dispatch(entry.index, sw))
         return effects
 
     def _dispatch(self, index: int, sw: SwitchId) -> list[Effect]:
-        cmds = self.commands_by_index[index][sw]
+        """Send ``index``'s commands for ``sw`` unless there are none or they were acked."""
+        cmds = self.commands_by_index.get(index, {}).get(sw)
+        if not cmds or (sw, index) in self.acked:
+            return []
         if self.use_bundles:
             return [SendToSwitch(sw, m) for m in build_bundle(index, sw, cmds)]
         return [SendToSwitch(sw, c, tags={"cmd_index": str(index), "cmd_ord": str(j)})

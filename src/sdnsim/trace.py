@@ -65,7 +65,8 @@ class Trace:
 
     def append(self, t: int, kind: str, actor: str, peer: Optional[str] = None,
                msg: Optional[dict] = None, detail: Optional[dict[str, str]] = None) -> TraceRecord:
-        assert kind in RECORD_KINDS, kind
+        if kind not in RECORD_KINDS:
+            raise AssertionError(kind)
         rec = TraceRecord(len(self.records) + 1, t, kind, actor, peer, msg, detail or {})
         self.records.append(rec)
         return rec

@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from sdnsim import (AppConfig, Route, Scenario, Simulation, SwitchSpec, Trace, WorkloadItem,
-                    run_all_checks, scenario_to_obj, sweep_crash_points)
+                    load_scenario, run_all_checks, scenario_to_obj, sweep_crash_points)
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def shipped(name: str) -> Scenario:
+    """The shipped scenario ``scenarios/<name>.json``."""
+    return load_scenario(str(SCENARIO_DIR / f"{name}.json"))
 
 
 def one_command_scenario(variant: str = "PAPER_A", **overrides) -> Scenario:

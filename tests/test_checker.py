@@ -1,10 +1,9 @@
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-from builders import (STALL, CountedRecords, apply_event, bundle_commit_exec,
+from builders import (SCENARIO_DIR, STALL, CountedRecords, apply_event, bundle_commit_exec,
                       learning_scenario, one_command_scenario, packet_in_send,
                       synthetic_trace)
 from sdnsim import Simulation, checker, compute_metrics, load_scenario, sweep_crash_points
@@ -26,8 +25,6 @@ from sdnsim.checker import (
 )
 from sdnsim.ofmodel import ACK_MARKER, MAX_CONTROLLERS
 from sdnsim.scenario import VARIANTS
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def assert_valid_witnesses(verdict, trace):

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from builders import (CountedRecords, apply_event, learning_scenario, one_command_scenario,
-                      packet_in_send, stalled, synthetic_trace)
+from builders import (SCENARIO_DIR, CountedRecords, apply_event, learning_scenario,
+                      one_command_scenario, packet_in_send, shipped, stalled, synthetic_trace)
 from sdnsim import (Simulation, Trace, all_passed, cli, enumerate_crash_points,
                     load_scenario, run_all_checks, sweep_crash_points)
 from sdnsim.cli import main
@@ -23,7 +23,6 @@ from sdnsim.scenario import (ScenarioError, SwitchSpec, WorkloadItem, scenario_f
                              scenario_to_obj)
 
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 # An integer literal of 5000 digits: past the int-string limit of an
@@ -620,7 +619,7 @@ MALFORMED_TRACES = {
 @pytest.mark.parametrize("variant, damage, message", MALFORMED_TRACES.values(),
                          ids=MALFORMED_TRACES)
 def test_check_malformed_trace_exits_two(tmp_path, capsys, variant, damage, message):
-    scenario = load_scenario(str(SCENARIO_DIR / "one_command.json"))
+    scenario = shipped("one_command")
     lines = Simulation(scenario.with_variant(variant)).run().to_lines()
     objs = [json.loads(ln) for ln in lines]
     damage(objs)
@@ -647,7 +646,7 @@ HEADER_CLAIMS = {
 def leader_sweep_fork(name: str, occurrence: int) -> Trace:
     """The trace of the fork that crashes c0 at crash point ``occurrence``
     of the leader sweep of ``scenarios/<name>.json``."""
-    base = Simulation(load_scenario(str(SCENARIO_DIR / f"{name}.json")))
+    base = Simulation(shipped(name))
     return next(fork.run() for points, fork in sweep_crash_points(base, 0)
                 if occurrence in (p.occurrence for p in points))
 
@@ -691,7 +690,7 @@ def test_check_reads_traces_with_the_older_nine_key_metadata(tmp_path, capsys):
     for trace, code in (
             (leader_sweep_fork("naive_suppressed", 5), 1),
             (leader_sweep_fork("paper_a", 1), 0),
-            (Simulation(load_scenario(str(SCENARIO_DIR / "majority_loss.json"))).run(), 0)):
+            (Simulation(shipped("majority_loss")).run(), 0)):
         lines = trace.to_lines()
         older = [json.dumps({"meta": nine_key_meta(scenario_from_obj(trace.meta))}),
                  *lines[1:]]
@@ -876,7 +875,7 @@ def test_compare_rejects_a_bad_variant_before_any_sweep(tmp_path, capsys, monkey
 
 
 def test_one_fork_per_group(monkeypatch):
-    scenario = load_scenario(str(SCENARIO_DIR / "paper_a.json"))
+    scenario = shipped("paper_a")
     forked_at = []  # events the base run had dispatched at each fork
     fork = Simulation.fork
 

@@ -10,11 +10,10 @@ output must say so and re-pin the digest.
 """
 
 import hashlib
-from pathlib import Path
 
+from builders import SCENARIO_DIR
 from sdnsim.cli import main
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 CLI_COMMANDS = 30
 CLI_SHA256 = "6855bd65862d4dc8d3c4a4de9f9210ee698e7ab69626601463b1256f31953fd2"
@@ -24,7 +23,7 @@ def test_cli_output_on_every_shipped_scenario_is_unchanged(tmp_path, capsys):
     trace, metrics = str(tmp_path / "run.trace"), tmp_path / "metrics.json"
     digest = hashlib.sha256()
     count = 0
-    for path in sorted(SCENARIOS.glob("*.json")):
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
         scenario = str(path)
         for argv in (["run", scenario, "--trace", trace, "--metrics", str(metrics)],
                      ["check", trace],

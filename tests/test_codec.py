@@ -1,7 +1,6 @@
 import json
 import typing
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -33,9 +32,8 @@ from sdnsim.scenario import (InitialFlow, SwitchSpec, load_scenario, scenario_fr
                              scenario_to_obj)
 from sdnsim.trace import msg_to_wire
 
-from builders import one_command_scenario
+from builders import SCENARIO_DIR, one_command_scenario
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 FLOW = FlowMod(Match(in_port=3, payload_prefix=b"\x02"), 20,
                (Output(2), Output(CONTROLLER_PORT)))

@@ -17,6 +17,16 @@ detector delay, so that the survivors act on a crash while messages sent
 before it are still in flight; no per-link latency is needed. The
 staged-bundle discard stays vacuous: it needs controller restarts.
 
+The ack check is stated once, in ``Replica._dispatch``, and the ack
+mutant hides the seen acks from it, on the fence flush and the apply path
+alike. The apply-path half alone is needed only under tie seed 3 of the
+two-event sweep in ``tests/test_protocol_robustness.py``. With only that
+half removed, every shipped scenario's sweep of every target, at the
+shipped timing and at latency 3 with detector delay 1, shows the anomalies
+it shows unmutated, and so does every c0 fork of the every-boundary crash
+census of ``paper_a``, ``paper_b`` and ``one_command``.
+``tests/test_replica.py`` tests that half directly.
+
 One mutant is not killed yet: a new leader that resends its owed batches
 with every data-plane output rewritten to port 99. Its EXEC records show
 the rewritten commands, but every verdict passes, because no property
@@ -36,18 +46,16 @@ the same comparison.
 
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-from builders import unsound_merges
-from sdnsim import Simulation, cli, load_scenario, netsim, sweep_crash_points
+from builders import shipped, unsound_merges
+from sdnsim import Simulation, cli, netsim, sweep_crash_points
 from sdnsim.checker import all_passed, classify_anomalies, run_all_checks
 from sdnsim.ofmodel import (CONTROLLER_PORT, BundleAdd, FlowMod, Output, PacketOut, RoleReply,
                             RoleRequest, SetAsyncConfig)
 from sdnsim.replica import Append, AppendAck, Replica, SendToSwitch
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = ("paper_a", "paper_b", "one_command")
 # a link slower than the failure detector
 SLOW_LINK = {"latency": 3, "detector_delay": 1}
@@ -58,7 +66,7 @@ def leader_sweep_anomalies(name: str, **timing) -> Counter:
     """Crash c0 at every point of a shipped scenario, with ``timing``
     overriding its latency or detector delay: each anomaly and how many
     points show it, with one ``None`` per failing point."""
-    scenario = replace(load_scenario(str(SCENARIO_DIR / f"{name}.json")), **timing)
+    scenario = replace(shipped(name), **timing)
     _, rows = cli._sweep(scenario, 0, 1)
     counts = Counter()
     for _, verdicts in rows:
@@ -68,13 +76,15 @@ def leader_sweep_anomalies(name: str, **timing) -> Counter:
     return counts
 
 
-def resend_without_checking_acks(self, sw):
-    """``_flush_owed`` resending every applied batch for ``sw``, acked or not."""
-    effects = []
-    for i in range(1, self.commit_index + 1):
-        if self.commands_by_index.get(i, {}).get(sw):
-            effects.extend(self._dispatch(i, sw))
-    return effects
+def resend_without_checking_acks(dispatch):
+    """``_dispatch`` with every seen ack hidden, so both the fence flush and
+    the apply path send each applied batch, acked or not."""
+    def mutant(self, index, sw):
+        acked, self.acked = self.acked, set()
+        effects = dispatch(self, index, sw)
+        self.acked = acked
+        return effects
+    return mutant
 
 
 def to_port_99(msg):
@@ -99,7 +109,7 @@ def resend_to_port_99(flush_owed):
 def points_executing_port_99_flow_mods(name: str) -> int:
     """How many points of a shipped scenario's c0 sweep execute a FlowMod
     that outputs to port 99, as their EXEC records state it."""
-    scenario = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    scenario = shipped(name)
     return sum(len(points) for points, fork in sweep_crash_points(Simulation(scenario), 0)
                if any(rec.kind == "EXEC" and rec.detail["exec"] == "FLOWMOD"
                       and {"port": 99} in rec.msg["actions"] for rec in fork.run().records))
@@ -158,7 +168,7 @@ def unmutated_slow_link():
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_resend_without_checking_acks_repeats_commands(monkeypatch, unmutated, name):
-    monkeypatch.setattr(Replica, "_flush_owed", resend_without_checking_acks)
+    monkeypatch.setattr(Replica, "_dispatch", resend_without_checking_acks(Replica._dispatch))
     anomalies = leader_sweep_anomalies(name)
     assert anomalies["REPEATED_COMMAND"] >= 1
     assert not unmutated[name]
@@ -226,7 +236,7 @@ def test_rewritten_owed_commands_are_caught(monkeypatch, unmutated):
 
 
 def test_a_livelocked_leader_makes_no_progress(monkeypatch):
-    scenario = load_scenario(str(SCENARIO_DIR / "one_command.json"))
+    scenario = shipped("one_command")
     assert all_passed(run_all_checks(Simulation(scenario).run()))
     monkeypatch.setattr(Replica, "on_replica_message",
                         rebroadcast_on_every_ack(Replica.on_replica_message))
@@ -234,7 +244,7 @@ def test_a_livelocked_leader_makes_no_progress(monkeypatch):
 
 
 def test_merging_a_delivery_at_a_later_tick_is_caught(monkeypatch):
-    scenario = replace(load_scenario(str(SCENARIO_DIR / "paper_a.json")), latency=2)
+    scenario = replace(shipped("paper_a"), latency=2)
     merged, unsound = unsound_merges(scenario, 0)
     assert merged and not unsound
     commutes = netsim._commutes_with_crash
@@ -245,7 +255,7 @@ def test_merging_a_delivery_at_a_later_tick_is_caught(monkeypatch):
 
 
 def test_merging_a_step_of_more_than_one_record_is_caught(monkeypatch):
-    scenario = load_scenario(str(SCENARIO_DIR / "paper_b.json"))
+    scenario = shipped("paper_b")
     merged, unsound = unsound_merges(scenario, 1)
     assert merged and not unsound
     commutes = netsim._commutes_with_crash

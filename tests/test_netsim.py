@@ -1,12 +1,11 @@
 import gc
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-from builders import (learning_scenario, one_command_scenario, point_lines, stalled,
-                      unsound_merges)
+from builders import (SCENARIO_DIR, learning_scenario, one_command_scenario, point_lines,
+                      shipped, stalled, unsound_merges)
 from sdnsim import (
     FaultSpec,
     ScenarioError,
@@ -27,8 +26,6 @@ from sdnsim.netsim import _commutes_with_crash, _is_crash_point
 from sdnsim.ofmodel import CONTROLLER_PORT, FlowMod, Match, Output
 from sdnsim.scenario import VARIANTS, InitialFlow, SwitchSpec, WorkloadItem
 from sdnsim.trace import TraceRecord, msg_to_wire
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run_trace(scenario):
@@ -722,7 +719,7 @@ def test_replicas_share_app_states_and_digest_each_once(monkeypatch):
         return state_digest(state)
 
     monkeypatch.setattr(replica, "state_digest", counting_digest)
-    sim = Simulation(load_scenario(str(SCENARIO_DIR / "paper_a.json")))
+    sim = Simulation(shipped("paper_a"))
     trace = sim.run()
     survivors = [r for rid, r in sim.replicas.items() if rid not in sim.crashed]
     assert len(survivors) == sim.sc.n_controllers
@@ -752,7 +749,7 @@ def always_step(app, state, sw, in_port, payload, digest):
 
 @pytest.mark.parametrize("name", ["paper_a", "naive"])
 def test_forced_step_misses_change_no_trace(monkeypatch, name):
-    scenario = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    scenario = shipped(name)
     steps = count_app_steps(monkeypatch)
     shared = [forked_sweep(scenario, t) for t in range(scenario.n_controllers)]
     kept_steps = steps[0]

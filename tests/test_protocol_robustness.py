@@ -1,22 +1,18 @@
 """End-to-end protocol properties asserted on live simulation state, plus
 harder fault schedules than the acceptance sweep."""
 
+import ast
 import contextlib
 import hashlib
 import heapq
 from pathlib import Path
 
 import pytest
-from builders import learning_scenario, one_command_scenario, stalled
+from builders import SCENARIO_DIR, learning_scenario, one_command_scenario, shipped, stalled
+import sdnsim
 from sdnsim import (FaultSpec, Scenario, Simulation, SwitchSpec, WorkloadItem, all_passed,
-                    classify_anomalies, load_scenario, run_all_checks, sweep_crash_points)
+                    classify_anomalies, run_all_checks, sweep_crash_points)
 from sdnsim.replica import EventEntry
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def shipped(name):
-    return load_scenario(str(SCENARIO_DIR / f"{name}.json"))
 
 
 def test_crash_free_run_leaves_identical_logs():
@@ -199,6 +195,15 @@ def test_leader_crash_with_a_slow_link_keeps_applied_logs_agreeing(monkeypatch, 
         assert all_passed(verdicts), [v for v in verdicts if not v.passed]
         conflicts = conflicting_applies(trace)
         assert not conflicts, f"conflicting applies {conflicts}"
+
+
+def test_no_simulator_invariant_is_a_bare_assert():
+    # `python -O` strips assert statements, and with them the invariant that
+    # fails the crash at t=10 above: c1 would truncate a committed entry and
+    # run on. Each invariant raises AssertionError itself
+    for path in sorted(Path(sdnsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == [], path.name
 
 
 def repeated_event_scenario():

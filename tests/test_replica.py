@@ -79,7 +79,7 @@ def test_any_replica_records_acks():
     ack = PacketIn(EventId(0, 9), PacketInReason.ACTION, CONTROLLER_PORT,
                    encode_ack(3, 0))
     assert r.on_switch_message(0, ack) == []
-    assert 3 in r.ack_table[0]
+    assert (0, 3) in r.acked
     assert r.event_buffer == {}
 
 
@@ -248,6 +248,22 @@ def test_acked_index_is_not_redispatched_at_fence():
     r.on_switch_message(0, ack)
     effects = r.on_switch_message(0, RoleReply(Role.MASTER, 0))
     assert sends_to_switch(effects) == []
+
+
+def test_acked_index_is_not_dispatched_at_apply():
+    # a fenced leader can see an index's ack before it applies the index,
+    # when a leader before it already sent the batch
+    def applied_sends(acked):
+        r = fenced_leader()
+        if acked:
+            r.on_switch_message(0, PacketIn(EventId(0, 2), PacketInReason.ACTION,
+                                            CONTROLLER_PORT, encode_ack(1, 0)))
+        r.on_switch_message(0, event_pkt(1))
+        return [e.msg for e in sends_to_switch(r.on_replica_message(1, AppendAck(0, 1)))]
+
+    assert applied_sends(acked=True) == []
+    flow = FlowMod(Match(payload_prefix=b"\x02"), 20, (Output(2),))
+    assert applied_sends(acked=False) == build_bundle(1, 0, [flow])
 
 
 def test_naive_dispatch_sends_bare_tagged_commands():

@@ -1,15 +1,12 @@
 import json
-from pathlib import Path
 
 import pytest
 
-from builders import learning_scenario, one_command_scenario, synthetic_trace
+from builders import learning_scenario, one_command_scenario, shipped, synthetic_trace
 from sdnsim import (FaultSpec, Simulation, Trace, TraceRecord, compute_metrics,
-                    load_scenario, run_all_checks, sweep_crash_points)
+                    run_all_checks, sweep_crash_points)
 from sdnsim.ofmodel import CONTROLLER_PORT
 from sdnsim.trace import TraceFormatError, canonical_json
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -217,8 +214,8 @@ def in_older_form(lines: list[str]) -> list[str]:
 
 
 def test_traces_stored_in_the_older_exec_form_still_check():
-    one_command = Simulation(load_scenario(str(SCENARIO_DIR / "one_command.json"))).run()
-    naive = load_scenario(str(SCENARIO_DIR / "naive_suppressed.json"))
+    one_command = Simulation(shipped("one_command")).run()
+    naive = shipped("naive_suppressed")
     assert naive.variant == "NAIVE"
     # a leader-sweep fork whose P4 reads the command tags of repeated executions
     repeats = next(trace for trace in (fork.run() for _, fork

@@ -12,17 +12,15 @@ say so and re-pin the digest.
 
 import hashlib
 from collections import defaultdict
-from pathlib import Path
 
 import pytest
 
-from builders import merged_deliveries, point_lines
+from builders import SCENARIO_DIR, merged_deliveries, point_lines
 from sdnsim import Simulation, Trace, load_scenario, run_all_checks, sweep_crash_points
 from sdnsim.ofmodel import ErrorCode, ErrorMsg
 from sdnsim.scenario import VARIANTS, scenario_from_obj, scenario_to_obj
 from sdnsim.trace import msg_to_wire
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 RUN_ONLY = {"majority_loss"}
 
 CORPUS_TRACES = 1092
@@ -47,7 +45,7 @@ def corpus_traces():
     scenario as its meta line. A point the sweep merged into its group
     after the fork's boundary has the trace of its own replay, whose lines
     differ from the fork's by the merged deliveries."""
-    for path in sorted(SCENARIOS.glob("*.json")):
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
         base = load_scenario(str(path))
         for variant in VARIANTS:
             scenario = base.with_variant(variant)
